@@ -45,7 +45,6 @@ TRACE_MODES = ("off", "items", "rules")
 class ParseOptions:
     step_limit: int = 100_000
     trace: str = "off"
-    history_limit: int = 64
 
     def __post_init__(self):
         if self.trace not in TRACE_MODES:
@@ -134,7 +133,7 @@ def parse(
     tracing = opts.trace != "off"
     rule_tracing = opts.trace == "rules"
 
-    store = ItemStore(key_of=system.key_of, history_limit=opts.history_limit)
+    store = ItemStore(key_of=system.key_of)
     source = VarSource()
     pops = enqueues = duplicates = 0
 
@@ -191,13 +190,17 @@ def parse(
 
 
 def naive_closure(system, grammar, input_string, bound: int = 20_000):
-    """Deductive closure by blind fixpoint iteration.
+    """Deductive closure by semi-naive fixpoint iteration.
 
-    No agenda, no indexing, no subsumption: items are deduplicated only
-    up to variable renaming.  Each round re-fires every trigger-first
-    clause against everything known.  The result is the set of
-    canonical forms; ``bound`` caps the item count since recursive rule
-    sets need not terminate.
+    No agenda, no indexing, no subsumption: only trigger-first clauses
+    fire, and items are deduplicated only up to variable renaming.
+    Each round fires every clause on exactly those combinations of known
+    antecedents that include at least one item added by the previous
+    round (Bancilhon & Ramakrishnan 1986): the antecedents before the
+    first such item were known before that round, the ones after it may
+    be anything known when the round starts.  Items a round adds wait
+    for the next.  The result is the set of canonical forms; ``bound``
+    caps the item count since recursive rule sets need not terminate.
     """
     seen: set = set()
     known: list = []
@@ -214,47 +217,63 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
         add(axiom)
     source = VarSource(30_000_000)
     ctx = EvalContext(grammar, input_string, source)
-    first_clauses = [c for c in system.clauses if c.trigger_slot == 0]
+    clauses = [(c, c.instantiate(source)) for c in system.clauses if c.trigger_slot == 0]
+    # copies[k][i] is known[i] renamed apart for antecedent position k.
+    # Each position has its own copy, so the antecedents of one firing
+    # never share variables; stored items only ever fire through their
+    # copies, so one copy per position serves every round.
+    copies = [[] for _ in range(max((c.n_antecedents for c, _ in clauses), default=0))]
 
-    changed = True
-    while changed:
-        changed = False
-        for clause in first_clauses:
-            for trigger_item in list(known):
-                trig, premises, consequent, _own = clause.instantiate(source)
-                item = trigger_item if trigger_item.ground else rename_with(trigger_item, {}, source)
-                s0 = unify(trig, item)
-                if s0 is None:
-                    continue
-                partials = [s0]
-                for p in premises:
-                    nexts = []
-                    for s in partials:
-                        if isinstance(p, SideCondition):
-                            fn = REGISTRY.get(p.builtin)
-                            if fn is None:
-                                raise UnknownBuiltinError(p.builtin)
-                            args = tuple(s.apply(a) for a in p.args)
-                            for s2 in fn(args, ctx):
-                                nexts.append(s.compose(s2))
-                        else:
-                            pat = s.apply(p.pattern)
-                            for other in list(known):
-                                o = other if other.ground else rename_with(other, {}, source)
-                                s2 = unify(pat, o, init=s)
-                                if s2 is not None:
-                                    nexts.append(s2)
-                    partials = nexts
-                    if not partials:
-                        break
-                for s in partials:
-                    item_out = s.apply(consequent)
-                    if clause.transform is not None:
-                        item_out = clause.transform(item_out, source)
-                    if add(item_out):
-                        changed = True
-                        if len(seen) > bound:
-                            raise EngineError(f"naive closure exceeded {bound} items")
+    # Side conditions are functions of their arguments, so each premise
+    # is evaluated once per argument tuple.  The key names the premise:
+    # two premises of one firing never share an answer's fresh variables.
+    answers: dict = {}
+    lo = 0
+    while lo < len(known):
+        hi = len(known)
+        for row in copies:
+            row.extend(t if t.ground else rename_with(t, {}, source) for t in known[len(row):hi])
+        for clause, (trig, premises, consequent, _own) in clauses:
+            last = clause.n_antecedents - 1
+            # A partial is (bindings, whether an antecedent is new).
+            partials = []
+            for i in range(lo if last == 0 else 0, hi):
+                s0 = unify(trig, copies[0][i])
+                if s0 is not None:
+                    partials.append((s0, i >= lo))
+            pos = 0
+            for p in premises:
+                if not partials:
+                    break
+                nexts = []
+                if isinstance(p, SideCondition):
+                    fn = REGISTRY.get(p.builtin)
+                    if fn is None:
+                        raise UnknownBuiltinError(p.builtin)
+                    for s, new in partials:
+                        args = tuple(s.apply(a) for a in p.args)
+                        found = answers.get((id(p), args))
+                        if found is None:
+                            found = answers[id(p), args] = list(fn(args, ctx))
+                        for s2 in found:
+                            nexts.append((s.compose(s2), new))
+                else:
+                    pos += 1
+                    row = copies[pos]
+                    for s, new in partials:
+                        pat = s.apply(p.pattern)
+                        for i in range(0 if new or pos < last else lo, hi):
+                            mgu = unify(pat, row[i])
+                            if mgu is not None:
+                                nexts.append((s.compose(mgu), new or i >= lo))
+                partials = nexts
+            for s, _new in partials:
+                item_out = s.apply(consequent)
+                if clause.transform is not None:
+                    item_out = clause.transform(item_out, source)
+                if add(item_out) and len(seen) > bound:
+                    raise EngineError(f"naive closure exceeded {bound} items")
+        lo = hi
     return seen
 
 

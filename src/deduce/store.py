@@ -114,9 +114,8 @@ def _compatible(stored_key, probe_key) -> bool:
 
 
 class ItemStore:
-    def __init__(self, key_of=None, history_limit: int = 64):
+    def __init__(self, key_of=None):
         self.key_of = key_of or key_of_default
-        self.history_limit = history_limit
         self._items: list[StoredItem] = []
         self._head = 1  # next index to pop
         self._buckets: dict = {}
@@ -174,7 +173,7 @@ class ItemStore:
         winner = self._subsumer(item)
         if winner is not None:
             histories = self._items[winner - 1].histories
-            if history not in histories and len(histories) < self.history_limit:
+            if history not in histories:
                 histories.append(history)
             return winner, False
         index = len(self._items) + 1

@@ -15,7 +15,10 @@ from deduce.engine import (
 from deduce.grammar import tokenize
 from deduce.store import History
 from deduce.systems import (
+    DeductionSystem,
     GrammarNotCnf,
+    ItemPremise,
+    RuleClause,
     make_bottomup,
     make_ccg,
     make_cyk,
@@ -23,7 +26,7 @@ from deduce.systems import (
     make_tag,
     make_topdown,
 )
-from deduce.terms import canonical
+from deduce.terms import canonical, parse_term
 
 from replay_rows import (
     BOTTOMUP_ROWS,
@@ -119,11 +122,13 @@ def test_counters_reconcile(toy_grammar, ccg_lexicon):
         assert r.duplicates >= 0
 
 
-def test_naive_closure_agrees_with_the_chart(toy_grammar, cnf_ab_grammar):
+def test_naive_closure_agrees_with_the_chart(toy_grammar, cnf_ab_grammar, abn_grammar):
     cases = [
         (make_cyk(), cnf_ab_grammar, "a b"),
         (make_earley(), toy_grammar, "a program halts"),
         (make_topdown(), toy_grammar, "a program halts"),
+        (make_earley(restriction_depth=2), abn_grammar, "a b b"),
+        (make_bottomup(), abn_grammar, "a b b"),
     ]
     for system, grammar, sentence in cases:
         w = tokenize(sentence)
@@ -131,6 +136,28 @@ def test_naive_closure_agrees_with_the_chart(toy_grammar, cnf_ab_grammar):
         assert not r.halted_by_limit
         chart = {canonical(stored.item) for stored in r.store.items()}
         assert chart == naive_closure(system, grammar, w)
+
+
+def test_naive_closure_renames_the_antecedents_of_one_firing_apart():
+    # Both antecedents of pair can be the one axiom p(f(X)); each use
+    # needs its own copy, or the consequent would tie A and B together.
+    t = parse_term
+    system = DeductionSystem(
+        name="pairs",
+        grammar_class=object,
+        clauses=(
+            RuleClause("pair", 2, 0, t("p(A)"), (ItemPremise(t("p(B)"), 1),), t("q(A, B)")),
+            RuleClause("pair", 2, 1, t("p(B)"), (ItemPremise(t("p(A)"), 0),), t("q(A, B)")),
+        ),
+        axioms=lambda grammar, w: [t("p(f(X))")],
+        goal_patterns=lambda grammar, w: [],
+    )
+    w = tokenize("")
+    r = parse(system, None, w)
+    closure = naive_closure(system, None, w)
+    assert closure == {canonical(stored.item) for stored in r.store.items()}
+    assert canonical(t("q(f(X), f(Y))")) in closure
+    assert canonical(t("q(f(X), f(X))")) not in closure
 
 
 def test_naive_closure_bound_guards_divergence(abn_grammar):

@@ -95,12 +95,12 @@ def test_duplicate_history_is_recorded_once():
     assert len(s.get(1).histories) == 2
 
 
-def test_history_cap_drops_further_justifications():
-    s = ItemStore(history_limit=3)
+def test_every_distinct_justification_is_kept():
+    s = ItemStore()
     s.enqueue(t("i(1)"), h(INITIAL))
-    for k in range(10):
+    for k in range(100):
         s.enqueue(t("i(1)"), h("scan", k))
-    assert len(s.get(1).histories) == 3
+    assert len(s.get(1).histories) == 101
 
 
 def test_renamed_retrieval_never_mutates_the_store():
