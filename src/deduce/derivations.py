@@ -59,6 +59,46 @@ def _interleave(gens):
         active = keep
 
 
+def _components(root: int, successors) -> dict:
+    """Strongly connected component of every node reachable from ``root``.
+
+    An iterative Tarjan, since a forest can be deeper than Python's
+    recursion limit.  Returns a map from node to the frozenset of its
+    component.
+    """
+    order = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    component = {}
+    work = [(root, iter(successors(root)))]
+    while work:
+        node, edges = work[-1]
+        for succ in edges:
+            if succ not in order:
+                order[succ] = low[succ] = len(order)
+                stack.append(succ)
+                on_stack.add(succ)
+                work.append((succ, iter(successors(succ))))
+                break
+            if succ in on_stack:
+                low[node] = min(low[node], order[succ])
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == order[node]:
+                members = []
+                while not members or members[-1] != node:
+                    members.append(stack.pop())
+                    on_stack.discard(members[-1])
+                scc = frozenset(members)
+                for m in members:
+                    component[m] = scc
+    return component
+
+
 def extract(result, goal_index: "int | None" = None, limit: int = 16):
     """Up to ``limit`` derivation trees for a goal item.
 
@@ -69,21 +109,50 @@ def extract(result, goal_index: "int | None" = None, limit: int = 16):
     at ``limit``.  An index already on the current path is never
     expanded again: subsumption collapse can make an item's history
     refer forward into a cycle, which a tree cannot use.
+
+    Shared sub-forests are unpacked once.  The first ``limit`` trees of
+    an index under a path are memoized under the key (index, path ∩ C),
+    where C is the index's strongly connected component in the forest
+    reachable from the goal (edges run from an item to the antecedents
+    of each of its histories).  The key is exact: the unpacking below an
+    index reads the path only by asking whether an item it reaches is on
+    it, and a path item that the index reaches is an ancestor that also
+    reaches the index, so it lies in C.  The memo therefore returns the
+    list the plain recursion would rebuild, tree for tree and in order,
+    and the frozen trees it holds are shared between results.
+
+    Where a system's parse-tree fold ignores the subtrees of some rules
+    (``_IGNORED``), derivations that differ only below such a node read
+    as the same parse tree.  A history of such a rule therefore takes
+    only the first derivation of each antecedent, and an item whose
+    histories are all of such rules yields only its first derivation,
+    so the limit is spent on distinct readings.
     """
     store = result.store
     if goal_index is None:
         if not result.goal_indices:
             return []
         goal_index = result.goal_indices[0]
+    ignored = _IGNORED.get(result.system.name, frozenset())
+    component = _components(goal_index, lambda index: [
+        a for hist in store.get(index).histories for a in hist.antecedents
+    ])
+    memo = {}
+
+    def derivations(index: int, path: frozenset) -> list:
+        key = (index, path & component[index])
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = list(itertools.islice(walk(index, path), limit))
+        return found
 
     def expand(hist, index: int, path: frozenset):
         if not hist.antecedents:
             yield DerivationTree(hist.rule_name, index)
             return
-        pools = [
-            list(itertools.islice(walk(a, path), limit))
-            for a in hist.antecedents
-        ]
+        pools = [derivations(a, path) for a in hist.antecedents]
+        if hist.rule_name in ignored:
+            pools = [pool[:1] for pool in pools]
         for combo in itertools.product(*pools):
             yield DerivationTree(hist.rule_name, index, combo)
 
@@ -91,11 +160,13 @@ def extract(result, goal_index: "int | None" = None, limit: int = 16):
         if index in path:
             return
         deeper = path | {index}
-        yield from _interleave(
-            expand(hist, index, deeper) for hist in store.get(index).histories
-        )
+        hists = store.get(index).histories
+        trees = _interleave(expand(hist, index, deeper) for hist in hists)
+        if all(hist.rule_name in ignored for hist in hists):
+            trees = itertools.islice(trees, 1)
+        yield from trees
 
-    return list(itertools.islice(walk(goal_index, frozenset()), limit))
+    return derivations(goal_index, frozenset())
 
 
 def render_derivation_tree(result, d: DerivationTree) -> str:
@@ -285,6 +356,11 @@ _FOLDS = {
     "earley": _fold_earley,
     "cyk": _fold_cyk,
     "ccg": _fold_ccg,
+}
+
+# Rules whose subtrees a system's fold never reads.
+_IGNORED = {
+    "earley": frozenset({INITIAL, "predict"}),
 }
 
 

@@ -449,6 +449,18 @@ def test_11_derivation_count_matches_bracketing_enumeration(
     trees = {render_parse_tree(to_parse_tree(r, d)) for d in derivations}
     assert trees == {_bracketing_tree(b) for b in expected}
 
+    # Every bracketing of a^5 surfaces under the limit of 16, on the
+    # dotted-item and the shift-reduce charts as on the span chart.
+    tokens = ("a",) * 5
+    expected = _bracketings(tokens)
+    assert len(expected) == 14
+    for system in (make_cyk(), make_earley(), make_bottomup()):
+        r5 = parse(system, ambiguous_grammar, tokenize(" ".join(tokens)))
+        derivations = extract(r5, limit=16)
+        assert len(derivations) == len(expected), system.name
+        trees = {render_parse_tree(to_parse_tree(r5, d)) for d in derivations}
+        assert trees == {_bracketing_tree(b) for b in expected}, system.name
+
     for result in [
         r,
         parse(make_earley(), toy_grammar, tokenize("a program halts")),

@@ -159,6 +159,16 @@ def test_derive_limit_caps_the_forest(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+def test_derive_prints_distinct_earley_readings(capsys):
+    ambiguous = str(DATA / "ambiguous.cf")
+    code = run("derive", "--system", "earley", "--grammar", ambiguous,
+               "--sentence", "a a a a a", "--limit", "16")
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14
+    assert len(set(lines)) == 14
+
+
 def test_derive_tag_falls_back_to_derivation_trees(capsys):
     code = run("derive", "--system", "tag", "--grammar", TRIP,
                "--sentence", "Trip rumbas nimbly", "--limit", "2")
