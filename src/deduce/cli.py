@@ -111,17 +111,28 @@ def cmd_chart(args) -> int:
     return exit_code_for(result)
 
 
+def _render_derivation(result, d, fmt: str) -> str:
+    if fmt != "lines":
+        try:
+            return render_parse_tree(to_parse_tree(result, d))
+        except UnsupportedSystemError:
+            pass
+    return render_derivation_tree(result, d)
+
+
 def cmd_derive(args) -> int:
     result = run_parse(args)
-    derivations = extract(result, limit=args.limit)
-    for d in derivations:
-        if args.format == "lines":
-            print(render_derivation_tree(result, d))
-        else:
-            try:
-                print(render_parse_tree(to_parse_tree(result, d)))
-            except UnsupportedSystemError:
-                print(render_derivation_tree(result, d))
+    try:
+        lines = [
+            _render_derivation(result, d, args.format)
+            for d in extract(result, limit=args.limit)
+        ]
+    except RecursionError:
+        # extract and the folds recurse once per derivation level.
+        print("error: the derivation is too deep to unpack", file=sys.stderr)
+        return EXIT_ERROR
+    for line in lines:
+        print(line)
     return exit_code_for(result)
 
 

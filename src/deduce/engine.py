@@ -81,12 +81,14 @@ def consequences(system, store, index, grammar, input_string, source):
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
     for clause in system.clauses:
+        if not clause.admits(trigger_item):
+            continue
         trig, premises, consequent, _own = clause.instantiate(source)
         s0 = unify(trig, trigger_item)
         if s0 is None:
             continue
         partials = [(s0, {clause.trigger_slot: index})]
-        for p in premises:
+        for p, mode in zip(premises, clause.modes):
             nexts = []
             for s, antes in partials:
                 if isinstance(p, SideCondition):
@@ -98,7 +100,7 @@ def consequences(system, store, index, grammar, input_string, source):
                         nexts.append((s.compose(s2), antes))
                 else:
                     pattern = s.apply(p.pattern)
-                    for midx, mgu in store.chart_matches(pattern, source=source):
+                    for midx, mgu in store.chart_matches(pattern, source=source, mode=mode):
                         nexts.append((s.compose(mgu), {**antes, p.slot: midx}))
             partials = nexts
             if not partials:
@@ -133,7 +135,7 @@ def parse(
     tracing = opts.trace != "off"
     rule_tracing = opts.trace == "rules"
 
-    store = ItemStore(key_of=system.key_of)
+    store = ItemStore(system.modes)
     source = VarSource()
     pops = enqueues = duplicates = 0
 

@@ -11,6 +11,7 @@ s-expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .terms import (
     Compound,
@@ -18,6 +19,7 @@ from .terms import (
     Term,
     TermSyntaxError,
     _TermParser,
+    mklist,
     render_term,
     tokenize_terms,
 )
@@ -82,6 +84,15 @@ class CfGrammar:
 
     def is_terminal(self, name) -> bool:
         return name in self.terminals
+
+    @cached_property
+    def production_terms(self) -> tuple:
+        """``p(Lhs, Rhs)`` for every production, then for every lexical
+        entry as a one-word production, with ``Rhs`` a list; built once
+        per grammar."""
+        pairs = list(self.productions)
+        pairs += [(preterm, [Const(word)]) for word, preterm in self.lexicon]
+        return tuple(Compound("p", (lhs, mklist(rhs))) for lhs, rhs in pairs)
 
 
 def _quoted_preterminal(word: str) -> Const:

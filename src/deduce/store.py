@@ -6,6 +6,17 @@ are the chart (already popped), the rest are the FIFO agenda.  New items
 are checked against the chart-plus-agenda for subsumption by an earlier
 item; duplicates only append their justification to the subsuming
 item's history list.
+
+Lookups are moded.  A mode is a functor (its principal symbol) plus the
+argument paths whose symbols a rule premise knows when it runs, as the
+mode analysis of ``DeductionSystem`` derives them from the clauses.  The
+store keeps one hash index per mode, keyed by the principal symbols of
+an item at those paths (a constant's name, a compound's functor and
+arity).  Items with a variable on a path sit in the index's wildcard
+list, merged in ascending order into every lookup, so matches come back
+in chart order; a pattern with a variable on a path scans the chart.
+The subsumption check looks only at non-ground items of the new item's
+functor that agree with it on the symbols of its top-level arguments.
 """
 
 from __future__ import annotations
@@ -14,11 +25,10 @@ from dataclasses import dataclass
 
 from .terms import (
     Compound,
-    Const,
-    Substitution,
     Term,
     Var,
     VarSource,
+    principal,
     rename_with,
     render_term,
     subsumes,
@@ -55,72 +65,72 @@ class StoredItem:
         return f"<{self.index}:{render_term(self.item)}>"
 
 
-class _Wild:
-    __repr__ = lambda self: "*"
+def _key(t: Term, paths: tuple):
+    """The principal symbols of ``t`` at ``paths``, or None when a
+    variable lies on one.
 
-
-WILD = _Wild()
-_NONE = object()  # feature absent from the item (not merely unknown)
-
-
-def _is_list_cell(t: Term) -> bool:
-    if isinstance(t, Const):
-        return t.name == "[]"
-    return isinstance(t, Compound) and t.functor == "." and len(t.args) == 2
-
-
-def key_of_default(t: Term):
-    """Key = (head functor, first integer field, head of first symbol field).
-
-    Variables in a position make the corresponding feature a wildcard.
-    Patterns without a determinable head return None, which disables
-    indexing for that probe.
+    A path that ``t`` lacks reads the symbol where the walk stops, so two
+    terms that unify without binding a variable on a path have equal
+    keys.
     """
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Const):
-        return (t.name, _NONE, _NONE)
-    int_feat = _NONE
-    sym_feat = _NONE
-    for a in t.args:
-        if isinstance(a, Var):
-            # The variable might fill whichever slot is still open.
-            if int_feat is _NONE:
-                int_feat = WILD
-            if sym_feat is _NONE:
-                sym_feat = WILD
-            continue
-        if int_feat is _NONE and isinstance(a, Const) and isinstance(a.name, int):
-            int_feat = a.name
-            continue
-        if sym_feat is _NONE and not _is_list_cell(a):
-            sym_feat = a.functor if isinstance(a, Compound) else a.name
-    return (t.functor, int_feat, sym_feat)
+    key = []
+    for path in paths:
+        s = t
+        for k in path:
+            if type(s) is not Compound or k >= len(s.args):
+                break
+            s = s.args[k]
+        if type(s) is Var:
+            return None
+        key.append(principal(s))
+    return tuple(key)
 
 
-def _compatible(stored_key, probe_key) -> bool:
-    if len(stored_key) != len(probe_key):
-        return False
-    for s, p in zip(stored_key, probe_key):
-        if s is WILD or p is WILD:
-            continue
-        if s is _NONE or p is _NONE:
-            if s is not p:
-                return False
-            continue
-        if s != p:
-            return False
-    return True
+class _Index:
+    """Store indices of one functor hashed on the key at ``paths``;
+    items with a variable on a path are in ``wild``.  Every list is
+    ascending."""
+
+    __slots__ = ("paths", "buckets", "wild")
+
+    def __init__(self, paths: tuple):
+        self.paths = paths
+        self.buckets: dict = {}
+        self.wild: list = []
+
+    def add(self, index: int, key) -> None:
+        if key is None:
+            self.wild.append(index)
+        else:
+            self.buckets.setdefault(key, []).append(index)
+
+    def candidates(self, key):
+        """Ascending indices that may unify with a term of this key."""
+        hits = self.buckets.get(key, ())
+        if not self.wild:
+            return hits
+        if not hits:
+            return self.wild
+        return sorted(hits + self.wild)
 
 
 class ItemStore:
-    def __init__(self, key_of=None):
-        self.key_of = key_of or key_of_default
+    """Chart and agenda in one sequence, with one index per mode in
+    ``modes``, the (principal symbol, paths) pairs of
+    ``DeductionSystem.modes``."""
+
+    def __init__(self, modes=()):
         self._items: list[StoredItem] = []
         self._head = 1  # next index to pop
-        self._buckets: dict = {}
         self._ground: dict = {}  # ground item -> index
-        self._nonground: list[int] = []
+        self._indexes = {mode: _Index(mode[1]) for mode in modes}
+        self._by_functor: dict = {}
+        for (symbol, _paths), index in self._indexes.items():
+            self._by_functor.setdefault(symbol, []).append(index)
+        # Per functor, the non-ground items keyed on their top-level
+        # arguments: the candidates for subsuming a later item.
+        self._nonground: dict = {}
+        self._variable = None  # index of a stored bare variable
 
     def __len__(self) -> int:
         return len(self._items)
@@ -150,22 +160,24 @@ class ItemStore:
     # ---- growth ----
 
     def _subsumer(self, item: Term):
-        """Index of a stored item subsuming ``item``, or None."""
+        """Index of the first stored item subsuming ``item``, or None."""
         if item.ground:
             exact = self._ground.get(item)
             if exact is not None:
                 return exact
-        probe = self.key_of(item)
-        for idx in self._nonground:
-            stored = self._items[idx - 1]
-            if probe is not None:
-                stored_key = self.key_of(stored.item)
-                # A keyless stored item must always be scanned.
-                if stored_key is not None and not _compatible(stored_key, probe):
-                    continue
-            if subsumes(stored.item, item):
-                return idx
-        return None
+        found = None
+        nonground = self._nonground.get(principal(item))
+        if nonground is not None:
+            key = _key(item, nonground.paths)
+            # Only an item with a variable on a path can subsume one
+            # with a variable there.
+            for idx in nonground.wild if key is None else nonground.candidates(key):
+                if subsumes(self._items[idx - 1].item, item):
+                    found = idx
+                    break
+        if self._variable is not None and (found is None or self._variable < found):
+            return self._variable
+        return found
 
     def enqueue(self, item: Term, history: History, stage: int = 0):
         """Add an item, or record ``history`` on the subsuming earlier
@@ -179,12 +191,22 @@ class ItemStore:
         index = len(self._items) + 1
         stored = StoredItem(index, item, stage, history)
         self._items.append(stored)
+        symbol = principal(item)
         if item.ground:
             self._ground[item] = index
+        elif symbol is None:
+            # A bare variable subsumes, and unifies with, every item.
+            self._variable = index
+            for moded in self._indexes.values():
+                moded.wild.append(index)
         else:
-            self._nonground.append(index)
-        key = self.key_of(item)
-        self._buckets.setdefault(key, []).append(index)
+            nonground = self._nonground.get(symbol)
+            if nonground is None:
+                top = tuple((k,) for k in range(len(item.args)))
+                nonground = self._nonground[symbol] = _Index(top)
+            nonground.add(index, _key(item, nonground.paths))
+        for moded in self._by_functor.get(symbol, ()):
+            moded.add(index, _key(item, moded.paths))
         return index, True
 
     def pop(self):
@@ -197,37 +219,30 @@ class ItemStore:
 
     # ---- retrieval ----
 
-    def _candidates(self, pattern: Term, use_index: bool):
-        if not use_index:
-            return range(1, len(self._items) + 1)
-        probe = self.key_of(pattern)
-        if probe is None:
-            return range(1, len(self._items) + 1)
-        out = []
-        for key, indices in self._buckets.items():
-            if key is None or _compatible(key, probe):
-                out.extend(indices)
-        out.sort()
-        return out
-
     def chart_matches(
         self,
         pattern: Term,
         below: "int | None" = None,
         source: "VarSource | None" = None,
-        use_index: bool = True,
+        mode: "tuple | None" = None,
     ):
         """(index, mgu) for chart items unifying with pattern, ascending.
 
         Only indices < ``below`` (default: the chart/agenda boundary)
-        are considered.  Stored items are renamed apart via ``source``
+        are considered.  ``mode``, one of the store's modes for the
+        pattern's functor, restricts the scan to that index's
+        candidates.  Stored items are renamed apart via ``source``
         before unification.
         """
         bound = self._head if below is None else below
+        moded = self._indexes.get(mode)
+        key = None
+        if moded is not None and mode[0] == principal(pattern):
+            key = _key(pattern, moded.paths)
         out = []
-        for idx in self._candidates(pattern, use_index):
+        for idx in range(1, bound) if key is None else moded.candidates(key):
             if idx >= bound:
-                continue
+                break
             item = self._items[idx - 1].item
             if not item.ground and source is not None:
                 item = rename_with(item, {}, source)

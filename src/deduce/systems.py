@@ -5,7 +5,10 @@ Each k-antecedent rule is compiled into k clauses, one per choice of
 trigger antecedent; the remaining premises (chart lookups and side
 conditions) are listed in the exact order they are evaluated.  Side
 conditions are names resolved through a registry of pure evaluators
-over the grammar and the input string.
+over the grammar and the input string.  A mode analysis of each clause
+gives the trigger's skeleton, which lets the engine skip clauses a
+popped item cannot fire, and the lookup mode of each chart premise,
+which the item store indexes.
 
 Items are plain terms.  The encodings:
 
@@ -45,13 +48,13 @@ from .terms import (
     cons,
     list_parts,
     mklist,
+    principal,
     render_term,
     rename_with,
     term_vars,
     unify,
     unlist,
 )
-from .store import WILD, key_of_default
 
 
 class SystemAuthoringError(Exception):
@@ -99,20 +102,50 @@ class RuleClause:
     premises: tuple
     consequent: Term
     transform: "Callable | None" = None
+    # Derived by the mode analysis in __post_init__.
+    skeleton: tuple = field(init=False, repr=False, compare=False)
+    modes: tuple = field(init=False, repr=False, compare=False)
 
-    def variables(self) -> list:
-        out = []
-        seen = set()
-        pats = [self.trigger]
+    def __post_init__(self):
+        """Mode analysis, left to right.  ``skeleton`` holds the
+        (path, principal symbol) of every non-variable subterm of the
+        trigger; ``modes`` holds, per premise, the chart lookup it makes:
+        the pattern's principal symbol and the argument paths whose
+        symbol is known when it runs (constants, compounds, and variables
+        of the trigger or of an earlier premise), or None for a side
+        condition or a bare-variable pattern."""
+        bound = set(term_vars(self.trigger))
+        modes = []
         for p in self.premises:
-            pats.extend(p.args if isinstance(p, SideCondition) else [p.pattern])
-        pats.append(self.consequent)
-        for pat in pats:
-            for v in term_vars(pat):
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
+            if isinstance(p, SideCondition):
+                modes.append(None)
+                for a in p.args:
+                    bound.update(term_vars(a))
+            else:
+                symbol = principal(p.pattern)
+                paths = tuple(path for path, _ in _known_subterms(p.pattern, bound))
+                modes.append(None if symbol is None else (symbol, paths))
+                bound.update(term_vars(p.pattern))
+        skeleton = ()
+        if not isinstance(self.trigger, Var):
+            known = [((), self.trigger)] + _known_subterms(self.trigger, set())
+            skeleton = tuple((path, principal(sub)) for path, sub in known)
+        object.__setattr__(self, "modes", tuple(modes))
+        object.__setattr__(self, "skeleton", skeleton)
+
+    def admits(self, item: Term) -> bool:
+        """False when ``item`` contradicts the trigger's skeleton, so the
+        trigger cannot unify with it."""
+        for path, symbol in self.skeleton:
+            t = item
+            for k in path:
+                if type(t) is not Compound:  # a variable above the path
+                    break
+                t = t.args[k]
+            else:
+                if type(t) is not Var and principal(t) != symbol:
+                    return False
+        return True
 
     def instantiate(self, source: VarSource):
         """Fresh-variable copy: (trigger, premises, consequent, own ids)."""
@@ -129,6 +162,23 @@ class RuleClause:
         consequent = rename_with(self.consequent, mapping, source)
         own = {v.id for v in mapping.values()}
         return trigger, premises, consequent, own
+
+
+def _known_subterms(t: Term, bound: set, path: tuple = ()) -> list:
+    """(path, subterm) below ``t``, in preorder, for every subterm whose
+    principal symbol is fixed once the variables in ``bound`` are:
+    constants, compounds and bound variables.  Paths below a variable
+    are not followed."""
+    out = []
+    if isinstance(t, Compound):
+        for k, a in enumerate(t.args):
+            sub = path + (k,)
+            if not isinstance(a, Var):
+                out.append((sub, a))
+                out.extend(_known_subterms(a, bound, sub))
+            elif a.id in bound:
+                out.append((sub, a))
+    return out
 
 
 def _validate_clause(clause: RuleClause):
@@ -159,7 +209,9 @@ class DeductionSystem:
     ``axioms`` and ``goal_patterns`` are functions of the grammar and
     the input string, since goals mention the string length and the
     start symbols.  ``check_grammar`` runs before parsing and raises on
-    a grammar the system cannot interpret.
+    a grammar the system cannot interpret.  ``modes`` collects the
+    lookup modes of every clause, in clause order: the store keeps one
+    index per mode.
     """
 
     name: str
@@ -167,12 +219,14 @@ class DeductionSystem:
     clauses: tuple
     axioms: Callable
     goal_patterns: Callable
-    key_of: Callable = key_of_default
     check_grammar: "Callable | None" = None
+    modes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for clause in self.clauses:
             _validate_clause(clause)
+        modes = (m for c in self.clauses for m in c.modes if m is not None)
+        object.__setattr__(self, "modes", tuple(dict.fromkeys(modes)))
 
     def rule_clauses(self, rule_name: str) -> list[RuleClause]:
         return [c for c in self.clauses if c.rule_name == rule_name]
@@ -227,18 +281,16 @@ def _eval_word_at(args, ctx):
     )
 
 
-def _all_productions(g: CfGrammar):
-    for lhs, rhs in g.productions:
-        yield lhs, mklist(rhs)
-    for word, preterm in g.lexicon:
-        yield preterm, mklist([Const(word)])
-
-
 def _eval_production(args, ctx):
     g = _need_cf(ctx, "production")
-    for lhs, rhs in _all_productions(g):
-        pair = rename_with(Compound("p", (lhs, rhs)), {}, ctx.source)
-        s = unify(mklist(args), mklist(pair.args))
+    probe = Compound("p", args)
+    lhs = args[0]
+    for pair in g.production_terms:
+        if not pair.ground:
+            pair = rename_with(pair, {}, ctx.source)
+        elif lhs.ground and pair.args[0] != lhs:
+            continue
+        s = unify(probe, pair)
         if s is not None:
             yield s
 
@@ -440,32 +492,6 @@ def eval_side_condition(builtin: str, args, grammar, input_string, source=None):
     return list(fn(tuple(args), ctx))
 
 
-# ---- feature helpers for per-system keys ----
-
-def _feat_int(t: Term):
-    v = _int_of(t)
-    if v is not None:
-        return v
-    return WILD
-
-
-def _feat_head(t: Term):
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Compound):
-        return t.functor
-    return WILD
-
-
-def _feat_list_head(t: Term):
-    elems, tail = list_parts(t)
-    if elems:
-        return _feat_head(elems[0])
-    if tail == NIL:
-        return "[]"
-    return WILD
-
-
 # ---- the six systems ----
 
 def _v(name: str) -> Var:
@@ -486,13 +512,6 @@ def _clause(rule, n, slot, trigger, premises, consequent, transform=None):
 
 def _td(beta: Term, j: Term) -> Compound:
     return Compound("td", (beta, j))
-
-
-def _key_topdown(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "td" and len(t.args) == 2):
-        return key_of_default(t)
-    beta, j = t.args
-    return ("td", _feat_int(j), _feat_list_head(beta))
 
 
 def make_topdown() -> DeductionSystem:
@@ -522,19 +541,11 @@ def make_topdown() -> DeductionSystem:
         clauses=(scan, predict),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_topdown,
     )
 
 
 def _bu(alpha: Term, j: Term) -> Compound:
     return Compound("bu", (alpha, j))
-
-
-def _key_bottomup(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "bu" and len(t.args) == 2):
-        return key_of_default(t)
-    alpha, j = t.args
-    return ("bu", _feat_int(j), _feat_list_head(alpha))
 
 
 def make_bottomup() -> DeductionSystem:
@@ -566,7 +577,6 @@ def make_bottomup() -> DeductionSystem:
         clauses=(shift, reduce_),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_bottomup,
     )
 
 
@@ -575,20 +585,6 @@ START_WRAPPER = Const("S'")
 
 def _er(i, lhs, before, after, j) -> Compound:
     return Compound("er", (i, lhs, before, after, j))
-
-
-def _key_earley(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "er" and len(t.args) == 5):
-        return key_of_default(t)
-    i, lhs, before, after, j = t.args
-    # Complete items are sought by origin and lhs; incomplete ones by
-    # end position and the symbol after the dot.  The dot state itself
-    # is part of the key, so the two families never collide.
-    if after == NIL:
-        return ("er", "c", _feat_int(i), _feat_head(lhs))
-    if isinstance(after, Compound) and after.functor == ".":
-        return ("er", "i", _feat_int(j), _feat_head(after.args[0]))
-    return None
 
 
 def _make_restrictor(depth: int):
@@ -652,19 +648,11 @@ def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
         clauses=(scan, predict, complete_1, complete_2),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_earley,
     )
 
 
 def _cyk(a, i, j) -> Compound:
     return Compound("cyk", (a, i, j))
-
-
-def _key_cyk(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "cyk" and len(t.args) == 3):
-        return key_of_default(t)
-    a, i, j = t.args
-    return ("cyk", _feat_int(i), _feat_head(a))
 
 
 def make_cyk() -> DeductionSystem:
@@ -705,7 +693,6 @@ def make_cyk() -> DeductionSystem:
         clauses=(binary_1, binary_2),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_cyk,
         check_grammar=check,
     )
 
@@ -722,13 +709,6 @@ class GrammarNotCnf(ValueError):
 
 def _cc(cat, i, j) -> Compound:
     return Compound("cc", (cat, i, j))
-
-
-def _key_ccg(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "cc" and len(t.args) == 3):
-        return key_of_default(t)
-    cat, i, j = t.args
-    return ("cc", _feat_int(i), _feat_head(cat))
 
 
 _CCG_RULES = None
@@ -795,7 +775,6 @@ def make_ccg() -> DeductionSystem:
         clauses=tuple(clauses),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_ccg,
     )
 
 
@@ -807,15 +786,6 @@ FOOT_MODES = ("foot_axiom", "complete_foot")
 
 def _tg(node, dot, i, j, k, l) -> Compound:
     return Compound("tg", (node, dot, i, j, k, l))
-
-
-def _key_tag(t: Term):
-    if not (isinstance(t, Compound) and t.functor == "tg" and len(t.args) == 6):
-        return key_of_default(t)
-    node, dot, i, j, k, l = t.args
-    dot_feat = dot.name if isinstance(dot, Const) else WILD
-    node_feat = render_term(node) if node.ground else WILD
-    return ("tg", dot_feat, _feat_int(i), node_feat)
 
 
 def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
@@ -930,7 +900,6 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
         clauses=tuple(clauses),
         axioms=axioms,
         goal_patterns=goals,
-        key_of=_key_tag,
     )
 
 

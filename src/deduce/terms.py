@@ -112,6 +112,16 @@ def is_ground(t: Term) -> bool:
     return t.ground
 
 
+def principal(t: Term):
+    """The symbol at the root of t: a constant's name, a compound's
+    (functor, arity), or None for a variable."""
+    if type(t) is Compound:
+        return (t.functor, len(t.args))
+    if type(t) is Const:
+        return t.name
+    return None
+
+
 def term_vars(t: Term) -> list:
     """Variable identifiers in first-occurrence (leftmost) order."""
     seen = []

@@ -477,6 +477,7 @@ def test_12_reruns_are_byte_identical():
         (make_cyk, load_cf, "ambiguous.cf", "a a a"),
         (make_ccg, load_ccg, "lexicon.ccg", "John really likes bananas"),
         (make_tag, load_tag, "trip.tag", "Trip rumbas nimbly"),
+        (lambda: make_earley(restriction_depth=2), load_cf, "abn.dcg", "a b b b"),
     ]
     for build, loader, name, sentence in jobs:
         outputs = []

@@ -169,6 +169,17 @@ def test_derive_prints_distinct_earley_readings(capsys):
     assert len(set(lines)) == 14
 
 
+def test_derive_too_deep_to_unpack_is_an_error(tmp_path, capsys):
+    grammar = tmp_path / "chain.cf"
+    grammar.write_text("start S\nS -> A S\nS -> A\nlex a A\n")
+    code = run("derive", "--system", "topdown", "--grammar", str(grammar),
+               "--sentence", " ".join(["a"] * 100))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the derivation is too deep to unpack\n"
+
+
 def test_derive_tag_falls_back_to_derivation_trees(capsys):
     code = run("derive", "--system", "tag", "--grammar", TRIP,
                "--sentence", "Trip rumbas nimbly", "--limit", "2")

@@ -26,7 +26,9 @@ from deduce.systems import (
     make_tag,
     make_topdown,
 )
-from deduce.terms import canonical, parse_term
+from deduce import store as store_module
+from deduce.store import ItemStore
+from deduce.terms import NIL, VarSource, canonical, parse_term
 
 from replay_rows import (
     BOTTOMUP_ROWS,
@@ -209,6 +211,62 @@ def test_consequences_can_pair_the_trigger_with_itself(cnf_ab_grammar):
     assert complete
     (a, b) = complete[0].histories[0].antecedents
     assert a != b
+
+
+def test_every_cyk_lookup_scans_only_matches(ambiguous_grammar, monkeypatch):
+    # Both CYK lookups know the nonterminal and the shared span end, so
+    # the moded index hands each one exactly the items that unify.
+    unifies = []
+    plain_unify = store_module.unify
+    plain_matches = ItemStore.chart_matches
+    lookups = []
+
+    def counting_unify(*args, **kwargs):
+        unifies.append(1)
+        return plain_unify(*args, **kwargs)
+
+    def counting_matches(self, *args, **kwargs):
+        before = len(unifies)
+        out = plain_matches(self, *args, **kwargs)
+        lookups.append((len(unifies) - before, len(out)))
+        return out
+
+    monkeypatch.setattr(store_module, "unify", counting_unify)
+    monkeypatch.setattr(ItemStore, "chart_matches", counting_matches)
+    r = parse(make_cyk(), ambiguous_grammar, tokenize(" ".join(["a"] * 30)))
+    assert r.accepted
+    assert len(lookups) == 2 * r.pops
+    assert all(scanned == matched for scanned, matched in lookups)
+    assert sum(matched for _, matched in lookups) > 0
+
+
+def _firings(system, r, index):
+    source = VarSource(70_000_000)
+    return [
+        (clause.rule_name, canonical(out), antes)
+        for clause, out, antes in consequences(system, r.store, index, r.grammar, r.input, source)
+    ]
+
+
+def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch):
+    system = make_earley()
+    r = parse(system, toy_grammar, tokenize("a program halts"))
+    complete = [s.index for s in r.store.items() if s.item.args[3] == NIL]
+    assert complete
+    calls = []
+    plain = RuleClause.instantiate
+
+    def counting(self, source):
+        calls.append(self.rule_name)
+        return plain(self, source)
+
+    monkeypatch.setattr(RuleClause, "instantiate", counting)
+    dispatched = {i: _firings(system, r, i) for i in complete}
+    assert calls == ["complete"] * len(complete)
+    # Trying every clause finds no firing the dispatch skipped.
+    monkeypatch.setattr(RuleClause, "admits", lambda self, item: True)
+    assert {i: _firings(system, r, i) for i in complete} == dispatched
+    assert len(calls) == 5 * len(complete)
 
 
 def test_trace_items_reports_pops_and_goals(toy_grammar):

@@ -1,17 +1,9 @@
-"""Item store: FIFO agenda, subsumption dedup, indexed retrieval."""
+"""Item store: FIFO agenda, subsumption dedup, moded retrieval."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deduce.store import (
-    History,
-    INITIAL,
-    ItemStore,
-    WILD,
-    _NONE,
-    _compatible,
-    key_of_default,
-)
+from deduce.store import History, INITIAL, ItemStore, _key
 from deduce.terms import (
     Compound,
     Const,
@@ -19,7 +11,7 @@ from deduce.terms import (
     VarSource,
     mklist,
     parse_term,
-    render_term,
+    rename_with,
     subsumes,
     unify,
 )
@@ -114,24 +106,18 @@ def test_renamed_retrieval_never_mutates_the_store():
     assert s.get(1).item == t("f(X, X, b)")
 
 
-def test_key_of_default_frozen_examples():
-    assert key_of_default(t("cyk(s, 0, 2)")) == ("cyk", 0, "s")
-    assert key_of_default(t("cc(fw(s, np), 1, 3)")) == ("cc", 1, "fw")
-    assert key_of_default(Const("done")) == ("done", _NONE, _NONE)
-    functor, int_feat, sym_feat = key_of_default(t("cyk(A, 0, 2)"))
-    assert functor == "cyk"
-    assert int_feat is WILD or int_feat == 0
-    beta = Compound("td", (mklist([Const("s")]), Const(0)))
-    assert key_of_default(beta) == ("td", 0, _NONE)
-
-
-def test_key_compatibility_is_reflexive_and_wildcard_tolerant():
-    k1 = key_of_default(t("cyk(s, 0, 2)"))
-    k2 = key_of_default(t("cyk(A, I, J)"))
-    k3 = key_of_default(t("cyk(np, 0, 2)"))
-    assert _compatible(k1, k1)
-    assert _compatible(k2, k1) and _compatible(k1, k2)
-    assert not _compatible(k1, k3)
+def test_key_reads_the_principal_symbol_at_each_path():
+    # Constants give their name, compounds their functor and arity, so
+    # a DCG symbol with open arguments is still keyed on r/2.
+    assert _key(er(0, "r(s(X), N)", [], [], 2), ((0,), (1,), (3,))) == (0, ("r", 2), "[]")
+    assert _key(er(0, "s", ["np"], ["vp"], 2), ((3,), (3, 0), (4,))) == ((".", 2), "vp", 2)
+    assert _key(t("cyk(A, 0, 2)"), ((1,), (2,))) == (0, 2)
+    # A variable on a path leaves the item unkeyed.
+    assert _key(t("cyk(A, 0, 2)"), ((0,), (1,))) is None
+    assert _key(er(0, "s", [], ["Z"], 2), ((3,), (3, 0))) is None
+    # A path the item lacks reads the symbol where the walk stops.
+    assert _key(er(0, "s", [], [], 2), ((3,), (3, 0))) == ("[]", "[]")
+    assert _key(t("done"), ()) == ()
 
 
 def test_chart_matches_only_sees_the_chart_prefix():
@@ -220,26 +206,64 @@ def _items(draw):
     return Compound(functor, tuple(args))
 
 
-@given(general=_items(), specific=_items())
-def test_subsumption_implies_key_compatibility(general, specific):
-    if subsumes(general, specific):
-        kg = key_of_default(general)
-        ks = key_of_default(specific)
-        assert kg is None or _compatible(kg, ks)
+# Items of two functors over leaves and compounds, with variables at
+# every depth, looked up through modes whose paths reach below the top.
+MODES = (
+    (("f", 3), ((0,), (0, 0), (2,))),
+    (("f", 3), ((1,),)),
+    (("f", 3), ()),
+    (("k", 2), ((0,), (1,))),
+)
+
+_leaves = st.one_of(
+    st.sampled_from([Const("a"), Const("b"), Const(0), Const(1)]),
+    st.sampled_from([Var("X"), Var("Y")]),
+)
+_args = st.one_of(
+    _leaves,
+    st.builds(lambda x, y: Compound("g", (x, y)), _leaves, _leaves),
+    st.builds(lambda x: Compound("h", (x,)), _leaves),
+)
+_terms = st.one_of(
+    st.builds(lambda *a: Compound("f", a), _args, _args, _args),
+    st.builds(lambda *a: Compound("k", a), _args, _args),
+)
 
 
-@settings(max_examples=60)
-@given(stored=st.lists(_items(), max_size=12), pattern=_items())
-def test_indexed_retrieval_agrees_with_the_linear_scan(stored, pattern):
-    s = ItemStore()
-    for item in stored:
+def _closed_store(items):
+    s = ItemStore(MODES)
+    for item in items:
         s.enqueue(item, h(INITIAL))
     while s.pop() is not None:
         pass
-    src = VarSource(500)
-    fast = s.chart_matches(pattern, source=src, use_index=True)
-    slow = s.chart_matches(pattern, source=src, use_index=False)
-    assert [i for i, _ in fast] == [i for i, _ in slow]
+    return s
+
+
+@settings(max_examples=200)
+@given(stored=st.lists(_terms, max_size=14), pattern=_terms, mode=st.sampled_from(MODES + (None,)))
+def test_moded_retrieval_agrees_with_a_linear_unify_scan(stored, pattern, mode):
+    s = _closed_store(stored)
+    src = VarSource(1_000)
+    expected = [
+        stored_item.index for stored_item in s.items()
+        if unify(pattern, rename_with(stored_item.item, {}, src)) is not None
+    ]
+    # A mode of the other functor must not hide a match.
+    hits = s.chart_matches(pattern, source=VarSource(5_000), mode=mode)
+    assert [i for i, _ in hits] == expected
+
+
+@settings(max_examples=200)
+@given(stored=st.lists(_terms, max_size=14), probe=_terms)
+def test_enqueue_finds_a_subsumer_exactly_when_a_linear_scan_does(stored, probe):
+    s = _closed_store(stored)
+    first = next((x.index for x in s.items() if subsumes(x.item, probe)), None)
+    before = len(s)
+    idx, added = s.enqueue(probe, h("scan", 1))
+    if first is None:
+        assert (idx, added) == (before + 1, True)
+    else:
+        assert (idx, added) == (first, False)
 
 
 @settings(max_examples=60)

@@ -3,7 +3,6 @@
 import pytest
 
 from deduce.grammar import load_ccg, load_cf, load_tag, parse_category, tokenize
-from deduce.store import WILD
 from deduce.systems import (
     BOTTOM,
     GrammarNotCnf,
@@ -12,8 +11,6 @@ from deduce.systems import (
     SideCondition,
     SystemAuthoringError,
     UnknownBuiltinError,
-    _key_earley,
-    _key_tag,
     eval_side_condition,
     make_bottomup,
     make_ccg,
@@ -386,27 +383,58 @@ def test_unrestricted_prediction_has_no_transform():
     assert all(c.transform is None for c in sys.rule_clauses("predict"))
 
 
-# ---- per-system keys ----
+# ---- mode analysis ----
 
-def test_earley_key_separates_dot_states():
+def _clause_for(system, rule, slot):
+    [clause] = [c for c in system.rule_clauses(rule) if c.trigger_slot == slot]
+    return clause
+
+
+def test_mode_analysis_binds_the_lookup_paths():
+    # CYK's left lookup runs after the production lookup has bound B,
+    # and the trigger cyk(C, J, K) has bound J.
+    cyk = make_cyk()
+    left = _clause_for(cyk, "binary", 1)
+    assert left.modes == (None, (("cyk", 3), ((0,), (2,))))
+    right = _clause_for(cyk, "binary", 0)
+    assert right.modes == (None, (("cyk", 3), ((0,), (1,))))
+    # complete_1 seeks er(K, B, Bef2, [], J): K and B come from the
+    # trigger and [] is a constant; Bef2 and J are open.
+    earley = make_earley()
+    assert _clause_for(earley, "complete", 0).modes == ((("er", 5), ((0,), (1,), (3,))),)
+    assert _clause_for(earley, "complete", 1).modes == ((("er", 5), ((3,), (3, 0), (4,))),)
+    assert _clause_for(earley, "scan", 0).modes == (None, None)
+    assert earley.modes == (
+        (("er", 5), ((0,), (1,), (3,))),
+        (("er", 5), ((3,), (3, 0), (4,))),
+    )
+    # TAG's sibling lookup is keyed down to the child address.
+    tag = make_tag()
+    [_, sibling, _, _] = tag.modes
+    assert sibling[1] == ((0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (1,), (5,))
+
+
+def test_trigger_skeleton_dispatch():
+    earley = make_earley()
     complete = er(0, Const("s"), syms("np"), NIL, 2)
     incomplete = er(0, Const("s"), NIL, syms("np", "vp"), 0)
-    assert _key_earley(complete) == ("er", "c", 0, "s")
-    assert _key_earley(incomplete) == ("er", "i", 0, "np")
+    fires = lambda item: [(c.rule_name, c.trigger_slot) for c in earley.clauses if c.admits(item)]
+    assert fires(complete) == [("complete", 1)]
+    assert fires(incomplete) == [("scan", 0), ("predict", 0), ("complete", 0)]
+    # An open after-list contradicts neither skeleton.
+    open_item = er(0, Const("s"), NIL, Var("After"), 0)
+    assert len(fires(open_item)) == 4
 
-
-def test_tag_key_uses_the_ground_node_reference():
-    item = Compound(
-        "tg",
-        (node_ref("alpha", (2,)), Const("above"), Const(1), BOTTOM, BOTTOM, Const(2)),
-    )
-    key = _key_tag(item)
-    assert key[0] == "tg" and key[1] == "above" and key[2] == 1
-    open_item = Compound(
-        "tg", (Var("N"), Const("below"), Var("I"), Var("J"), Var("K"), Var("L"))
-    )
-    okey = _key_tag(open_item)
-    assert okey[1] == "below" and okey[3] is WILD
+    tag = make_tag()
+    fires = lambda item: [(c.rule_name, c.trigger_slot) for c in tag.clauses if c.admits(item)]
+    def tg(node, dot):
+        return Compound("tg", (node, Const(dot), Const(1), BOTTOM, BOTTOM, Const(2)))
+    assert fires(tg(node_ref("alpha", (2,)), "above")) == [("complete_binary", 1)]
+    assert fires(tg(node_ref("alpha", (1,)), "above")) == [
+        ("complete_unary", 0), ("complete_binary", 0)]
+    assert fires(tg(node_ref("beta", ()), "above")) == [("adjoin", 0)]
+    assert fires(tg(node_ref("alpha", (1,)), "below")) == [
+        ("no_adjoin", 0), ("adjoin", 1), ("complete_foot", 0)]
 
 
 # ---- canonical rendering ----
