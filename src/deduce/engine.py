@@ -17,7 +17,6 @@ from .store import History, INITIAL, ItemStore
 from .systems import (
     DeductionSystem,
     EvalContext,
-    ItemPremise,
     REGISTRY,
     SideCondition,
     SideConditionError,
@@ -83,7 +82,7 @@ def consequences(system, store, index, grammar, input_string, source):
     for clause in system.clauses:
         if not clause.admits(trigger_item):
             continue
-        trig, premises, consequent, _own = clause.instantiate(source)
+        trig, premises, consequent = clause.instantiate(source)
         s0 = unify(trig, trigger_item)
         if s0 is None:
             continue
@@ -194,8 +193,8 @@ def parse(
 def naive_closure(system, grammar, input_string, bound: int = 20_000):
     """Deductive closure by semi-naive fixpoint iteration.
 
-    No agenda, no indexing, no subsumption: only trigger-first clauses
-    fire, and items are deduplicated only up to variable renaming.
+    No agenda, no indexing, no subsumption: only each rule's slot-0
+    clause fires, and items are deduplicated only up to variable renaming.
     Each round fires every clause on exactly those combinations of known
     antecedents that include at least one item added by the previous
     round (Bancilhon & Ramakrishnan 1986): the antecedents before the
@@ -219,7 +218,7 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
         add(axiom)
     source = VarSource(30_000_000)
     ctx = EvalContext(grammar, input_string, source)
-    clauses = [(c, c.instantiate(source)) for c in system.clauses if c.trigger_slot == 0]
+    clauses = [(c, c.instantiate(source)) for c in (r.clauses[0] for r in system.rules)]
     # copies[k][i] is known[i] renamed apart for antecedent position k.
     # Each position has its own copy, so the antecedents of one firing
     # never share variables; stored items only ever fire through their
@@ -235,7 +234,7 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
         hi = len(known)
         for row in copies:
             row.extend(t if t.ground else rename_with(t, {}, source) for t in known[len(row):hi])
-        for clause, (trig, premises, consequent, _own) in clauses:
+        for clause, (trig, premises, consequent) in clauses:
             last = clause.n_antecedents - 1
             # A partial is (bindings, whether an antecedent is new).
             partials = []
@@ -311,16 +310,16 @@ def _replay_ok(system, store, stored, hist, axioms, g, w, source):
             if subsumes(item, a):
                 return True
         return False
-    clauses = [c for c in system.rule_clauses(hist.rule_name) if c.trigger_slot == 0]
-    if not clauses:
+    rule = next((r for r in system.rules if r.name == hist.rule_name), None)
+    if rule is None:
         return False
-    clause = clauses[0]
+    clause = rule.clauses[0]
     if clause.n_antecedents != len(hist.antecedents):
         return False
     if any(not 1 <= i <= len(store) for i in hist.antecedents):
         return False
     antes = [store.renamed(i, source) for i in hist.antecedents]
-    trig, premises, consequent, _own = clause.instantiate(source)
+    trig, premises, consequent = clause.instantiate(source)
     s0 = unify(trig, antes[0])
     if s0 is None:
         return False

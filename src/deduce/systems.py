@@ -1,14 +1,15 @@
 """Deduction systems: inference-rule schemata over items.
 
-A system packages axiom and goal generators with compiled rule clauses.
-Each k-antecedent rule is compiled into k clauses, one per choice of
-trigger antecedent; the remaining premises (chart lookups and side
-conditions) are listed in the exact order they are evaluated.  Side
-conditions are names resolved through a registry of pure evaluators
-over the grammar and the input string.  A mode analysis of each clause
-gives the trigger's skeleton, which lets the engine skip clauses a
-popped item cannot fire, and the lookup mode of each chart premise,
-which the item store indexes.
+A system packages axiom and goal generators with its inference rules.
+Each rule is written once, as one list of premises (antecedent patterns
+and side conditions) and a consequent.  A k-antecedent rule compiles
+into k clauses, one per choice of trigger antecedent; each clause
+evaluates the other premises in the written order, the remaining
+antecedents as chart lookups.  Side conditions are names resolved
+through a registry of pure evaluators over the grammar and the input
+string.  A mode analysis of each clause gives the trigger's skeleton,
+which lets the engine skip clauses a popped item cannot fire, and the
+lookup mode of each chart premise, which the item store indexes.
 
 Items are plain terms.  The encodings:
 
@@ -36,6 +37,7 @@ from .grammar import (
     TagGrammar,
     validate_cnf,
 )
+from .store import INITIAL
 from .terms import (
     Compound,
     Const,
@@ -58,7 +60,7 @@ from .terms import (
 
 
 class SystemAuthoringError(Exception):
-    """A rule clause is malformed (e.g. unbound consequent variables)."""
+    """A rule is malformed (e.g. unbound consequent variables)."""
 
 
 class UnknownBuiltinError(LookupError):
@@ -90,7 +92,8 @@ class RuleClause:
     """One rule compiled for one trigger position.
 
     ``premises`` are evaluated strictly left to right; every consequent
-    variable must be bound by the trigger or some premise.  ``transform``
+    variable must be bound by the trigger or some premise, or
+    construction raises ``SystemAuthoringError``.  ``transform``
     post-processes the instantiated consequent (used by the restricted
     Earley prediction).
     """
@@ -113,7 +116,8 @@ class RuleClause:
         the pattern's principal symbol and the argument paths whose
         symbol is known when it runs (constants, compounds, and variables
         of the trigger or of an earlier premise), or None for a side
-        condition or a bare-variable pattern."""
+        condition or a bare-variable pattern.  At the end of the walk
+        every consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
         modes = []
         for p in self.premises:
@@ -126,6 +130,11 @@ class RuleClause:
                 paths = tuple(path for path, _ in _known_subterms(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
                 bound.update(term_vars(p.pattern))
+        free = [v for v in term_vars(self.consequent) if v not in bound]
+        if free:
+            raise SystemAuthoringError(
+                f"rule {self.rule_name}: consequent variables {free} are never bound"
+            )
         skeleton = ()
         if not isinstance(self.trigger, Var):
             known = [((), self.trigger)] + _known_subterms(self.trigger, set())
@@ -148,7 +157,7 @@ class RuleClause:
         return True
 
     def instantiate(self, source: VarSource):
-        """Fresh-variable copy: (trigger, premises, consequent, own ids)."""
+        """Fresh-variable copy: (trigger, premises, consequent)."""
         mapping: dict = {}
         trigger = rename_with(self.trigger, mapping, source)
         premises = []
@@ -160,8 +169,7 @@ class RuleClause:
             else:
                 premises.append(ItemPremise(rename_with(p.pattern, mapping, source), p.slot))
         consequent = rename_with(self.consequent, mapping, source)
-        own = {v.id for v in mapping.values()}
-        return trigger, premises, consequent, own
+        return trigger, premises, consequent
 
 
 def _known_subterms(t: Term, bound: set, path: tuple = ()) -> list:
@@ -181,25 +189,42 @@ def _known_subterms(t: Term, bound: set, path: tuple = ()) -> list:
     return out
 
 
-def _validate_clause(clause: RuleClause):
-    bound = set(term_vars(clause.trigger))
-    for p in clause.premises:
-        if isinstance(p, SideCondition):
-            for a in p.args:
-                bound |= set(term_vars(a))
-        else:
-            bound |= set(term_vars(p.pattern))
-    free = [v for v in term_vars(clause.consequent) if v not in bound]
-    if free:
-        raise SystemAuthoringError(
-            f"rule {clause.rule_name}: consequent variables {free} are never bound"
+@dataclass(frozen=True)
+class Rule:
+    """One inference rule as written.
+
+    ``premises`` lists the antecedent patterns (plain terms) and the
+    side conditions (``SideCondition``) in one order.  The rule compiles
+    into ``clauses``, one per antecedent in slot order: the clause for
+    antecedent k triggers on it and evaluates the other premises in the
+    written order, each remaining antecedent as a chart lookup of its
+    slot.
+    """
+
+    name: str
+    premises: tuple
+    consequent: Term
+    transform: "Callable | None" = None
+    clauses: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "premises", tuple(self.premises))
+        written, antecedents = [], []
+        for p in self.premises:
+            if not isinstance(p, SideCondition):
+                p = ItemPremise(p, len(antecedents))
+                antecedents.append(p)
+            written.append(p)
+        if not antecedents:
+            raise SystemAuthoringError(f"rule {self.name} has no antecedent")
+        clauses = tuple(
+            RuleClause(
+                self.name, len(antecedents), a.slot, a.pattern,
+                tuple(p for p in written if p is not a), self.consequent, self.transform,
+            )
+            for a in antecedents
         )
-    slots = [p.slot for p in clause.premises if isinstance(p, ItemPremise)]
-    expected = sorted(set(range(clause.n_antecedents)) - {clause.trigger_slot})
-    if sorted(slots) != expected:
-        raise SystemAuthoringError(
-            f"rule {clause.rule_name}: premises fill slots {sorted(slots)}, need {expected}"
-        )
+        object.__setattr__(self, "clauses", clauses)
 
 
 @dataclass(frozen=True)
@@ -209,27 +234,33 @@ class DeductionSystem:
     ``axioms`` and ``goal_patterns`` are functions of the grammar and
     the input string, since goals mention the string length and the
     start symbols.  ``check_grammar`` runs before parsing and raises on
-    a grammar the system cannot interpret.  ``modes`` collects the
-    lookup modes of every clause, in clause order: the store keeps one
-    index per mode.
+    a grammar the system cannot interpret.  Rule names are unique and
+    differ from ``INITIAL``, since a justification names its rule and an
+    axiom's names ``INITIAL``.  ``clauses`` lists the compiled
+    clauses of every rule, in rule order; ``modes`` collects their
+    lookup modes, in clause order: the store keeps one index per mode.
     """
 
     name: str
     grammar_class: type
-    clauses: tuple
+    rules: tuple
     axioms: Callable
     goal_patterns: Callable
     check_grammar: "Callable | None" = None
+    clauses: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for clause in self.clauses:
-            _validate_clause(clause)
-        modes = (m for c in self.clauses for m in c.modes if m is not None)
+        names = [INITIAL] + [r.name for r in self.rules]
+        twice = sorted({n for n in names if names.count(n) > 1})
+        if twice:
+            raise SystemAuthoringError(
+                f"system {self.name}: rule names used twice (axioms use {INITIAL!r}): {twice}"
+            )
+        clauses = tuple(c for r in self.rules for c in r.clauses)
+        modes = (m for c in clauses for m in c.modes if m is not None)
+        object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "modes", tuple(dict.fromkeys(modes)))
-
-    def rule_clauses(self, rule_name: str) -> list[RuleClause]:
-        return [c for c in self.clauses if c.rule_name == rule_name]
 
 
 # ---- side-condition registry ----
@@ -498,34 +529,24 @@ def _v(name: str) -> Var:
     return Var(name)
 
 
-def _clause(rule, n, slot, trigger, premises, consequent, transform=None):
-    return RuleClause(
-        rule_name=rule,
-        n_antecedents=n,
-        trigger_slot=slot,
-        trigger=trigger,
-        premises=tuple(premises),
-        consequent=consequent,
-        transform=transform,
-    )
-
-
 def _td(beta: Term, j: Term) -> Compound:
     return Compound("td", (beta, j))
 
 
 def make_topdown() -> DeductionSystem:
     beta, j, j1, a, g, d = _v("Beta"), _v("J"), _v("J1"), _v("A"), _v("G"), _v("D")
-    scan = _clause(
-        "scan", 1, 0,
-        _td(cons(a, beta), j),
-        [SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, a))],
+    scan = Rule(
+        "scan",
+        [_td(cons(a, beta), j), SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, a))],
         _td(beta, j1),
     )
-    predict = _clause(
-        "predict", 1, 0,
-        _td(cons(a, beta), j),
-        [SideCondition("production", (a, g)), SideCondition("append", (g, beta, d))],
+    predict = Rule(
+        "predict",
+        [
+            _td(cons(a, beta), j),
+            SideCondition("production", (a, g)),
+            SideCondition("append", (g, beta, d)),
+        ],
         _td(d, j),
     )
 
@@ -538,7 +559,7 @@ def make_topdown() -> DeductionSystem:
     return DeductionSystem(
         name="topdown",
         grammar_class=CfGrammar,
-        clauses=(scan, predict),
+        rules=(scan, predict),
         axioms=axioms,
         goal_patterns=goals,
     )
@@ -552,16 +573,18 @@ def make_bottomup() -> DeductionSystem:
     alpha, j, j1, w_, b, g, rest = (
         _v("Alpha"), _v("J"), _v("J1"), _v("W"), _v("B"), _v("G"), _v("Rest"),
     )
-    shift = _clause(
-        "shift", 1, 0,
-        _bu(alpha, j),
-        [SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, w_))],
+    shift = Rule(
+        "shift",
+        [_bu(alpha, j), SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, w_))],
         _bu(cons(w_, alpha), j1),
     )
-    reduce_ = _clause(
-        "reduce", 1, 0,
-        _bu(alpha, j),
-        [SideCondition("production", (b, g)), SideCondition("split_stack", (g, alpha, rest))],
+    reduce_ = Rule(
+        "reduce",
+        [
+            _bu(alpha, j),
+            SideCondition("production", (b, g)),
+            SideCondition("split_stack", (g, alpha, rest)),
+        ],
         _bu(cons(b, rest), j),
     )
 
@@ -574,7 +597,7 @@ def make_bottomup() -> DeductionSystem:
     return DeductionSystem(
         name="bottomup",
         grammar_class=CfGrammar,
-        clauses=(shift, reduce_),
+        rules=(shift, reduce_),
         axioms=axioms,
         goal_patterns=goals,
     )
@@ -604,29 +627,24 @@ def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
     bef, aft, bef2 = _v("Bef"), _v("Aft"), _v("Bef2")
     w_ = _v("W")
 
-    scan = _clause(
-        "scan", 1, 0,
-        _er(i, a, bef, cons(w_, aft), j),
-        [SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, w_))],
+    scan = Rule(
+        "scan",
+        [
+            _er(i, a, bef, cons(w_, aft), j),
+            SideCondition("succ", (j, j1)),
+            SideCondition("word_at", (j1, w_)),
+        ],
         _er(i, a, cons(w_, bef), aft, j1),
     )
-    predict = _clause(
-        "predict", 1, 0,
-        _er(i, a, bef, cons(b, aft), j),
-        [SideCondition("production", (b, g))],
+    predict = Rule(
+        "predict",
+        [_er(i, a, bef, cons(b, aft), j), SideCondition("production", (b, g))],
         _er(j, b, NIL, g, j),
         transform=None if restriction_depth is None else _make_restrictor(restriction_depth),
     )
-    complete_1 = _clause(
-        "complete", 2, 0,
-        _er(i, a, bef, cons(b, aft), k),
-        [ItemPremise(_er(k, b, bef2, NIL, j), 1)],
-        _er(i, a, cons(b, bef), aft, j),
-    )
-    complete_2 = _clause(
-        "complete", 2, 1,
-        _er(k, b, bef2, NIL, j),
-        [ItemPremise(_er(i, a, bef, cons(b, aft), k), 0)],
+    complete = Rule(
+        "complete",
+        [_er(i, a, bef, cons(b, aft), k), _er(k, b, bef2, NIL, j)],
         _er(i, a, cons(b, bef), aft, j),
     )
 
@@ -645,7 +663,7 @@ def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
     return DeductionSystem(
         name="earley",
         grammar_class=CfGrammar,
-        clauses=(scan, predict, complete_1, complete_2),
+        rules=(scan, predict, complete),
         axioms=axioms,
         goal_patterns=goals,
     )
@@ -658,16 +676,9 @@ def _cyk(a, i, j) -> Compound:
 def make_cyk() -> DeductionSystem:
     a, b, c = _v("A"), _v("B"), _v("C")
     i, j, k = _v("I"), _v("J"), _v("K")
-    binary_1 = _clause(
-        "binary", 2, 0,
-        _cyk(b, i, j),
-        [SideCondition("production", (a, mklist([b, c]))), ItemPremise(_cyk(c, j, k), 1)],
-        _cyk(a, i, k),
-    )
-    binary_2 = _clause(
-        "binary", 2, 1,
-        _cyk(c, j, k),
-        [SideCondition("production", (a, mklist([b, c]))), ItemPremise(_cyk(b, i, j), 0)],
+    binary = Rule(
+        "binary",
+        [SideCondition("production", (a, mklist([b, c]))), _cyk(b, i, j), _cyk(c, j, k)],
         _cyk(a, i, k),
     )
 
@@ -690,7 +701,7 @@ def make_cyk() -> DeductionSystem:
     return DeductionSystem(
         name="cyk",
         grammar_class=CfGrammar,
-        clauses=(binary_1, binary_2),
+        rules=(binary,),
         axioms=axioms,
         goal_patterns=goals,
         check_grammar=check,
@@ -739,24 +750,10 @@ def _ccg_rules():
 
 def make_ccg() -> DeductionSystem:
     i, j, k = _v("I"), _v("J"), _v("K")
-    clauses = []
-    for name, left, right, out in _ccg_rules():
-        clauses.append(
-            _clause(
-                name, 2, 0,
-                _cc(left, i, j),
-                [ItemPremise(_cc(right, j, k), 1)],
-                _cc(out, i, k),
-            )
-        )
-        clauses.append(
-            _clause(
-                name, 2, 1,
-                _cc(right, j, k),
-                [ItemPremise(_cc(left, i, j), 0)],
-                _cc(out, i, k),
-            )
-        )
+    rules = tuple(
+        Rule(name, [_cc(left, i, j), _cc(right, j, k)], _cc(out, i, k))
+        for name, left, right, out in _ccg_rules()
+    )
 
     def axioms(lexicon: CcgLexicon, w: InputString):
         out = []
@@ -772,7 +769,7 @@ def make_ccg() -> DeductionSystem:
     return DeductionSystem(
         name="ccg",
         grammar_class=CcgLexicon,
-        clauses=tuple(clauses),
+        rules=rules,
         axioms=axioms,
         goal_patterns=goals,
     )
@@ -796,63 +793,44 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
     i, j, k, l, m, q = _v("I"), _v("J"), _v("K"), _v("L"), _v("M"), _v("Q")
     j2, k2, ju, ku = _v("J2"), _v("K2"), _v("JU"), _v("KU")
 
-    complete_unary = _clause(
-        "complete_unary", 1, 0,
-        _tg(Compound("node", (t, cons(Const(1), p))), ABOVE, i, j, k, l),
-        [SideCondition("child_undefined", (Compound("node", (t, cons(Const(2), p))),))],
+    complete_unary = Rule(
+        "complete_unary",
+        [
+            _tg(Compound("node", (t, cons(Const(1), p))), ABOVE, i, j, k, l),
+            SideCondition("child_undefined", (Compound("node", (t, cons(Const(2), p))),)),
+        ],
         _tg(Compound("node", (t, p)), BELOW, i, j, k, l),
     )
-    complete_binary_1 = _clause(
-        "complete_binary", 2, 0,
-        _tg(Compound("node", (t, cons(Const(1), p))), ABOVE, i, j, k, l),
+    complete_binary = Rule(
+        "complete_binary",
         [
-            ItemPremise(_tg(Compound("node", (t, cons(Const(2), p))), ABOVE, l, j2, k2, m), 1),
+            _tg(Compound("node", (t, cons(Const(1), p))), ABOVE, i, j, k, l),
+            _tg(Compound("node", (t, cons(Const(2), p))), ABOVE, l, j2, k2, m),
             SideCondition("index_union", (j, j2, ju)),
             SideCondition("index_union", (k, k2, ku)),
         ],
         _tg(Compound("node", (t, p)), BELOW, i, ju, ku, m),
     )
-    complete_binary_2 = _clause(
-        "complete_binary", 2, 1,
-        _tg(Compound("node", (t, cons(Const(2), p))), ABOVE, l, j2, k2, m),
-        [
-            ItemPremise(_tg(Compound("node", (t, cons(Const(1), p))), ABOVE, i, j, k, l), 0),
-            SideCondition("index_union", (j, j2, ju)),
-            SideCondition("index_union", (k, k2, ku)),
-        ],
-        _tg(Compound("node", (t, p)), BELOW, i, ju, ku, m),
-    )
-    no_adjoin = _clause(
-        "no_adjoin", 1, 0,
-        _tg(n, BELOW, i, j, k, l),
-        [],
-        _tg(n, ABOVE, i, j, k, l),
-    )
-    adjoin_1 = _clause(
-        "adjoin", 2, 0,
-        _tg(Compound("node", (b, NIL)), ABOVE, i, p, q, l),
+    no_adjoin = Rule("no_adjoin", [_tg(n, BELOW, i, j, k, l)], _tg(n, ABOVE, i, j, k, l))
+    adjoin = Rule(
+        "adjoin",
         [
             SideCondition("adjoinable", (n, b)),
-            ItemPremise(_tg(n, BELOW, p, j, k, q), 1),
+            _tg(Compound("node", (b, NIL)), ABOVE, i, p, q, l),
+            _tg(n, BELOW, p, j, k, q),
         ],
         _tg(n, ABOVE, i, j, k, l),
     )
-    adjoin_2 = _clause(
-        "adjoin", 2, 1,
-        _tg(n, BELOW, p, j, k, q),
-        [
-            SideCondition("adjoinable", (n, b)),
-            ItemPremise(_tg(Compound("node", (b, NIL)), ABOVE, i, p, q, l), 0),
-        ],
-        _tg(n, ABOVE, i, j, k, l),
-    )
-    clauses = [complete_unary, complete_binary_1, complete_binary_2, no_adjoin, adjoin_1, adjoin_2]
+    rules = [complete_unary, complete_binary, no_adjoin, adjoin]
     if foot_mode == "complete_foot":
-        clauses.append(
-            _clause(
-                "complete_foot", 1, 0,
-                _tg(n, BELOW, p, j, k, q),
-                [SideCondition("adjoinable", (n, b)), SideCondition("foot_of", (b, f))],
+        rules.append(
+            Rule(
+                "complete_foot",
+                [
+                    _tg(n, BELOW, p, j, k, q),
+                    SideCondition("adjoinable", (n, b)),
+                    SideCondition("foot_of", (b, f)),
+                ],
                 _tg(f, BELOW, p, p, q, q),
             )
         )
@@ -897,28 +875,29 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
     return DeductionSystem(
         name="tag",
         grammar_class=TagGrammar,
-        clauses=tuple(clauses),
+        rules=tuple(rules),
         axioms=axioms,
         goal_patterns=goals,
     )
 
 
+_BUILDERS = {
+    "topdown": make_topdown,
+    "bottomup": make_bottomup,
+    "earley": make_earley,
+    "cyk": make_cyk,
+    "ccg": make_ccg,
+    "tag": make_tag,
+}
+
+SYSTEM_NAMES = tuple(_BUILDERS)
+
+
 def system_for(name: str, **kwargs) -> DeductionSystem:
     """Build a system by CLI name; kwargs reach the builder."""
-    builders = {
-        "topdown": make_topdown,
-        "bottomup": make_bottomup,
-        "earley": make_earley,
-        "cyk": make_cyk,
-        "ccg": make_ccg,
-        "tag": make_tag,
-    }
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ValueError(f"unknown system {name!r}")
-    return builders[name](**kwargs)
-
-
-SYSTEM_NAMES = ("topdown", "bottomup", "earley", "cyk", "ccg", "tag")
+    return _BUILDERS[name](**kwargs)
 
 
 # ---- canonical item rendering ----

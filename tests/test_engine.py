@@ -17,7 +17,7 @@ from deduce.store import History
 from deduce.systems import (
     DeductionSystem,
     GrammarNotCnf,
-    ItemPremise,
+    Rule,
     RuleClause,
     make_bottomup,
     make_ccg,
@@ -147,10 +147,7 @@ def test_naive_closure_renames_the_antecedents_of_one_firing_apart():
     system = DeductionSystem(
         name="pairs",
         grammar_class=object,
-        clauses=(
-            RuleClause("pair", 2, 0, t("p(A)"), (ItemPremise(t("p(B)"), 1),), t("q(A, B)")),
-            RuleClause("pair", 2, 1, t("p(B)"), (ItemPremise(t("p(A)"), 0),), t("q(A, B)")),
-        ),
+        rules=(Rule("pair", [t("p(A)"), t("p(B)")], t("q(A, B)")),),
         axioms=lambda grammar, w: [t("p(f(X))")],
         goal_patterns=lambda grammar, w: [],
     )

@@ -2,12 +2,14 @@
 
 import pytest
 
+from deduce.engine import check_soundness, parse
 from deduce.grammar import load_ccg, load_cf, load_tag, parse_category, tokenize
 from deduce.systems import (
     BOTTOM,
+    DeductionSystem,
     GrammarNotCnf,
-    ItemPremise,
-    RuleClause,
+    Rule,
+    SYSTEM_NAMES,
     SideCondition,
     SystemAuthoringError,
     UnknownBuiltinError,
@@ -33,8 +35,11 @@ from deduce.terms import (
     parse_term,
     render_term,
     subsumes,
+    term_vars,
     variant,
 )
+
+from conftest import read
 
 
 def t(text):
@@ -66,58 +71,119 @@ def test_each_system_compiles_one_clause_per_trigger_choice():
     assert len(make_tag(foot_mode="foot_axiom").clauses) == 6
 
 
+def _rule(system, name):
+    [rule] = [r for r in system.rules if r.name == name]
+    return rule
+
+
 def test_two_antecedent_rules_cover_both_trigger_slots():
     earley = make_earley()
-    assert [c.trigger_slot for c in earley.rule_clauses("complete")] == [0, 1]
+    assert [c.trigger_slot for c in _rule(earley, "complete").clauses] == [0, 1]
     tag = make_tag()
-    assert [c.trigger_slot for c in tag.rule_clauses("complete_binary")] == [0, 1]
-    assert [c.trigger_slot for c in tag.rule_clauses("adjoin")] == [0, 1]
+    assert [c.trigger_slot for c in _rule(tag, "complete_binary").clauses] == [0, 1]
+    assert [c.trigger_slot for c in _rule(tag, "adjoin").clauses] == [0, 1]
+
+
+def _listing(system):
+    """One line per compiled clause: rule, trigger slot and antecedent
+    count, trigger, premises in evaluation order, consequent."""
+    lines = []
+    for c in system.clauses:
+        premises = []
+        for p in c.premises:
+            if isinstance(p, SideCondition):
+                premises.append(render_term(Compound(p.builtin, p.args)))
+            else:
+                premises.append(f"{render_term(p.pattern)} @{p.slot}")
+        transform = " +transform" if c.transform is not None else ""
+        lines.append(
+            f"{c.rule_name} {c.trigger_slot}/{c.n_antecedents}: {render_term(c.trigger)} | "
+            f"{'; '.join(premises)} => {render_term(c.consequent)}{transform}"
+        )
+    return lines
+
+
+def test_compiled_clauses_are_frozen():
+    # The listing was captured from the hand-written per-trigger clauses
+    # the rules replaced; the same clauses in the same order give the
+    # same charts, fresh-variable numbers included.
+    systems = [(name, system_for(name)) for name in SYSTEM_NAMES] + [
+        ("earley restricted", make_earley(restriction_depth=2)),
+        ("tag foot_axiom", make_tag(foot_mode="foot_axiom")),
+    ]
+    got = [line for label, s in systems for line in [f"# {label}"] + _listing(s)]
+    assert got == read("compiled_clauses.txt").splitlines()
 
 
 def test_unbound_consequent_variable_is_rejected_at_construction():
-    bad = RuleClause(
-        rule_name="broken",
-        n_antecedents=1,
-        trigger_slot=0,
-        trigger=t("i(X)"),
-        premises=(),
-        consequent=t("o(X, Y)"),
-    )
     with pytest.raises(SystemAuthoringError, match="broken"):
-        from deduce.systems import _validate_clause
+        Rule("broken", [t("i(X)")], t("o(X, Y)"))
+    # A variable bound only by a later antecedent is bound in every clause.
+    rule = Rule("join", [t("i(X)"), t("j(Y)")], t("o(X, Y)"))
+    assert [c.trigger_slot for c in rule.clauses] == [0, 1]
 
-        _validate_clause(bad)
+
+def test_a_rule_without_antecedents_is_rejected():
+    with pytest.raises(SystemAuthoringError, match="no antecedent"):
+        Rule("void", [SideCondition("succ", (Const(0), Var("X")))], t("o(X)"))
 
 
-def test_premise_slots_must_fill_the_remaining_positions():
-    bad = RuleClause(
-        rule_name="gap",
-        n_antecedents=3,
-        trigger_slot=0,
-        trigger=t("i(X)"),
-        premises=(ItemPremise(t("j(X)"), 1),),
-        consequent=t("o(X)"),
+def test_duplicate_rule_names_are_rejected():
+    # Justifications name their rule, so the soundness replay could
+    # only ever find one of two rules called r.
+    with pytest.raises(SystemAuthoringError, match=r"\['r'\]"):
+        DeductionSystem(
+            name="twice",
+            grammar_class=object,
+            rules=(Rule("r", [t("p(X)")], t("q(X)")), Rule("r", [t("s(X)")], t("u(X)"))),
+            axioms=lambda grammar, w: [t("p(a)"), t("s(b)")],
+            goal_patterns=lambda grammar, w: [],
+        )
+    # Axiom justifications are named "initial".
+    with pytest.raises(SystemAuthoringError, match="initial"):
+        DeductionSystem(
+            name="axiom_name",
+            grammar_class=object,
+            rules=(Rule("initial", [t("p(X)")], t("q(X)")),),
+            axioms=lambda grammar, w: [t("p(a)")],
+            goal_patterns=lambda grammar, w: [],
+        )
+    renamed = DeductionSystem(
+        name="apart",
+        grammar_class=object,
+        rules=(Rule("r", [t("p(X)")], t("q(X)")), Rule("r2", [t("s(X)")], t("u(X)"))),
+        axioms=lambda grammar, w: [t("p(a)"), t("s(b)")],
+        goal_patterns=lambda grammar, w: [],
     )
-    with pytest.raises(SystemAuthoringError, match="slots"):
-        from deduce.systems import _validate_clause
-
-        _validate_clause(bad)
+    assert check_soundness(parse(renamed, None, tokenize(""))) == []
 
 
 def test_instantiate_renames_every_clause_variable():
-    clause = make_earley().rule_clauses("complete")[0]
+    clause = _rule(make_earley(), "complete").clauses[0]
     src = VarSource()
-    trig1, prem1, cons1, own1 = clause.instantiate(src)
-    trig2, _, _, own2 = clause.instantiate(src)
+    copies = [clause.instantiate(src) for _ in range(2)]
+
+    def variables(copy):
+        trigger, premises, consequent = copy
+        terms = [trigger, consequent] + [p.pattern for p in premises]
+        return {v for term in terms for v in term_vars(term)}
+
+    trig1, prem1, _ = copies[0]
     assert variant(trig1, clause.trigger)
-    assert variant(trig1, trig2) and trig1 != trig2
-    assert own1.isdisjoint(own2)
+    assert variant(trig1, copies[1][0]) and trig1 != copies[1][0]
+    assert len(variables(copies[0])) == 8
+    assert variables(copies[0]).isdisjoint(variables(copies[1]))
     assert prem1[0].slot == 1
 
 
 def test_unknown_system_name():
     with pytest.raises(ValueError, match="unknown system"):
         system_for("glr")
+
+
+def test_system_names_follow_the_builder_table():
+    assert SYSTEM_NAMES == ("topdown", "bottomup", "earley", "cyk", "ccg", "tag")
+    assert [system_for(name).name for name in SYSTEM_NAMES] == list(SYSTEM_NAMES)
 
 
 # ---- axioms and goals ----
@@ -367,7 +433,7 @@ def test_builtins_on_the_wrong_grammar_class_complain(ccg_lexicon):
 
 def test_restricted_prediction_abstracts_deep_arguments():
     sys = make_earley(restriction_depth=2)
-    predict = sys.rule_clauses("predict")[0]
+    [predict] = _rule(sys, "predict").clauses
     assert predict.transform is not None
     item = er(0, t("r(s(s(s(0))), N)"), NIL, cons(t("r(s(s(s(0))), N)"), NIL), 0)
     out = predict.transform(item, VarSource())
@@ -380,14 +446,13 @@ def test_restricted_prediction_abstracts_deep_arguments():
 
 def test_unrestricted_prediction_has_no_transform():
     sys = make_earley()
-    assert all(c.transform is None for c in sys.rule_clauses("predict"))
+    assert all(c.transform is None for c in _rule(sys, "predict").clauses)
 
 
 # ---- mode analysis ----
 
 def _clause_for(system, rule, slot):
-    [clause] = [c for c in system.rule_clauses(rule) if c.trigger_slot == slot]
-    return clause
+    return _rule(system, rule).clauses[slot]
 
 
 def test_mode_analysis_binds_the_lookup_paths():
