@@ -26,9 +26,13 @@ from .systems import (
 from .terms import (
     Term,
     VarSource,
+    bind,
     canonical,
     rename_with,
+    resolve,
+    space_source,
     subsumes,
+    undo,
     unify,
 )
 
@@ -73,42 +77,62 @@ def consequences(system, store, index, grammar, input_string, source):
     """Every firing triggered by the item at ``index``.
 
     Yields (clause, consequent, antecedent indices).  Premises run
-    strictly left to right; chart lookups see all indices below the
+    strictly left to right, depth first, over one binding environment:
+    each choice binds into it, pushing what it binds on a trail, and
+    backtracking undoes the trail to the choice's mark, so only a
+    consequent is ever resolved.  A premise draws all its choices (a
+    side condition's answers, a lookup's renamed candidates) before the
+    walk goes deeper, so a consequent's transform draws its fresh
+    variables after theirs.  Chart lookups see all indices below the
     agenda head, which includes the trigger itself, so a rule may pair
     the trigger with its own chart entry.
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
+    env: dict = {}
+    trail: list = []
+
+    def walk(clause, premises, k, consequent, antes):
+        if k == len(premises):
+            out = resolve(consequent, env)
+            if clause.transform is not None:
+                out = clause.transform(out, source)
+            yield clause, out, tuple(antes)
+            return
+        p = premises[k]
+        mark = len(trail)
+        if isinstance(p, SideCondition):
+            fn = REGISTRY.get(p.builtin)
+            if fn is None:
+                raise UnknownBuiltinError(p.builtin)
+            for answer in list(fn(tuple([resolve(a, env) for a in p.args]), ctx)):
+                for v, t in answer.bindings.items():
+                    if v not in env:  # as in Substitution.compose
+                        env[v] = t
+                        trail.append(v)
+                yield from walk(clause, premises, k + 1, consequent, antes)
+                undo(env, trail, mark)
+        else:
+            pattern = resolve(p.pattern, env)
+            found = [
+                (i, store.renamed(i, source))
+                for i in store.candidates(pattern, clause.modes[k])
+            ]
+            for i, item in found:
+                if bind(pattern, item, env, trail):
+                    antes[p.slot] = i
+                    yield from walk(clause, premises, k + 1, consequent, antes)
+                undo(env, trail, mark)
+
     for clause in system.clauses:
         if not clause.admits(trigger_item):
             continue
         trig, premises, consequent = clause.instantiate(source)
-        s0 = unify(trig, trigger_item)
-        if s0 is None:
-            continue
-        partials = [(s0, {clause.trigger_slot: index})]
-        for p, mode in zip(premises, clause.modes):
-            nexts = []
-            for s, antes in partials:
-                if isinstance(p, SideCondition):
-                    fn = REGISTRY.get(p.builtin)
-                    if fn is None:
-                        raise UnknownBuiltinError(p.builtin)
-                    args = tuple(s.apply(a) for a in p.args)
-                    for s2 in fn(args, ctx):
-                        nexts.append((s.compose(s2), antes))
-                else:
-                    pattern = s.apply(p.pattern)
-                    for midx, mgu in store.chart_matches(pattern, source=source, mode=mode):
-                        nexts.append((s.compose(mgu), {**antes, p.slot: midx}))
-            partials = nexts
-            if not partials:
-                break
-        for s, antes in partials:
-            out = s.apply(consequent)
-            if clause.transform is not None:
-                out = clause.transform(out, source)
-            yield clause, out, tuple(antes[k] for k in range(clause.n_antecedents))
+        if bind(trig, trigger_item, env, trail):
+            antes = [None] * clause.n_antecedents
+            antes[clause.trigger_slot] = index
+            yield from walk(clause, premises, 0, consequent, antes)
+        undo(env, trail, 0)
 
 
 def parse(
@@ -216,7 +240,7 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
 
     for axiom in system.axioms(grammar, input_string):
         add(axiom)
-    source = VarSource(30_000_000)
+    source = space_source("closure")
     ctx = EvalContext(grammar, input_string, source)
     clauses = [(c, c.instantiate(source)) for c in (r.clauses[0] for r in system.rules)]
     # copies[k][i] is known[i] renamed apart for antecedent position k.
@@ -289,7 +313,7 @@ def check_soundness(result: ParseResult) -> list:
     """
     system, g, w, store = result.system, result.grammar, result.input, result.store
     axioms = system.axioms(g, w)
-    source = VarSource(40_000_000)
+    source = space_source("replay")
     violations = []
     for stored in store.items():
         for hist in stored.histories:

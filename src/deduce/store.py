@@ -21,6 +21,7 @@ functor that agree with it on the symbols of its top-level arguments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .terms import (
@@ -31,6 +32,7 @@ from .terms import (
     principal,
     rename_with,
     render_term,
+    space_source,
     subsumes,
     unify,
 )
@@ -131,6 +133,10 @@ class ItemStore:
         # arguments: the candidates for subsuming a later item.
         self._nonground: dict = {}
         self._variable = None  # index of a stored bare variable
+        # The (item index, rule name, antecedents) of every justification
+        # recorded in the current stage.
+        self._stage = None
+        self._justified: set = set()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -181,16 +187,29 @@ class ItemStore:
 
     def enqueue(self, item: Term, history: History, stage: int = 0):
         """Add an item, or record ``history`` on the subsuming earlier
-        item.  Returns (index, added)."""
+        item.  Returns (index, added).
+
+        A justification is recorded once per item, provided that it
+        repeats only within one ``stage``: the store remembers only the
+        current stage's justifications.  The engine's stage is the pop,
+        and a combination of antecedents fires only in the pop of its
+        highest index, since lookups see only indices below the agenda
+        head.
+        """
+        if stage != self._stage:
+            self._stage = stage
+            self._justified.clear()
         winner = self._subsumer(item)
         if winner is not None:
-            histories = self._items[winner - 1].histories
-            if history not in histories:
-                histories.append(history)
+            key = (winner, history.rule_name, history.antecedents)
+            if key not in self._justified:
+                self._justified.add(key)
+                self._items[winner - 1].histories.append(history)
             return winner, False
         index = len(self._items) + 1
         stored = StoredItem(index, item, stage, history)
         self._items.append(stored)
+        self._justified.add((index, history.rule_name, history.antecedents))
         symbol = principal(item)
         if item.ground:
             self._ground[item] = index
@@ -219,6 +238,24 @@ class ItemStore:
 
     # ---- retrieval ----
 
+    def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
+        """Ascending indices below ``below`` (default: the chart/agenda
+        boundary) of the items that may unify with ``pattern``.
+
+        ``mode``, one of the store's modes for the pattern's functor,
+        narrows them to that index's candidates for the pattern's key;
+        without one, or when a variable lies on one of its paths, every
+        index is a candidate.
+        """
+        bound = self._head if below is None else below
+        moded = self._indexes.get(mode)
+        if moded is not None and mode[0] == principal(pattern):
+            key = _key(pattern, moded.paths)
+            if key is not None:
+                hits = moded.candidates(key)
+                return hits[:bisect_left(hits, bound)]
+        return range(1, bound)
+
     def chart_matches(
         self,
         pattern: Term,
@@ -226,23 +263,11 @@ class ItemStore:
         source: "VarSource | None" = None,
         mode: "tuple | None" = None,
     ):
-        """(index, mgu) for chart items unifying with pattern, ascending.
-
-        Only indices < ``below`` (default: the chart/agenda boundary)
-        are considered.  ``mode``, one of the store's modes for the
-        pattern's functor, restricts the scan to that index's
-        candidates.  Stored items are renamed apart via ``source``
-        before unification.
-        """
-        bound = self._head if below is None else below
-        moded = self._indexes.get(mode)
-        key = None
-        if moded is not None and mode[0] == principal(pattern):
-            key = _key(pattern, moded.paths)
+        """(index, mgu) for the ``candidates`` unifying with pattern,
+        ascending.  Stored items are renamed apart via ``source`` before
+        unification."""
         out = []
-        for idx in range(1, bound) if key is None else moded.candidates(key):
-            if idx >= bound:
-                break
+        for idx in self.candidates(pattern, mode, below):
             item = self._items[idx - 1].item
             if not item.ground and source is not None:
                 item = rename_with(item, {}, source)
@@ -258,7 +283,7 @@ class ItemStore:
         goal; one more general still has the goal among its instances
         (DCG goals with open arguments land here).
         """
-        src = source or VarSource(10_000_000)
+        src = source or space_source("goals")
         out = []
         for idx in range(1, self._head):
             item = self._items[idx - 1].item

@@ -53,6 +53,7 @@ from .terms import (
     principal,
     render_term,
     rename_with,
+    space_source,
     term_vars,
     unify,
     unlist,
@@ -519,7 +520,7 @@ def eval_side_condition(builtin: str, args, grammar, input_string, source=None):
     fn = REGISTRY.get(builtin)
     if fn is None:
         raise UnknownBuiltinError(builtin)
-    ctx = EvalContext(grammar, input_string, source or VarSource(20_000_000))
+    ctx = EvalContext(grammar, input_string, source or space_source("side_conditions"))
     return list(fn(tuple(args), ctx))
 
 

@@ -191,7 +191,7 @@ EMPTY_SUBST = Substitution({})
 
 
 def _walk(t: Term, env: dict) -> Term:
-    while isinstance(t, Var):
+    while type(t) is Var:
         nxt = env.get(t.id)
         if nxt is None:
             return t
@@ -203,19 +203,92 @@ def _occurs(vid, t: Term, env: dict) -> bool:
     stack = [t]
     while stack:
         cur = _walk(stack.pop(), env)
-        if isinstance(cur, Var):
+        if type(cur) is Var:
             if cur.id == vid:
                 return True
-        elif isinstance(cur, Compound):
+        elif type(cur) is Compound and not cur.ground:
             stack.extend(cur.args)
     return False
 
 
-def _resolve(t: Term, env: dict) -> Term:
-    t = _walk(t, env)
-    if isinstance(t, Compound) and not t.ground:
-        return Compound(t.functor, tuple(_resolve(a, env) for a in t.args))
-    return t
+def resolve(t: Term, env: dict) -> Term:
+    """``t`` with every variable bound in ``env`` replaced, through
+    chains of bindings, by its value."""
+    if t.ground:
+        return t
+    while type(t) is Var:
+        nxt = env.get(t.id)
+        if nxt is None:
+            return t
+        t = nxt
+    if t.ground:
+        return t
+    return Compound(t.functor, tuple([a if a.ground else resolve(a, env) for a in t.args]))
+
+
+def bind(t1: Term, t2: Term, env: dict, trail: list) -> bool:
+    """Unify t1 and t2 under the bindings in ``env``, extending it in place.
+
+    ``env`` maps variable identifiers to terms that may mention other
+    bound variables (triangular form); ``resolve`` reads it.  Every
+    variable bound here is pushed on ``trail``, so ``undo`` to an earlier
+    trail length restores ``env`` exactly, also after a failure, which
+    may leave some bindings behind.  The occurs check is on, except
+    where the term being bound is ground or a variable and so cannot
+    contain the variable it is bound to.
+    """
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        while type(a) is Var:
+            nxt = env.get(a.id)
+            if nxt is None:
+                break
+            a = nxt
+        while type(b) is Var:
+            nxt = env.get(b.id)
+            if nxt is None:
+                break
+            b = nxt
+        if a is b:
+            continue
+        if type(a) is Var:
+            if type(b) is Var:
+                if b.id == a.id:
+                    continue
+            elif not b.ground and _occurs(a.id, b, env):
+                return False
+            env[a.id] = b
+            trail.append(a.id)
+        elif type(b) is Var:
+            if not a.ground and _occurs(b.id, a, env):
+                return False
+            env[b.id] = a
+            trail.append(b.id)
+        elif type(a) is Const:
+            if type(b) is not Const or a.name != b.name:
+                return False
+        elif type(a) is Compound:
+            if (
+                type(b) is not Compound
+                or a.functor != b.functor
+                or len(a.args) != len(b.args)
+            ):
+                return False
+            if a.ground and b.ground:
+                if a != b:
+                    return False
+                continue
+            stack.extend(zip(a.args, b.args))
+        else:
+            return False
+    return True
+
+
+def undo(env: dict, trail: list, mark: int) -> None:
+    """Drop the bindings pushed on ``trail`` since it had length ``mark``."""
+    while len(trail) > mark:
+        del env[trail.pop()]
 
 
 def unify(t1: Term, t2: Term, init: "Substitution | None" = None) -> "Substitution | None":
@@ -226,41 +299,9 @@ def unify(t1: Term, t2: Term, init: "Substitution | None" = None) -> "Substituti
     those bindings and the result extends them.
     """
     env = dict(init.bindings) if init is not None else {}
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        a = _walk(a, env)
-        b = _walk(b, env)
-        if a is b:
-            continue
-        if isinstance(a, Var):
-            if isinstance(b, Var) and b.id == a.id:
-                continue
-            if _occurs(a.id, b, env):
-                return None
-            env[a.id] = b
-        elif isinstance(b, Var):
-            if _occurs(b.id, a, env):
-                return None
-            env[b.id] = a
-        elif isinstance(a, Const):
-            if not (isinstance(b, Const) and a.name == b.name):
-                return None
-        elif isinstance(a, Compound):
-            if (
-                not isinstance(b, Compound)
-                or a.functor != b.functor
-                or len(a.args) != len(b.args)
-            ):
-                return None
-            if a.ground and b.ground:
-                if a != b:
-                    return None
-                continue
-            stack.extend(zip(a.args, b.args))
-        else:
-            return None
-    return Substitution({v: _resolve(t, env) for v, t in env.items()})
+    if not bind(t1, t2, env, []):
+        return None
+    return Substitution({v: resolve(t, env) for v, t in env.items()})
 
 
 def match(general: Term, specific: Term) -> "Substitution | None":
@@ -317,19 +358,36 @@ def variant(t1: Term, t2: Term) -> bool:
 class VarSource:
     """Generator of fresh integer-identified variables.
 
-    One source is scoped to one engine run, so identifiers increase
-    monotonically and renamed copies never collide.
+    A source draws ``start``, ``start + step``, ``start + 2 * step``, ...
+    One source is scoped to one engine run, so renamed copies never
+    collide.  A parse draws 0, 1, 2, ..., the ``_G`` numbers of its
+    chart dump; every other user draws from its own space
+    (``space_source``).
     """
 
-    __slots__ = ("_n",)
+    __slots__ = ("_n", "_step")
 
-    def __init__(self, start: int = 0):
+    def __init__(self, start: int = 0, step: int = 1):
         self._n = start
+        self._step = step
 
     def fresh(self) -> Var:
         v = Var(self._n)
-        self._n += 1
+        self._n += self._step
         return v
+
+
+# The fresh-variable spaces besides a parse's own.  Space k draws the
+# negative ids -k, -k - n, -k - 2n, ... for n spaces: one residue modulo
+# n each, so no two spaces meet however many variables they draw, and
+# none meets the non-negative ids of a parse.
+FRESH_SPACES = ("goals", "side_conditions", "closure", "replay")
+
+
+def space_source(name: str) -> VarSource:
+    """A fresh source for the named space in ``FRESH_SPACES``."""
+    n = len(FRESH_SPACES)
+    return VarSource(-(FRESH_SPACES.index(name) + 1), -n)
 
 
 def rename_with(t: Term, mapping: dict, source: VarSource) -> Term:

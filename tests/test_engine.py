@@ -26,7 +26,7 @@ from deduce.systems import (
     make_tag,
     make_topdown,
 )
-from deduce import store as store_module
+from deduce import engine as engine_module
 from deduce.store import ItemStore
 from deduce.terms import NIL, VarSource, canonical, parse_term
 
@@ -210,31 +210,69 @@ def test_consequences_can_pair_the_trigger_with_itself(cnf_ab_grammar):
     assert a != b
 
 
+def _count_lookups(monkeypatch) -> list:
+    """Per chart lookup the engine makes, [pattern, candidates handed
+    out, candidates bound]; filled in as the engine runs."""
+    lookups = []
+    by_pattern = {}
+    plain_candidates = ItemStore.candidates
+    plain_bind = engine_module.bind
+
+    def counting_candidates(self, pattern, *args, **kwargs):
+        out = plain_candidates(self, pattern, *args, **kwargs)
+        # The record keeps the pattern alive, so its id names one lookup.
+        by_pattern[id(pattern)] = record = [pattern, len(out), 0]
+        lookups.append(record)
+        return out
+
+    def counting_bind(t1, t2, env, trail):
+        ok = plain_bind(t1, t2, env, trail)
+        record = by_pattern.get(id(t1))
+        if ok and record is not None and record[0] is t1:
+            record[2] += 1
+        return ok
+
+    monkeypatch.setattr(ItemStore, "candidates", counting_candidates)
+    monkeypatch.setattr(engine_module, "bind", counting_bind)
+    return lookups
+
+
 def test_every_cyk_lookup_scans_only_matches(ambiguous_grammar, monkeypatch):
     # Both CYK lookups know the nonterminal and the shared span end, so
     # the moded index hands each one exactly the items that unify.
-    unifies = []
-    plain_unify = store_module.unify
-    plain_matches = ItemStore.chart_matches
-    lookups = []
-
-    def counting_unify(*args, **kwargs):
-        unifies.append(1)
-        return plain_unify(*args, **kwargs)
-
-    def counting_matches(self, *args, **kwargs):
-        before = len(unifies)
-        out = plain_matches(self, *args, **kwargs)
-        lookups.append((len(unifies) - before, len(out)))
-        return out
-
-    monkeypatch.setattr(store_module, "unify", counting_unify)
-    monkeypatch.setattr(ItemStore, "chart_matches", counting_matches)
+    lookups = _count_lookups(monkeypatch)
     r = parse(make_cyk(), ambiguous_grammar, tokenize(" ".join(["a"] * 30)))
     assert r.accepted
     assert len(lookups) == 2 * r.pops
-    assert all(scanned == matched for scanned, matched in lookups)
-    assert sum(matched for _, matched in lookups) > 0
+    assert all(scanned == matched for _, scanned, matched in lookups)
+    assert sum(matched for _, _, matched in lookups) > 0
+
+
+def test_every_earley_complete_lookup_scans_only_matches(ambiguous_grammar, monkeypatch):
+    # Each popped item fires one of complete's two clauses, whose lookup
+    # knows the origin, the symbol and the dot position of its partner.
+    lookups = _count_lookups(monkeypatch)
+    r = parse(make_earley(), ambiguous_grammar, tokenize(" ".join(["a"] * 30)))
+    assert r.accepted
+    assert len(lookups) == r.pops
+    assert all(scanned == matched for _, scanned, matched in lookups)
+    assert sum(matched for _, _, matched in lookups) > 0
+
+
+def test_an_earley_parse_compares_no_justifications(ambiguous_grammar, monkeypatch):
+    # Duplicate justifications are found by hashing, not by comparing
+    # each new one with an item's recorded list.
+    compared = []
+    plain_eq = History.__eq__
+
+    def counting_eq(self, other):
+        compared.append(1)
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(History, "__eq__", counting_eq)
+    r = parse(make_earley(), ambiguous_grammar, tokenize(" ".join(["a"] * 20)))
+    assert r.accepted and r.duplicates > 0
+    assert compared == []
 
 
 def _firings(system, r, index):

@@ -87,6 +87,20 @@ def test_duplicate_history_is_recorded_once():
     assert len(s.get(1).histories) == 2
 
 
+def test_a_repeated_history_in_one_stage_is_recorded_once():
+    # The repeat is caught on the item it created and on an older item;
+    # the same justification on another item is that item's own.
+    s = ItemStore()
+    s.enqueue(t("i(1)"), h(INITIAL))
+    assert s.enqueue(t("i(2)"), h("pair", 1, 1), stage=3) == (2, True)
+    assert s.enqueue(t("i(2)"), h("pair", 1, 1), stage=3) == (2, False)
+    s.enqueue(t("i(1)"), h("pair", 1, 1), stage=3)
+    s.enqueue(t("i(3)"), h("pair", 1, 2), stage=3)
+    s.enqueue(t("i(1)"), h("pair", 1, 1), stage=3)
+    assert [x.render() for x in s.get(1).histories] == ["initial()", "pair(1;1)"]
+    assert [x.render() for x in s.get(2).histories] == ["pair(1;1)"]
+
+
 def test_every_distinct_justification_is_kept():
     s = ItemStore()
     s.enqueue(t("i(1)"), h(INITIAL))

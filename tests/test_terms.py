@@ -3,17 +3,19 @@ small brute-force oracles where the property is about instance sets."""
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deduce.terms import (
     Compound,
     Const,
     EMPTY_SUBST,
+    FRESH_SPACES,
     NIL,
     Var,
     VarSource,
     abstract_depth,
+    bind,
     canonical,
     is_ground,
     match,
@@ -22,8 +24,11 @@ from deduce.terms import (
     parse_term_seq,
     render_term,
     rename_apart,
+    resolve,
+    space_source,
     subsumes,
     term_vars,
+    undo,
     unify,
     unlist,
     variant,
@@ -88,6 +93,16 @@ def test_unify_occurs_check():
     assert unify(t("f(X, X)"), t("f(Y, g(Y))")) is None
 
 
+def test_bind_keeps_the_occurs_check():
+    for a, b in [("X", "f(X)"), ("f(X)", "X")]:
+        assert unify(t(a), t(b)) is None
+        assert not bind(t(a), t(b), {}, [])
+    # The cycle may run through an earlier binding.
+    env, trail = {}, []
+    assert bind(t("Y"), t("g(X)"), env, trail)
+    assert not bind(t("X"), t("f(Y)"), env, trail)
+
+
 def test_unify_shared_variables():
     s = unify(t("f(X, X)"), t("f(Y, a)"))
     assert s is not None
@@ -123,6 +138,26 @@ def test_variant():
 
 
 # ---- renaming and abstraction examples ----
+
+def test_fresh_variable_spaces_never_meet():
+    # Each space, late in its run (as many draws as once separated two
+    # spaces' start offsets), draws nothing another space or a parse
+    # draws first.  A source draws an arithmetic progression, so two
+    # draws give its position after any number of them.
+    def draws(source, n):
+        return {source.fresh().id for _ in range(n)}
+
+    firsts = {name: draws(space_source(name), 3) for name in FRESH_SPACES}
+    firsts["parse"] = draws(VarSource(), 3)
+    for name in FRESH_SPACES:
+        source = space_source(name)
+        start = source.fresh().id
+        step = source.fresh().id - start
+        drawn = draws(VarSource(start + (10_000_000 - 2) * step, step), 4)
+        for other, ids in firsts.items():
+            if other != name:
+                assert not drawn & ids, (name, other)
+
 
 def test_rename_apart_fresh_and_consistent():
     out = rename_apart(t("f(X, g(X, Y))"), {"X", "Y"})
@@ -199,6 +234,36 @@ def test_unify_symmetric_up_to_variance(t1, t2):
     assert (s12 is None) == (s21 is None)
     if s12 is not None:
         assert variant(s12.apply(t1), s21.apply(t1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_terms, small_terms, small_terms, small_terms)
+def test_bind_under_an_environment_agrees_with_unify(p1, p2, t1, t2):
+    # The prior environment is left in the triangular form bind builds;
+    # unify gets the same bindings resolved.
+    env, trail = {}, []
+    assume(bind(p1, p2, env, trail))
+    prior = unify(p1, p2)
+    expected = unify(t1, t2, init=prior)
+    ok = bind(t1, t2, env, trail)
+    assert ok == (expected is not None)
+    if ok:
+        for v in set(term_vars(mklist([p1, p2, t1, t2]))):
+            assert resolve(Var(v), env) == expected.apply(Var(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_terms, small_terms, small_terms, small_terms)
+def test_undo_restores_the_environment(p1, p2, t1, t2):
+    env, trail = {}, []
+    bind(p1, p2, env, trail)
+    undo(env, trail, 0)
+    assert env == {} and trail == []
+    if bind(p1, p2, env, trail):
+        before, mark = dict(env), len(trail)
+        bind(t1, t2, env, trail)  # may fail after binding some variables
+        undo(env, trail, mark)
+        assert env == before and len(trail) == mark
 
 
 def _ground_universe(max_depth):
