@@ -76,16 +76,23 @@ class ParseResult:
 def consequences(system, store, index, grammar, input_string, source):
     """Every firing triggered by the item at ``index``.
 
-    Yields (clause, consequent, antecedent indices).  Premises run
-    strictly left to right, depth first, over one binding environment:
-    each choice binds into it, pushing what it binds on a trail, and
-    backtracking undoes the trail to the choice's mark, so only a
-    consequent is ever resolved.  A premise draws all its choices (a
-    side condition's answers, a lookup's renamed candidates) before the
-    walk goes deeper, so a consequent's transform draws its fresh
-    variables after theirs.  Chart lookups see all indices below the
-    agenda head, which includes the trigger itself, so a rule may pair
-    the trigger with its own chart entry.
+    Yields (clause, consequent, antecedent indices).  No clause is
+    copied: the trigger, the side-condition answers and the chart
+    candidates bind straight into the clause's compiled copy
+    (``RuleClause.compiled``), whose variables no other term carries.
+    Premises run strictly left to right, depth first, over one binding
+    environment: each choice binds into it, pushing what it binds on a
+    trail, and backtracking undoes the trail to the choice's mark, so
+    only a consequent is ever resolved.  The walk holds one instance of
+    one clause at a time and clears it before the next clause.  A
+    non-ground consequent is renamed from ``source`` before its
+    transform runs, so no stored item keeps a clause variable.  A
+    premise draws all its choices (a side condition's answers, a
+    lookup's renamed candidates) before the walk goes deeper, so a
+    consequent's renaming and transform draw their fresh variables
+    after theirs.  Chart lookups see all indices below the agenda head,
+    which includes the trigger itself, so a rule may pair the trigger
+    with its own chart entry.
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
@@ -95,6 +102,8 @@ def consequences(system, store, index, grammar, input_string, source):
     def walk(clause, premises, k, consequent, antes):
         if k == len(premises):
             out = resolve(consequent, env)
+            if not out.ground:
+                out = rename_with(out, {}, source)
             if clause.transform is not None:
                 out = clause.transform(out, source)
             yield clause, out, tuple(antes)
@@ -127,7 +136,7 @@ def consequences(system, store, index, grammar, input_string, source):
     for clause in system.clauses:
         if not clause.admits(trigger_item):
             continue
-        trig, premises, consequent = clause.instantiate(source)
+        trig, premises, consequent = clause.compiled
         if bind(trig, trigger_item, env, trail):
             antes = [None] * clause.n_antecedents
             antes[clause.trigger_slot] = index

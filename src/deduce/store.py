@@ -284,12 +284,14 @@ class ItemStore:
         (DCG goals with open arguments land here).
         """
         src = source or space_source("goals")
+        # Each item below is renamed from the same source after these,
+        # so it shares no variable with a pattern.
+        patterns = [p if p.ground else rename_with(p, {}, src) for p in goal_patterns]
         out = []
         for idx in range(1, self._head):
             item = self._items[idx - 1].item
-            for pat in goal_patterns:
-                p = pat if pat.ground else rename_with(pat, {}, src)
-                it = item if item.ground else rename_with(item, {}, src)
+            it = item if item.ground else rename_with(item, {}, src)
+            for p in patterns:
                 if subsumes(p, it) or subsumes(it, p):
                     out.append(idx)
                     break

@@ -97,6 +97,12 @@ class RuleClause:
     construction raises ``SystemAuthoringError``.  ``transform``
     post-processes the instantiated consequent (used by the restricted
     Earley prediction).
+
+    ``compiled`` is the clause's (trigger, premises, consequent), renamed
+    once, at construction, into the reserved "clause" variable space.
+    The engine binds into it in place instead of copying the clause per
+    firing: one walk holds one instance of one clause at a time, and no
+    item or grammar term carries a clause-space variable.
     """
 
     rule_name: str
@@ -106,9 +112,10 @@ class RuleClause:
     premises: tuple
     consequent: Term
     transform: "Callable | None" = None
-    # Derived by the mode analysis in __post_init__.
+    # Derived in __post_init__.
     skeleton: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
+    compiled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Mode analysis, left to right.  ``skeleton`` holds the
@@ -142,6 +149,7 @@ class RuleClause:
             skeleton = tuple((path, principal(sub)) for path, sub in known)
         object.__setattr__(self, "modes", tuple(modes))
         object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "compiled", self.instantiate(space_source("clause")))
 
     def admits(self, item: Term) -> bool:
         """False when ``item`` contradicts the trigger's skeleton, so the
@@ -170,7 +178,7 @@ class RuleClause:
             else:
                 premises.append(ItemPremise(rename_with(p.pattern, mapping, source), p.slot))
         consequent = rename_with(self.consequent, mapping, source)
-        return trigger, premises, consequent
+        return trigger, tuple(premises), consequent
 
 
 def _known_subterms(t: Term, bound: set, path: tuple = ()) -> list:
@@ -329,9 +337,12 @@ def _eval_production(args, ctx):
 
 def _eval_lex(args, ctx):
     g = _need_cf(ctx, "lex")
-    yield from _yield_unify(
-        args, [(Const(w), p) for w, p in g.lexicon]
-    )
+    word = args[0]
+    yield from _yield_unify(args, [
+        (Const(w), p if p.ground else rename_with(p, {}, ctx.source))
+        for w, p in g.lexicon
+        if type(word) is not Const or word.name == w
+    ])
 
 
 def _eval_succ(args, ctx):

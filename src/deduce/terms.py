@@ -61,22 +61,37 @@ class Const(Term):
 class Compound(Term):
     __slots__ = ("functor", "args", "_hash", "ground")
 
+    # A non-ground compound is hashed on first use: most are built,
+    # bound or resolved and dropped without ever being hashed.  A ground
+    # one is hashed here, from its arguments' cached hashes, so however
+    # deep it is, hashing it never recurses and comparing it with a
+    # ground term of another hash stops at once.
     def __init__(self, functor: str, args: tuple):
         self.functor = functor
         self.args = args
-        self._hash = hash(("f", functor, args))
-        self.ground = all(a.ground for a in args)
+        for a in args:
+            if not a.ground:
+                self.ground = False
+                self._hash = None
+                break
+        else:
+            self.ground = True
+            self._hash = hash(("f", functor, args))
 
     def __eq__(self, other):
         return (
             type(other) is Compound
-            and self._hash == other._hash
+            and self.ground is other.ground
+            and (not self.ground or self._hash == other._hash)
             and self.functor == other.functor
             and self.args == other.args
         )
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("f", self.functor, self.args))
+        return h
 
 
 NIL = Const("[]")
@@ -380,8 +395,10 @@ class VarSource:
 # The fresh-variable spaces besides a parse's own.  Space k draws the
 # negative ids -k, -k - n, -k - 2n, ... for n spaces: one residue modulo
 # n each, so no two spaces meet however many variables they draw, and
-# none meets the non-negative ids of a parse.
-FRESH_SPACES = ("goals", "side_conditions", "closure", "replay")
+# none meets the non-negative ids of a parse.  The "clause" space holds
+# the variables of the compiled rule clauses the engine binds in place
+# (``RuleClause.compiled``); no other term may carry one.
+FRESH_SPACES = ("goals", "side_conditions", "closure", "replay", "clause")
 
 
 def space_source(name: str) -> VarSource:

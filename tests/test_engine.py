@@ -28,7 +28,7 @@ from deduce.systems import (
 )
 from deduce import engine as engine_module
 from deduce.store import ItemStore
-from deduce.terms import NIL, VarSource, canonical, parse_term
+from deduce.terms import NIL, VarSource, canonical, parse_term, term_vars
 
 from replay_rows import (
     BOTTOMUP_ROWS,
@@ -170,6 +170,40 @@ def test_unrestricted_prediction_diverges_on_term_grammars(abn_grammar):
     assert r.halted_by_limit
 
 
+def test_stored_items_hold_only_parse_variables(abn_grammar, counting_grammar):
+    # Clause-space variables (negative ids) and grammar-file variables
+    # (names) never reach the chart: a consequent is renamed from the
+    # parse's own source before it is stored.
+    runs = [
+        (make_earley(restriction_depth=2), abn_grammar, "a b b b"),
+        (make_bottomup(), abn_grammar, "a b b b"),
+        (make_tag(), counting_grammar, "a a b b c c d d"),
+    ]
+    open_items = 0
+    for system, grammar, sentence in runs:
+        r = parse(system, grammar, tokenize(sentence))
+        assert r.accepted, system.name
+        for stored in r.store.items():
+            ids = term_vars(stored.item)
+            open_items += bool(ids)
+            assert all(isinstance(i, int) and i >= 0 for i in ids), stored
+    assert open_items > 0
+    # A trigger more specific than its item leaves a clause variable
+    # unbound: p(f(A)) meets p(Y) by binding Y to f(A).
+    t = parse_term
+    system = DeductionSystem(
+        name="open_trigger",
+        grammar_class=object,
+        rules=(Rule("unwrap", [t("p(f(A))")], t("q(A)")),),
+        axioms=lambda grammar, w: [t("p(Y)")],
+        goal_patterns=lambda grammar, w: [t("q(Z)")],
+    )
+    r = parse(system, None, tokenize(""))
+    assert r.accepted
+    [q] = [r.store.get(i).item for i in r.goal_indices]
+    assert all(isinstance(i, int) and i >= 0 for i in term_vars(q)), q
+
+
 def test_restricted_prediction_terminates_and_accepts(abn_grammar):
     r = parse(make_earley(restriction_depth=2), abn_grammar, tokenize("a b"),
               ParseOptions(step_limit=2000))
@@ -284,24 +318,37 @@ def _firings(system, r, index):
 
 
 def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch):
+    # The trigger skeletons let a complete item through to one clause,
+    # and the engine binds into that clause's compiled copy in place.
     system = make_earley()
     r = parse(system, toy_grammar, tokenize("a program halts"))
     complete = [s.index for s in r.store.items() if s.item.args[3] == NIL]
     assert complete
-    calls = []
-    plain = RuleClause.instantiate
+    admitted, copied = [], []
+    plain = RuleClause.admits
 
-    def counting(self, source):
-        calls.append(self.rule_name)
-        return plain(self, source)
+    def counting(self, item):
+        ok = plain(self, item)
+        if ok:
+            admitted.append(self.rule_name)
+        return ok
 
-    monkeypatch.setattr(RuleClause, "instantiate", counting)
+    monkeypatch.setattr(RuleClause, "admits", counting)
+    monkeypatch.setattr(RuleClause, "instantiate", lambda self, source: copied.append(1))
     dispatched = {i: _firings(system, r, i) for i in complete}
-    assert calls == ["complete"] * len(complete)
+    assert admitted == ["complete"] * len(complete)
+    assert copied == []
     # Trying every clause finds no firing the dispatch skipped.
-    monkeypatch.setattr(RuleClause, "admits", lambda self, item: True)
+    admitted.clear()
+
+    def always(self, item):
+        admitted.append(self.rule_name)
+        return True
+
+    monkeypatch.setattr(RuleClause, "admits", always)
     assert {i: _firings(system, r, i) for i in complete} == dispatched
-    assert len(calls) == 5 * len(complete)
+    assert len(admitted) == len(system.clauses) * len(complete)
+    assert copied == []
 
 
 def test_trace_items_reports_pops_and_goals(toy_grammar):

@@ -3,11 +3,12 @@
 import pytest
 
 from deduce.engine import check_soundness, parse
-from deduce.grammar import load_ccg, load_cf, load_tag, parse_category, tokenize
+from deduce.grammar import CfGrammar, load_ccg, load_cf, load_tag, parse_category, tokenize
 from deduce.systems import (
     BOTTOM,
     DeductionSystem,
     GrammarNotCnf,
+    ItemPremise,
     Rule,
     SYSTEM_NAMES,
     SideCondition,
@@ -34,6 +35,7 @@ from deduce.terms import (
     mklist,
     parse_term,
     render_term,
+    space_source,
     subsumes,
     term_vars,
     variant,
@@ -176,6 +178,28 @@ def test_instantiate_renames_every_clause_variable():
     assert prem1[0].slot == 1
 
 
+def _premise_terms(premises):
+    return [p.pattern if isinstance(p, ItemPremise) else mklist(p.args) for p in premises]
+
+
+def test_compiled_clauses_use_only_the_clause_space():
+    # The engine binds into these copies in place; their variables come
+    # from a space that no stored item, grammar term or parse draws from.
+    src = space_source("clause")
+    space = {src.fresh().id for _ in range(64)}
+    systems = [make_topdown(), make_bottomup(), make_earley(restriction_depth=2),
+               make_cyk(), make_ccg(), make_tag()]
+    for clause in (c for system in systems for c in system.clauses):
+        trigger, premises, consequent = clause.compiled
+        compiled = mklist([trigger, consequent] + _premise_terms(premises))
+        written = mklist([clause.trigger, clause.consequent] + _premise_terms(clause.premises))
+        assert set(term_vars(compiled)) <= space, clause.rule_name
+        assert variant(compiled, written)
+        assert [p.slot for p in premises if isinstance(p, ItemPremise)] == [
+            p.slot for p in clause.premises if isinstance(p, ItemPremise)
+        ]
+
+
 def test_unknown_system_name():
     with pytest.raises(ValueError, match="unknown system"):
         system_for("glr")
@@ -314,6 +338,28 @@ def test_production_yields_are_renamed_apart(abn_grammar):
     assert len(targets) == 2
     assert not (set(v.id for v in targets[0].args if isinstance(v, Var))
                 & set(v.id for v in targets[1].args if isinstance(v, Var)))
+
+
+def test_lex_entries_are_renamed_per_use():
+    # Both words' entries name the variable X; the pair a rule builds
+    # from two lex answers must hold two distinct parse variables.
+    g = load_cf("start np\nlex a np(X)\nlex b np(X)\n")
+    premises = [t("w(W1)"), t("w(W2)"), SideCondition("lex", (Var("W1"), Var("P1"))),
+                SideCondition("lex", (Var("W2"), Var("P2")))]
+    system = DeductionSystem(
+        name="lex_pairs",
+        grammar_class=CfGrammar,
+        rules=(Rule("pair", premises, t("pair(P1, P2)")),),
+        axioms=lambda grammar, w: [Compound("w", (Const(tok),)) for tok in w.tokens],
+        goal_patterns=lambda grammar, w: [],
+    )
+    r = parse(system, g, tokenize("a b"))
+    # The first pair subsumes the other three.
+    [item] = [s.item for s in r.store.items() if s.item.functor == "pair"]
+    ids = term_vars(item)
+    assert len(ids) == 2 and all(isinstance(i, int) for i in ids), render_term(item)
+    [answer] = eval_side_condition("lex", (Const("b"), Var("P")), g, tokenize("a b"))
+    assert answer.apply(Var("P")).functor == "np"
 
 
 def test_succ_runs_in_both_modes(toy_grammar):

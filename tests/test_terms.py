@@ -12,6 +12,7 @@ from deduce.terms import (
     EMPTY_SUBST,
     FRESH_SPACES,
     NIL,
+    Substitution,
     Var,
     VarSource,
     abstract_depth,
@@ -147,6 +148,7 @@ def test_fresh_variable_spaces_never_meet():
     def draws(source, n):
         return {source.fresh().id for _ in range(n)}
 
+    assert "clause" in FRESH_SPACES
     firsts = {name: draws(space_source(name), 3) for name in FRESH_SPACES}
     firsts["parse"] = draws(VarSource(), 3)
     for name in FRESH_SPACES:
@@ -346,3 +348,59 @@ def test_abstract_depth_bounds_depth(term, d):
         return 0
 
     assert depth(abstract_depth(term, d)) <= d
+
+
+def _rebuilt(term):
+    """``term`` built again from new nodes, none of them hashed yet."""
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(_rebuilt(a) for a in term.args))
+    return Var(term.id) if isinstance(term, Var) else Const(term.name)
+
+
+def _recursively_ground(term):
+    if isinstance(term, Var):
+        return False
+    if isinstance(term, Compound):
+        return all(_recursively_ground(a) for a in term.args)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_terms, small_terms)
+def test_equal_terms_built_by_different_routes_hash_equal(t1, t2):
+    # The same term by substitution, by resolving a binding, by parsing
+    # its rendering and by fresh construction: a non-ground one is hashed
+    # on first use, after its subterms or before them.
+    assume("X" not in term_vars(t2))
+    hash(t2)
+    env = {"X": t2}
+    routes = [
+        Substitution(env).apply(t1),
+        resolve(t1, env),
+        _rebuilt(resolve(t1, env)),
+        parse_term(render_term(resolve(t1, env))),
+    ]
+    hash(routes[0])
+    table = {routes[0]: "first"}
+    for term in routes:
+        assert term == routes[0]
+        assert hash(term) == hash(routes[0])
+        assert table.get(term) == "first"
+    for term in routes + [t1, t2, Compound("g", (t1, t2))]:
+        assert term.ground == _recursively_ground(term)
+
+
+def test_deep_ground_terms_hash_and_compare_without_recursing():
+    # Unrestricted Earley on a counting DCG builds successor chains
+    # thousands deep; hashing one or comparing two must not recurse.
+    def chain(n, base):
+        out = Const(base)
+        for _ in range(n):
+            out = Compound("s", (out,))
+        return out
+
+    a, b = chain(5000, 0), chain(5000, 1)
+    assert a != b
+    assert {a: 1}.get(b) is None
+    assert Compound("f", (a, Var("X"))) != Compound("f", (b, Var("X")))
+    assert hash(Compound("f", (a, Var("X")))) == hash(Compound("f", (a, Var("X"))))
