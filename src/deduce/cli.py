@@ -147,6 +147,18 @@ def cmd_check(args) -> int:
     return EXIT_ACCEPT
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse names the flag when this
+    raises."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--system", required=True, choices=SYSTEM_NAMES)
@@ -159,9 +171,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--class", dest="grammar_class", choices=sorted(_LOADERS),
         help="grammar class; inferred from the file extension when omitted",
     )
-    shared.add_argument("--step-limit", type=int, default=100_000, metavar="N")
+    shared.add_argument("--step-limit", type=_count, default=100_000, metavar="N")
     shared.add_argument(
-        "--restrict", type=int, metavar="DEPTH",
+        "--restrict", type=_count, metavar="DEPTH",
         help="abstract predicted items below this term depth (earley)",
     )
     shared.add_argument("--foot-mode", choices=FOOT_MODES)
@@ -182,7 +194,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="print every stored item").set_defaults(func=cmd_chart)
     derive = sub.add_parser("derive", parents=[shared],
                             help="print parse or derivation trees")
-    derive.add_argument("--limit", type=int, default=16, metavar="N")
+    derive.add_argument("--limit", type=_count, default=16, metavar="N")
     derive.set_defaults(func=cmd_derive)
     sub.add_parser("check", parents=[shared],
                    help="replay every justification").set_defaults(func=cmd_check)

@@ -80,37 +80,42 @@ def consequences(system, store, index, grammar, input_string, source):
     copied: the trigger, the side-condition answers and the chart
     candidates bind straight into the clause's compiled copy
     (``RuleClause.compiled``), whose variables no other term carries.
+    A ground trigger or candidate goes through the clause's generated
+    matcher for that pattern (``RuleClause.programs``), a non-ground one
+    through ``bind``; the consequent comes from the generated builder.
     Premises run strictly left to right, depth first, over one binding
     environment: each choice binds into it, pushing what it binds on a
     trail, and backtracking undoes the trail to the choice's mark, so
-    only a consequent is ever resolved.  The walk holds one instance of
-    one clause at a time and clears it before the next clause.  A
-    non-ground consequent is renamed from ``source`` before its
-    transform runs, so no stored item keeps a clause variable.  A
-    premise draws all its choices (a side condition's answers, a
-    lookup's renamed candidates) before the walk goes deeper, so a
-    consequent's renaming and transform draw their fresh variables
-    after theirs.  Chart lookups see all indices below the agenda head,
-    which includes the trigger itself, so a rule may pair the trigger
-    with its own chart entry.
+    only a consequent is ever built.  The walk holds one instance of one
+    clause at a time and clears it before the next clause; the last
+    premise emits each firing itself.  A non-ground consequent is
+    renamed from ``source`` before its transform runs, so no stored item
+    keeps a clause variable.  A premise draws all its choices (a side
+    condition's answers, a lookup's renamed candidates) before the walk
+    goes deeper, so a consequent's renaming and transform draw their
+    fresh variables after theirs.  Chart lookups see all indices below
+    the agenda head, which includes the trigger itself, so a rule may
+    pair the trigger with its own chart entry.
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
     env: dict = {}
     trail: list = []
 
-    def walk(clause, premises, k, consequent, antes):
-        if k == len(premises):
-            out = resolve(consequent, env)
-            if not out.ground:
-                out = rename_with(out, {}, source)
-            if clause.transform is not None:
-                out = clause.transform(out, source)
-            yield clause, out, tuple(antes)
-            return
+    def fire(clause, build, antes):
+        out = build(env)
+        if not out.ground:
+            out = rename_with(out, {}, source)
+        if clause.transform is not None:
+            out = clause.transform(out, source)
+        return clause, out, tuple(antes)
+
+    def walk(clause, premises, matchers, build, k, antes):
         p = premises[k]
+        match = matchers[k]
+        last = k + 1 == len(premises)
         mark = len(trail)
-        if isinstance(p, SideCondition):
+        if match is None:
             fn = REGISTRY.get(p.builtin)
             if fn is None:
                 raise UnknownBuiltinError(p.builtin)
@@ -119,7 +124,10 @@ def consequences(system, store, index, grammar, input_string, source):
                     if v not in env:  # as in Substitution.compose
                         env[v] = t
                         trail.append(v)
-                yield from walk(clause, premises, k + 1, consequent, antes)
+                if last:
+                    yield fire(clause, build, antes)
+                else:
+                    yield from walk(clause, premises, matchers, build, k + 1, antes)
                 undo(env, trail, mark)
         else:
             pattern = resolve(p.pattern, env)
@@ -128,19 +136,30 @@ def consequences(system, store, index, grammar, input_string, source):
                 for i in store.candidates(pattern, clause.modes[k])
             ]
             for i, item in found:
-                if bind(pattern, item, env, trail):
+                if match(item, env, trail) if item.ground else bind(pattern, item, env, trail):
                     antes[p.slot] = i
-                    yield from walk(clause, premises, k + 1, consequent, antes)
+                    if last:
+                        yield fire(clause, build, antes)
+                    else:
+                        yield from walk(clause, premises, matchers, build, k + 1, antes)
                 undo(env, trail, mark)
 
     for clause in system.clauses:
         if not clause.admits(trigger_item):
             continue
-        trig, premises, consequent = clause.compiled
-        if bind(trig, trigger_item, env, trail):
+        trig, premises, _ = clause.compiled
+        match, matchers, build = clause.programs()
+        if (
+            match(trigger_item, env, trail)
+            if trigger_item.ground
+            else bind(trig, trigger_item, env, trail)
+        ):
             antes = [None] * clause.n_antecedents
             antes[clause.trigger_slot] = index
-            yield from walk(clause, premises, 0, consequent, antes)
+            if premises:
+                yield from walk(clause, premises, matchers, build, 0, antes)
+            else:
+                yield fire(clause, build, antes)
         undo(env, trail, 0)
 
 

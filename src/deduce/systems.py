@@ -47,6 +47,8 @@ from .terms import (
     Var,
     VarSource,
     abstract_depth,
+    compile_builder,
+    compile_matcher,
     cons,
     list_parts,
     mklist,
@@ -103,6 +105,12 @@ class RuleClause:
     The engine binds into it in place instead of copying the clause per
     firing: one walk holds one instance of one clause at a time, and no
     item or grammar term carries a clause-space variable.
+
+    ``programs()`` generates, on first use, the code that matches ground
+    items against ``compiled`` and builds its consequent: a trigger
+    matcher, a matcher per chart premise (``compile_matcher``, told which
+    variables the mode analysis found bound before the premise) and a
+    consequent builder (``compile_builder``).
     """
 
     rule_name: str
@@ -116,6 +124,8 @@ class RuleClause:
     skeleton: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
     compiled: tuple = field(init=False, repr=False, compare=False)
+    bound: tuple = field(init=False, repr=False, compare=False)
+    _programs: "tuple | None" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         """Mode analysis, left to right.  ``skeleton`` holds the
@@ -124,19 +134,23 @@ class RuleClause:
         the pattern's principal symbol and the argument paths whose
         symbol is known when it runs (constants, compounds, and variables
         of the trigger or of an earlier premise), or None for a side
-        condition or a bare-variable pattern.  At the end of the walk
-        every consequent variable must be bound."""
+        condition or a bare-variable pattern.  ``bound`` holds, per chart
+        premise, the ids in ``compiled`` of the variables bound before it,
+        or None for a side condition.  At the end of the walk every
+        consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
-        modes = []
+        modes, bound_before = [], []
         for p in self.premises:
             if isinstance(p, SideCondition):
                 modes.append(None)
+                bound_before.append(None)
                 for a in p.args:
                     bound.update(term_vars(a))
             else:
                 symbol = principal(p.pattern)
                 paths = tuple(path for path, _ in _known_subterms(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
+                bound_before.append(frozenset(bound))
                 bound.update(term_vars(p.pattern))
         free = [v for v in term_vars(self.consequent) if v not in bound]
         if free:
@@ -149,7 +163,26 @@ class RuleClause:
             skeleton = tuple((path, principal(sub)) for path, sub in known)
         object.__setattr__(self, "modes", tuple(modes))
         object.__setattr__(self, "skeleton", skeleton)
-        object.__setattr__(self, "compiled", self.instantiate(space_source("clause")))
+        mapping: dict = {}
+        object.__setattr__(self, "compiled", self.instantiate(space_source("clause"), mapping))
+        object.__setattr__(self, "bound", tuple(
+            None if b is None else frozenset(mapping[v].id for v in b) for b in bound_before
+        ))
+
+    def programs(self) -> tuple:
+        """(trigger matcher, per-premise matchers, consequent builder) for
+        ``compiled``, generated on the first call; a side condition's
+        matcher is None."""
+        progs = self._programs
+        if progs is None:
+            trigger, premises, consequent = self.compiled
+            matchers = tuple(
+                None if b is None else compile_matcher(p.pattern, b)
+                for p, b in zip(premises, self.bound)
+            )
+            progs = (compile_matcher(trigger), matchers, compile_builder(consequent))
+            object.__setattr__(self, "_programs", progs)
+        return progs
 
     def admits(self, item: Term) -> bool:
         """False when ``item`` contradicts the trigger's skeleton, so the
@@ -165,9 +198,11 @@ class RuleClause:
                     return False
         return True
 
-    def instantiate(self, source: VarSource):
-        """Fresh-variable copy: (trigger, premises, consequent)."""
-        mapping: dict = {}
+    def instantiate(self, source: VarSource, mapping: "dict | None" = None):
+        """Fresh-variable copy: (trigger, premises, consequent).  The
+        copy's variables are recorded in ``mapping``, when given."""
+        if mapping is None:
+            mapping = {}
         trigger = rename_with(self.trigger, mapping, source)
         premises = []
         for p in self.premises:
@@ -905,11 +940,20 @@ _BUILDERS = {
 SYSTEM_NAMES = tuple(_BUILDERS)
 
 
+_SYSTEMS: dict = {}
+
+
 def system_for(name: str, **kwargs) -> DeductionSystem:
-    """Build a system by CLI name; kwargs reach the builder."""
+    """The system of a CLI name; kwargs reach the builder.  A system is
+    frozen, so one built for the same arguments, with the programs its
+    clauses have generated, is shared."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown system {name!r}")
-    return _BUILDERS[name](**kwargs)
+    key = (name, tuple(sorted(kwargs.items())))
+    system = _SYSTEMS.get(key)
+    if system is None:
+        system = _SYSTEMS[key] = _BUILDERS[name](**kwargs)
+    return system
 
 
 # ---- canonical item rendering ----

@@ -10,6 +10,7 @@ collides with user symbols.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Iterable, Iterator
 
@@ -304,6 +305,132 @@ def undo(env: dict, trail: list, mark: int) -> None:
     """Drop the bindings pushed on ``trail`` since it had length ``mark``."""
     while len(trail) > mark:
         del env[trail.pop()]
+
+
+# ---- generated matchers and builders ----
+#
+# A rule clause's patterns are fixed, so matching an item against one
+# need not walk the pattern: as in compiled head unification (Warren
+# 1983), a variable's first occurrence becomes a plain store and only a
+# later one a comparison.  The generated source depends only on a
+# term's shape.  Every functor, constant, variable id and helper reaches
+# it as an argument of an outer ``make`` function, whose closure cells
+# the generated function reads; so no term text is ever compiled, and
+# terms of one shape share one code object.
+
+_MAKERS: dict = {}  # generated source -> its compiled ``make``
+
+
+def _generate(source: str, values: list):
+    make = _MAKERS.get(source)
+    if make is None:
+        namespace: dict = {}
+        exec(compile(source, "<generated>", "exec"), namespace)
+        make = _MAKERS[source] = namespace["make"]
+    return make(*values)
+
+
+def _wrap(name: str, params: list, body: list, values: list) -> str:
+    args = ", ".join([f"k{n}" for n in range(len(values))])
+    inner = "".join(f"        {line}\n" for line in body)
+    return f"def make({args}):\n    def {name}({', '.join(params)}):\n{inner}    return {name}\n"
+
+
+def matcher_source(pattern: Term, bound) -> tuple:
+    """(source, values) of ``compile_matcher(pattern, bound)``."""
+    values: list = [Compound, bind]  # k0 and k1 in the source
+    body: list = []
+    seen: dict = {}  # variable id -> the local holding its ground value
+    locals_ = itertools.count(1)
+
+    def value(x) -> str:
+        values.append(x)
+        return f"k{len(values) - 1}"
+
+    def emit(p: Term, t: str) -> None:
+        if p.ground:
+            k = value(p)
+            body.append(f"if {t} is not {k} and {t} != {k}: return False")
+        elif type(p) is Var:
+            if p.id in seen:
+                s = seen[p.id]
+                body.append(f"if {t} is not {s} and {t} != {s}: return False")
+            elif p.id in bound:
+                body.extend([
+                    f"x = env.get({value(p.id)})",
+                    f"if x is not {t}:",
+                    "    if x is not None and x.ground:",
+                    f"        if x != {t}: return False",
+                    f"    elif not k1({value(p)}, {t}, env, trail): return False",
+                ])
+            else:
+                k = value(p.id)
+                body.extend([f"env[{k}] = {t}", f"trail.append({k})"])
+            # Once matched, the variable's value equals the ground ``t``.
+            seen[p.id] = t
+        else:
+            f = value(p.functor)
+            body.append(
+                f"if type({t}) is not k0 or {t}.functor != {f} "
+                f"or len({t}.args) != {len(p.args)}: return False"
+            )
+            subs = [f"t{next(locals_)}" for _ in p.args]
+            body.append(f"{', '.join(subs)}, = {t}.args")
+            for a, s in zip(p.args, subs):
+                emit(a, s)
+
+    emit(pattern, "t0")
+    body.append("return True")
+    return _wrap("match", ["t0", "env", "trail"], body, values), values
+
+
+def compile_matcher(pattern: Term, bound=()):
+    """A function ``match(t, env, trail)`` that, for a ground ``t``,
+    does what ``bind(pattern, t, env, trail)`` does: it returns whether
+    they unify and leaves the same bindings in ``env``, each pushed on
+    ``trail`` (a failure may leave some behind).
+
+    ``bound`` names the variables of ``pattern`` that may already be
+    bound in ``env``; the others must not be.  A variable in ``bound``
+    is compared with its value by identity or equality, falling back to
+    ``bind`` only when it has no value or a non-ground one.
+    """
+    return _generate(*matcher_source(pattern, frozenset(bound)))
+
+
+def builder_source(term: Term) -> tuple:
+    """(source, values) of ``compile_builder(term)``."""
+    values: list = [Compound, resolve]  # k0 and k1 in the source
+    body: list = []
+    seen: dict = {}
+
+    def value(x) -> str:
+        values.append(x)
+        return f"k{len(values) - 1}"
+
+    def expr(t: Term) -> str:
+        if t.ground:
+            return value(t)
+        if type(t) is Var:
+            x = seen.get(t.id)
+            if x is None:
+                x = seen[t.id] = f"x{len(seen)}"
+                body.extend([
+                    f"{x} = env.get({value(t.id)})",
+                    f"if {x} is None or not {x}.ground: {x} = k1({value(t)}, env)",
+                ])
+            return x
+        args = "".join(f"{expr(a)}, " for a in t.args)
+        return f"k0({value(t.functor)}, ({args}))"
+
+    body.append(f"return {expr(term)}")
+    return _wrap("build", ["env"], body, values), values
+
+
+def compile_builder(term: Term):
+    """A function ``build(env)`` returning a term equal to
+    ``resolve(term, env)``."""
+    return _generate(*builder_source(term))
 
 
 def unify(t1: Term, t2: Term, init: "Substitution | None" = None) -> "Substitution | None":

@@ -214,3 +214,16 @@ def test_unknown_system_is_an_argparse_error():
     with pytest.raises(SystemExit) as exc:
         run("parse", "--system", "glr", "--grammar", TOY, "--sentence", "a")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag, grammar", [
+    ("parse", "--step-limit", TOY),
+    ("derive", "--limit", TOY),
+    ("parse", "--restrict", ABN),
+])
+def test_a_negative_count_is_an_argparse_error(capsys, command, flag, grammar):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--system", "earley", "--grammar", grammar,
+            "--sentence", "a b", flag, "-1")
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: expected a non-negative integer" in capsys.readouterr().err

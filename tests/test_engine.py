@@ -246,27 +246,44 @@ def test_consequences_can_pair_the_trigger_with_itself(cnf_ab_grammar):
 
 def _count_lookups(monkeypatch) -> list:
     """Per chart lookup the engine makes, [pattern, candidates handed
-    out, candidates bound]; filled in as the engine runs."""
+    out, candidates matched]; filled in as the engine runs.
+
+    A ground candidate is matched by its premise's generated matcher,
+    a non-ground one by ``bind``; both are counted.  The systems this is
+    used on make at most one lookup per clause, as its last premise, so
+    the matches that follow a lookup, up to the next one, are its own.
+    """
     lookups = []
-    by_pattern = {}
     plain_candidates = ItemStore.candidates
+    plain_programs = RuleClause.programs
     plain_bind = engine_module.bind
 
     def counting_candidates(self, pattern, *args, **kwargs):
         out = plain_candidates(self, pattern, *args, **kwargs)
-        # The record keeps the pattern alive, so its id names one lookup.
-        by_pattern[id(pattern)] = record = [pattern, len(out), 0]
-        lookups.append(record)
+        lookups.append([pattern, len(out), 0])
         return out
+
+    def counted(match):
+        def counting_match(t, env, trail):
+            ok = match(t, env, trail)
+            if ok:
+                lookups[-1][2] += 1
+            return ok
+
+        return counting_match
+
+    def counting_programs(self):
+        trigger, matchers, build = plain_programs(self)
+        return trigger, tuple(m and counted(m) for m in matchers), build
 
     def counting_bind(t1, t2, env, trail):
         ok = plain_bind(t1, t2, env, trail)
-        record = by_pattern.get(id(t1))
-        if ok and record is not None and record[0] is t1:
-            record[2] += 1
+        if ok and lookups and lookups[-1][0] is t1:
+            lookups[-1][2] += 1
         return ok
 
     monkeypatch.setattr(ItemStore, "candidates", counting_candidates)
+    monkeypatch.setattr(RuleClause, "programs", counting_programs)
     monkeypatch.setattr(engine_module, "bind", counting_bind)
     return lookups
 

@@ -205,6 +205,20 @@ def test_unknown_system_name():
         system_for("glr")
 
 
+def test_system_for_shares_a_system_per_argument_list():
+    for name in SYSTEM_NAMES:
+        assert system_for(name) is system_for(name)
+    assert system_for("earley", restriction_depth=2) is system_for("earley", restriction_depth=2)
+    assert system_for("earley", restriction_depth=2) is not system_for("earley", restriction_depth=3)
+    assert system_for("earley", restriction_depth=2) is not system_for("earley")
+    assert system_for("tag", foot_mode="foot_axiom") is not system_for("tag")
+    assert system_for("tag", foot_mode="foot_axiom") is not system_for(
+        "tag", foot_mode="complete_foot"
+    )
+    restricted = system_for("earley", restriction_depth=2).clauses
+    assert [c.transform is not None for c in restricted].count(True) == 1
+
+
 def test_system_names_follow_the_builder_table():
     assert SYSTEM_NAMES == ("topdown", "bottomup", "earley", "cyk", "ccg", "tag")
     assert [system_for(name).name for name in SYSTEM_NAMES] == list(SYSTEM_NAMES)
