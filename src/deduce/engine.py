@@ -83,6 +83,8 @@ def consequences(system, store, index, grammar, input_string, source):
     A ground trigger or candidate goes through the clause's generated
     matcher for that pattern (``RuleClause.programs``), a non-ground one
     through ``bind``; the consequent comes from the generated builder.
+    The item is offered to every clause, and that trigger match alone
+    decides which clauses fire; a failed one draws no variable.
     Premises run strictly left to right, depth first, over one binding
     environment: each choice binds into it, pushing what it binds on a
     trail, and backtracking undoes the trail to the choice's mark, so
@@ -145,8 +147,6 @@ def consequences(system, store, index, grammar, input_string, source):
                 undo(env, trail, mark)
 
     for clause in system.clauses:
-        if not clause.admits(trigger_item):
-            continue
         trig, premises, _ = clause.compiled
         match, matchers, build = clause.programs()
         if (

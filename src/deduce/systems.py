@@ -7,9 +7,9 @@ into k clauses, one per choice of trigger antecedent; each clause
 evaluates the other premises in the written order, the remaining
 antecedents as chart lookups.  Side conditions are names resolved
 through a registry of pure evaluators over the grammar and the input
-string.  A mode analysis of each clause gives the trigger's skeleton,
-which lets the engine skip clauses a popped item cannot fire, and the
-lookup mode of each chart premise, which the item store indexes.
+string.  A mode analysis of each clause gives the lookup mode of each
+chart premise, which the item store indexes.  Whether a popped item
+fires a clause at all is decided by the clause's trigger matcher.
 
 Items are plain terms.  The encodings:
 
@@ -24,6 +24,7 @@ Items are plain terms.  The encodings:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,7 +111,9 @@ class RuleClause:
     items against ``compiled`` and builds its consequent: a trigger
     matcher, a matcher per chart premise (``compile_matcher``, told which
     variables the mode analysis found bound before the premise) and a
-    consequent builder (``compile_builder``).
+    consequent builder (``compile_builder``).  The engine offers every
+    popped item to every clause; the trigger matcher (or ``bind``, for a
+    non-ground item) is what turns the clauses it cannot fire away.
     """
 
     rule_name: str
@@ -121,23 +124,20 @@ class RuleClause:
     consequent: Term
     transform: "Callable | None" = None
     # Derived in __post_init__.
-    skeleton: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
     compiled: tuple = field(init=False, repr=False, compare=False)
     bound: tuple = field(init=False, repr=False, compare=False)
     _programs: "tuple | None" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        """Mode analysis, left to right.  ``skeleton`` holds the
-        (path, principal symbol) of every non-variable subterm of the
-        trigger; ``modes`` holds, per premise, the chart lookup it makes:
-        the pattern's principal symbol and the argument paths whose
-        symbol is known when it runs (constants, compounds, and variables
-        of the trigger or of an earlier premise), or None for a side
-        condition or a bare-variable pattern.  ``bound`` holds, per chart
-        premise, the ids in ``compiled`` of the variables bound before it,
-        or None for a side condition.  At the end of the walk every
-        consequent variable must be bound."""
+        """Mode analysis, left to right.  ``modes`` holds, per premise,
+        the chart lookup it makes: the pattern's principal symbol and the
+        argument paths whose symbol is known when it runs (constants,
+        compounds, and variables of the trigger or of an earlier premise),
+        or None for a side condition or a bare-variable pattern.
+        ``bound`` holds, per chart premise, the ids in ``compiled`` of the
+        variables bound before it, or None for a side condition.  At the
+        end of the walk every consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
         modes, bound_before = [], []
         for p in self.premises:
@@ -148,7 +148,7 @@ class RuleClause:
                     bound.update(term_vars(a))
             else:
                 symbol = principal(p.pattern)
-                paths = tuple(path for path, _ in _known_subterms(p.pattern, bound))
+                paths = tuple(_known_paths(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
                 bound_before.append(frozenset(bound))
                 bound.update(term_vars(p.pattern))
@@ -157,12 +157,7 @@ class RuleClause:
             raise SystemAuthoringError(
                 f"rule {self.rule_name}: consequent variables {free} are never bound"
             )
-        skeleton = ()
-        if not isinstance(self.trigger, Var):
-            known = [((), self.trigger)] + _known_subterms(self.trigger, set())
-            skeleton = tuple((path, principal(sub)) for path, sub in known)
         object.__setattr__(self, "modes", tuple(modes))
-        object.__setattr__(self, "skeleton", skeleton)
         mapping: dict = {}
         object.__setattr__(self, "compiled", self.instantiate(space_source("clause"), mapping))
         object.__setattr__(self, "bound", tuple(
@@ -184,20 +179,6 @@ class RuleClause:
             object.__setattr__(self, "_programs", progs)
         return progs
 
-    def admits(self, item: Term) -> bool:
-        """False when ``item`` contradicts the trigger's skeleton, so the
-        trigger cannot unify with it."""
-        for path, symbol in self.skeleton:
-            t = item
-            for k in path:
-                if type(t) is not Compound:  # a variable above the path
-                    break
-                t = t.args[k]
-            else:
-                if type(t) is not Var and principal(t) != symbol:
-                    return False
-        return True
-
     def instantiate(self, source: VarSource, mapping: "dict | None" = None):
         """Fresh-variable copy: (trigger, premises, consequent).  The
         copy's variables are recorded in ``mapping``, when given."""
@@ -216,20 +197,18 @@ class RuleClause:
         return trigger, tuple(premises), consequent
 
 
-def _known_subterms(t: Term, bound: set, path: tuple = ()) -> list:
-    """(path, subterm) below ``t``, in preorder, for every subterm whose
+def _known_paths(t: Term, bound: set, path: tuple = ()) -> list:
+    """The paths below ``t``, in preorder, of every subterm whose
     principal symbol is fixed once the variables in ``bound`` are:
     constants, compounds and bound variables.  Paths below a variable
     are not followed."""
     out = []
     if isinstance(t, Compound):
         for k, a in enumerate(t.args):
-            sub = path + (k,)
-            if not isinstance(a, Var):
-                out.append((sub, a))
-                out.extend(_known_subterms(a, bound, sub))
-            elif a.id in bound:
-                out.append((sub, a))
+            if not isinstance(a, Var) or a.id in bound:
+                sub = path + (k,)
+                out.append(sub)
+                out.extend(_known_paths(a, bound, sub))
     return out
 
 
@@ -769,13 +748,8 @@ def _cc(cat, i, j) -> Compound:
     return Compound("cc", (cat, i, j))
 
 
-_CCG_RULES = None
-
-
-def _ccg_rules():
-    global _CCG_RULES
-    if _CCG_RULES is not None:
-        return _CCG_RULES
+def make_ccg() -> DeductionSystem:
+    i, j, k = _v("I"), _v("J"), _v("K")
     x, y, z = _v("X"), _v("Y"), _v("Z")
 
     def fw(res, arg):
@@ -784,22 +758,16 @@ def _ccg_rules():
     def bw(res, arg):
         return Compound(BACKWARD, (res, arg))
 
-    _CCG_RULES = (
-        ("forward_apply", fw(x, y), y, x),
-        ("backward_apply", y, bw(x, y), x),
-        ("forward_compose1", fw(x, y), fw(y, z), fw(x, z)),
-        ("forward_compose2", fw(x, y), bw(y, z), bw(x, z)),
-        ("backward_compose1", fw(y, z), bw(x, y), fw(x, z)),
-        ("backward_compose2", bw(y, z), bw(x, y), bw(x, z)),
-    )
-    return _CCG_RULES
-
-
-def make_ccg() -> DeductionSystem:
-    i, j, k = _v("I"), _v("J"), _v("K")
     rules = tuple(
         Rule(name, [_cc(left, i, j), _cc(right, j, k)], _cc(out, i, k))
-        for name, left, right, out in _ccg_rules()
+        for name, left, right, out in (
+            ("forward_apply", fw(x, y), y, x),
+            ("backward_apply", y, bw(x, y), x),
+            ("forward_compose1", fw(x, y), fw(y, z), fw(x, z)),
+            ("forward_compose2", fw(x, y), bw(y, z), bw(x, z)),
+            ("backward_compose1", fw(y, z), bw(x, y), fw(x, z)),
+            ("backward_compose2", bw(y, z), bw(x, y), bw(x, z)),
+        )
     )
 
     def axioms(lexicon: CcgLexicon, w: InputString):
@@ -946,10 +914,14 @@ _SYSTEMS: dict = {}
 def system_for(name: str, **kwargs) -> DeductionSystem:
     """The system of a CLI name; kwargs reach the builder.  A system is
     frozen, so one built for the same arguments, with the programs its
-    clauses have generated, is shared."""
+    clauses have generated, is shared; an argument left out counts as
+    its default, so ``system_for("tag")`` and ``system_for("tag",
+    foot_mode="complete_foot")`` are one system."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown system {name!r}")
-    key = (name, tuple(sorted(kwargs.items())))
+    call = inspect.signature(_BUILDERS[name]).bind(**kwargs)
+    call.apply_defaults()
+    key = (name, tuple(sorted(call.arguments.items())))
     system = _SYSTEMS.get(key)
     if system is None:
         system = _SYSTEMS[key] = _BUILDERS[name](**kwargs)

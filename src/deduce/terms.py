@@ -175,9 +175,6 @@ class Substitution:
     def __eq__(self, other):
         return isinstance(other, Substitution) and self.bindings == other.bindings
 
-    def is_empty(self) -> bool:
-        return not self.bindings
-
     def apply(self, t: Term) -> Term:
         if t.ground or not self.bindings:
             return t
@@ -745,17 +742,36 @@ def parse_term_seq(text: str) -> list[Term]:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.id if isinstance(t.id, str) else f"_G{t.id}"
-    if isinstance(t, Const):
+    """The concrete syntax of ``t``.  The walk keeps its own stack of
+    terms still to render and text still to emit, so a term of any depth
+    renders."""
+    if type(t) is Const:
         return str(t.name)
-    if isinstance(t, Compound):
-        if t.functor == "." and len(t.args) == 2:
-            elems, tail = list_parts(t)
-            inner = ", ".join(render_term(e) for e in elems)
-            if tail == NIL:
-                return f"[{inner}]"
-            return f"[{inner}|{render_term(tail)}]"
-        inner = ", ".join(render_term(a) for a in t.args)
-        return f"{t.functor}({inner})"
-    raise TypeError(f"not a term: {t!r}")
+    out: list = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(x)
+        elif kind is Const:
+            out.append(str(x.name))
+        elif kind is Var:
+            out.append(x.id if type(x.id) is str else f"_G{x.id}")
+        elif kind is Compound:
+            # The opening text is due now; the rest is pushed in reverse.
+            if x.functor == "." and len(x.args) == 2:
+                out.append("[")
+                elems, tail = list_parts(x)
+                stack.extend(("]",) if tail == NIL else ("]", tail, "|"))
+            else:
+                out.append(f"{x.functor}(")
+                elems = x.args
+                stack.append(")")
+            for n in range(len(elems) - 1, 0, -1):
+                stack.extend((elems[n], ", "))
+            if elems:
+                stack.append(elems[0])
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return "".join(out)

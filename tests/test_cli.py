@@ -188,6 +188,15 @@ def test_derive_tag_falls_back_to_derivation_trees(capsys):
     assert "adjoin[" in out
 
 
+def test_chart_prints_a_deep_successor_chain(capsys):
+    # Unrestricted Earley on the counting DCG keeps predicting deeper
+    # s(s(...)) arguments; each must still print.
+    code = run("chart", "--system", "earley", "--grammar", ABN,
+               "--sentence", "a b", "--step-limit", "2000", "--format", "lines")
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2007
+
+
 def test_check_reports_soundness(capsys):
     code = run("check", "--system", "ccg", "--grammar", CCG,
                "--sentence", "John really likes bananas")

@@ -326,45 +326,33 @@ def test_an_earley_parse_compares_no_justifications(ambiguous_grammar, monkeypat
     assert compared == []
 
 
-def _firings(system, r, index):
-    source = VarSource(70_000_000)
-    return [
-        (clause.rule_name, canonical(out), antes)
-        for clause, out, antes in consequences(system, r.store, index, r.grammar, r.input, source)
-    ]
-
-
 def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch):
-    # The trigger skeletons let a complete item through to one clause,
-    # and the engine binds into that clause's compiled copy in place.
+    # Every clause is offered a popped complete item, and its trigger
+    # matcher takes it for one clause only; the engine binds into that
+    # clause's compiled copy in place.
     system = make_earley()
     r = parse(system, toy_grammar, tokenize("a program halts"))
     complete = [s.index for s in r.store.items() if s.item.args[3] == NIL]
-    assert complete
-    admitted, copied = [], []
-    plain = RuleClause.admits
+    assert complete and all(r.store.get(i).item.ground for i in complete)
+    matched, copied = [], []
+    plain = RuleClause.programs
 
-    def counting(self, item):
-        ok = plain(self, item)
-        if ok:
-            admitted.append(self.rule_name)
-        return ok
+    def counting_programs(self):
+        match, matchers, build = plain(self)
 
-    monkeypatch.setattr(RuleClause, "admits", counting)
+        def counting_match(t, env, trail):
+            ok = match(t, env, trail)
+            if ok:
+                matched.append((self.rule_name, self.trigger_slot))
+            return ok
+
+        return counting_match, matchers, build
+
+    monkeypatch.setattr(RuleClause, "programs", counting_programs)
     monkeypatch.setattr(RuleClause, "instantiate", lambda self, source: copied.append(1))
-    dispatched = {i: _firings(system, r, i) for i in complete}
-    assert admitted == ["complete"] * len(complete)
-    assert copied == []
-    # Trying every clause finds no firing the dispatch skipped.
-    admitted.clear()
-
-    def always(self, item):
-        admitted.append(self.rule_name)
-        return True
-
-    monkeypatch.setattr(RuleClause, "admits", always)
-    assert {i: _firings(system, r, i) for i in complete} == dispatched
-    assert len(admitted) == len(system.clauses) * len(complete)
+    for i in complete:
+        list(consequences(system, r.store, i, r.grammar, r.input, VarSource(70_000_000)))
+    assert matched == [("complete", 1)] * len(complete)
     assert copied == []
 
 

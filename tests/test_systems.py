@@ -2,6 +2,7 @@
 
 import pytest
 
+from deduce.cli import build_arg_parser, build_system
 from deduce.engine import check_soundness, parse
 from deduce.grammar import CfGrammar, load_ccg, load_cf, load_tag, parse_category, tokenize
 from deduce.systems import (
@@ -31,6 +32,7 @@ from deduce.terms import (
     NIL,
     Var,
     VarSource,
+    bind,
     cons,
     mklist,
     parse_term,
@@ -208,6 +210,14 @@ def test_unknown_system_name():
 def test_system_for_shares_a_system_per_argument_list():
     for name in SYSTEM_NAMES:
         assert system_for(name) is system_for(name)
+    # An argument left out counts as its default.
+    assert system_for("earley") is system_for("earley", restriction_depth=None)
+    assert system_for("tag") is system_for("tag", foot_mode="complete_foot")
+    # The CLI asks for the same systems.
+    parser = build_arg_parser()
+    for name in ("earley", "tag"):
+        args = parser.parse_args(["parse", "--system", name, "--grammar", "g.cf"])
+        assert build_system(args) is system_for(name)
     assert system_for("earley", restriction_depth=2) is system_for("earley", restriction_depth=2)
     assert system_for("earley", restriction_depth=2) is not system_for("earley", restriction_depth=3)
     assert system_for("earley", restriction_depth=2) is not system_for("earley")
@@ -539,26 +549,35 @@ def test_mode_analysis_binds_the_lookup_paths():
     assert sibling[1] == ((0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (1,), (5,))
 
 
-def test_trigger_skeleton_dispatch():
+def _matching_clauses(system, item):
+    """(rule, slot) of every clause whose trigger matcher takes the
+    ground ``item``, each tried on a fresh environment."""
+    return [
+        (c.rule_name, c.trigger_slot) for c in system.clauses if c.programs()[0](item, {}, [])
+    ]
+
+
+def test_trigger_matcher_dispatch():
     earley = make_earley()
     complete = er(0, Const("s"), syms("np"), NIL, 2)
     incomplete = er(0, Const("s"), NIL, syms("np", "vp"), 0)
-    fires = lambda item: [(c.rule_name, c.trigger_slot) for c in earley.clauses if c.admits(item)]
-    assert fires(complete) == [("complete", 1)]
-    assert fires(incomplete) == [("scan", 0), ("predict", 0), ("complete", 0)]
-    # An open after-list contradicts neither skeleton.
+    assert _matching_clauses(earley, complete) == [("complete", 1)]
+    assert _matching_clauses(earley, incomplete) == [
+        ("scan", 0), ("predict", 0), ("complete", 0)]
+    # A non-ground item goes through ``bind``: an open after-list unifies
+    # with every Earley trigger.
     open_item = er(0, Const("s"), NIL, Var("After"), 0)
-    assert len(fires(open_item)) == 4
+    assert len([c for c in earley.clauses if bind(c.compiled[0], open_item, {}, [])]) == 4
 
     tag = make_tag()
-    fires = lambda item: [(c.rule_name, c.trigger_slot) for c in tag.clauses if c.admits(item)]
-    def tg(node, dot):
-        return Compound("tg", (node, Const(dot), Const(1), BOTTOM, BOTTOM, Const(2)))
-    assert fires(tg(node_ref("alpha", (2,)), "above")) == [("complete_binary", 1)]
-    assert fires(tg(node_ref("alpha", (1,)), "above")) == [
+    def fires(node, dot):
+        item = Compound("tg", (node, Const(dot), Const(1), BOTTOM, BOTTOM, Const(2)))
+        return _matching_clauses(tag, item)
+    assert fires(node_ref("alpha", (2,)), "above") == [("complete_binary", 1)]
+    assert fires(node_ref("alpha", (1,)), "above") == [
         ("complete_unary", 0), ("complete_binary", 0)]
-    assert fires(tg(node_ref("beta", ()), "above")) == [("adjoin", 0)]
-    assert fires(tg(node_ref("alpha", (1,)), "below")) == [
+    assert fires(node_ref("beta", ()), "above") == [("adjoin", 0)]
+    assert fires(node_ref("alpha", (1,)), "below") == [
         ("no_adjoin", 0), ("adjoin", 1), ("complete_foot", 0)]
 
 

@@ -63,6 +63,13 @@ def test_render_round_trips():
         assert t(render_term(t(text))) == t(text)
 
 
+def test_a_deep_term_renders():
+    chain = Const(0)
+    for _ in range(5000):
+        chain = Compound("s", (chain,))
+    assert render_term(chain) == "s(" * 5000 + "0" + ")" * 5000
+
+
 def test_list_encoding():
     xs = mklist([Const("a"), Var("X")])
     assert unlist(xs) == [Const("a"), Var("X")]
