@@ -26,13 +26,10 @@ from .systems import (
 from .terms import (
     Term,
     VarSource,
-    bind,
     canonical,
     rename_with,
-    resolve,
     space_source,
     subsumes,
-    undo,
     unify,
 )
 
@@ -76,91 +73,27 @@ class ParseResult:
 def consequences(system, store, index, grammar, input_string, source):
     """Every firing triggered by the item at ``index``.
 
-    Yields (clause, consequent, antecedent indices).  No clause is
-    copied: the trigger, the side-condition answers and the chart
-    candidates bind straight into the clause's compiled copy
-    (``RuleClause.compiled``), whose variables no other term carries.
-    A ground trigger or candidate goes through the clause's generated
-    matcher for that pattern (``RuleClause.programs``), a non-ground one
-    through ``bind``; the consequent comes from the generated builder.
-    The item is offered to every clause, and that trigger match alone
-    decides which clauses fire; a failed one draws no variable.
-    Premises run strictly left to right, depth first, over one binding
-    environment: each choice binds into it, pushing what it binds on a
-    trail, and backtracking undoes the trail to the choice's mark, so
-    only a consequent is ever built.  The walk holds one instance of one
-    clause at a time and clears it before the next clause; the last
-    premise emits each firing itself.  A non-ground consequent is
-    renamed from ``source`` before its transform runs, so no stored item
-    keeps a clause variable.  A premise draws all its choices (a side
-    condition's answers, a lookup's renamed candidates) before the walk
-    goes deeper, so a consequent's renaming and transform draw their
-    fresh variables after theirs.  Chart lookups see all indices below
-    the agenda head, which includes the trigger itself, so a rule may
-    pair the trigger with its own chart entry.
+    Yields (clause, consequent, antecedent indices), clause by clause in
+    the system's order.  The item is offered to every clause's generated
+    program (``RuleClause.program``), whose trigger match alone decides
+    whether the clause fires; a failed one draws no variable.  A program
+    runs the premises left to right, depth first, as nested loops over
+    one binding environment with a trail, binding into the clause's
+    compiled copy in place, so only a consequent is ever built.  A
+    premise draws all its choices (a side condition's answers, a
+    lookup's renamed candidates) before the program goes deeper, so a
+    consequent's renaming and transform draw their fresh variables from
+    ``source`` after theirs.  Chart lookups see all indices below the
+    agenda head, which includes the trigger itself, so a rule may pair
+    the trigger with its own chart entry.
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
-    env: dict = {}
-    trail: list = []
-
-    def fire(clause, build, antes):
-        out = build(env)
-        if not out.ground:
-            out = rename_with(out, {}, source)
-        if clause.transform is not None:
-            out = clause.transform(out, source)
-        return clause, out, tuple(antes)
-
-    def walk(clause, premises, matchers, build, k, antes):
-        p = premises[k]
-        match = matchers[k]
-        last = k + 1 == len(premises)
-        mark = len(trail)
-        if match is None:
-            fn = REGISTRY.get(p.builtin)
-            if fn is None:
-                raise UnknownBuiltinError(p.builtin)
-            for answer in list(fn(tuple([resolve(a, env) for a in p.args]), ctx)):
-                for v, t in answer.bindings.items():
-                    if v not in env:  # as in Substitution.compose
-                        env[v] = t
-                        trail.append(v)
-                if last:
-                    yield fire(clause, build, antes)
-                else:
-                    yield from walk(clause, premises, matchers, build, k + 1, antes)
-                undo(env, trail, mark)
-        else:
-            pattern = resolve(p.pattern, env)
-            found = [
-                (i, store.renamed(i, source))
-                for i in store.candidates(pattern, clause.modes[k])
-            ]
-            for i, item in found:
-                if match(item, env, trail) if item.ground else bind(pattern, item, env, trail):
-                    antes[p.slot] = i
-                    if last:
-                        yield fire(clause, build, antes)
-                    else:
-                        yield from walk(clause, premises, matchers, build, k + 1, antes)
-                undo(env, trail, mark)
-
+    lookup, renamed = store.lookup, store.renamed
+    firings: list = []
     for clause in system.clauses:
-        trig, premises, _ = clause.compiled
-        match, matchers, build = clause.programs()
-        if (
-            match(trigger_item, env, trail)
-            if trigger_item.ground
-            else bind(trig, trigger_item, env, trail)
-        ):
-            antes = [None] * clause.n_antecedents
-            antes[clause.trigger_slot] = index
-            if premises:
-                yield from walk(clause, premises, matchers, build, 0, antes)
-            else:
-                yield fire(clause, build, antes)
-        undo(env, trail, 0)
+        clause.program()(trigger_item, index, firings, lookup, renamed, source, ctx)
+    yield from firings
 
 
 def parse(

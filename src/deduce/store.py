@@ -238,23 +238,29 @@ class ItemStore:
 
     # ---- retrieval ----
 
-    def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
+    def lookup(self, mode, key, below: "int | None" = None):
         """Ascending indices below ``below`` (default: the chart/agenda
-        boundary) of the items that may unify with ``pattern``.
+        boundary) of the items that may unify with a term of ``mode``'s
+        principal symbol whose symbols at the mode's paths are ``key``.
 
-        ``mode``, one of the store's modes for the pattern's functor,
-        narrows them to that index's candidates for the pattern's key;
-        without one, or when a variable lies on one of its paths, every
-        index is a candidate.
+        Every index is a candidate when ``key`` is None (a variable lies
+        on one of the paths) or the store keeps no index for ``mode``.
         """
         bound = self._head if below is None else below
         moded = self._indexes.get(mode)
-        if moded is not None and mode[0] == principal(pattern):
-            key = _key(pattern, moded.paths)
-            if key is not None:
-                hits = moded.candidates(key)
-                return hits[:bisect_left(hits, bound)]
-        return range(1, bound)
+        if key is None or moded is None:
+            return range(1, bound)
+        hits = moded.candidates(key)
+        return hits[:bisect_left(hits, bound)]
+
+    def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
+        """``lookup`` for ``pattern``: its key under ``mode``, one of the
+        store's modes for the pattern's functor.  Without one, every
+        index is a candidate."""
+        key = None
+        if mode is not None and mode[0] == principal(pattern):
+            key = _key(pattern, mode[1])
+        return self.lookup(mode, key, below)
 
     def chart_matches(
         self,

@@ -8,8 +8,10 @@ evaluates the other premises in the written order, the remaining
 antecedents as chart lookups.  Side conditions are names resolved
 through a registry of pure evaluators over the grammar and the input
 string.  A mode analysis of each clause gives the lookup mode of each
-chart premise, which the item store indexes.  Whether a popped item
-fires a clause at all is decided by the clause's trigger matcher.
+chart premise, which the item store indexes.  On first use each clause
+generates one program (``program_source``): its trigger match, which
+alone decides whether a popped item fires the clause, then its premises
+as nested loops and its consequent builder in the innermost one.
 
 Items are plain terms.  The encodings:
 
@@ -39,6 +41,8 @@ from .grammar import (
     validate_cnf,
 )
 from .store import INITIAL
+# bind, resolve, rename_with, principal, Var and Const are also the
+# helpers the generated clause programs call (``program_source``).
 from .terms import (
     Compound,
     Const,
@@ -47,7 +51,10 @@ from .terms import (
     Term,
     Var,
     VarSource,
+    _generate,
+    _wrap,
     abstract_depth,
+    bind,
     compile_builder,
     compile_matcher,
     cons,
@@ -56,6 +63,7 @@ from .terms import (
     principal,
     render_term,
     rename_with,
+    resolve,
     space_source,
     term_vars,
     unify,
@@ -104,16 +112,14 @@ class RuleClause:
     ``compiled`` is the clause's (trigger, premises, consequent), renamed
     once, at construction, into the reserved "clause" variable space.
     The engine binds into it in place instead of copying the clause per
-    firing: one walk holds one instance of one clause at a time, and no
-    item or grammar term carries a clause-space variable.
+    firing: one run of the clause's program holds one instance of it at
+    a time, and no item or grammar term carries a clause-space variable.
 
-    ``programs()`` generates, on first use, the code that matches ground
-    items against ``compiled`` and builds its consequent: a trigger
-    matcher, a matcher per chart premise (``compile_matcher``, told which
-    variables the mode analysis found bound before the premise) and a
-    consequent builder (``compile_builder``).  The engine offers every
-    popped item to every clause; the trigger matcher (or ``bind``, for a
-    non-ground item) is what turns the clauses it cannot fire away.
+    ``program()`` generates, on first use, the code that fires the
+    clause (``program_source``): the trigger match, then one nested loop
+    per premise, and the consequent built in the innermost one.  The
+    engine offers every popped item to every clause; the trigger match
+    is what turns the clauses it cannot fire away.
     """
 
     rule_name: str
@@ -127,7 +133,7 @@ class RuleClause:
     modes: tuple = field(init=False, repr=False, compare=False)
     compiled: tuple = field(init=False, repr=False, compare=False)
     bound: tuple = field(init=False, repr=False, compare=False)
-    _programs: "tuple | None" = field(init=False, repr=False, compare=False, default=None)
+    _program: "Callable | None" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         """Mode analysis, left to right.  ``modes`` holds, per premise,
@@ -164,20 +170,19 @@ class RuleClause:
             None if b is None else frozenset(mapping[v].id for v in b) for b in bound_before
         ))
 
-    def programs(self) -> tuple:
-        """(trigger matcher, per-premise matchers, consequent builder) for
-        ``compiled``, generated on the first call; a side condition's
-        matcher is None."""
-        progs = self._programs
-        if progs is None:
-            trigger, premises, consequent = self.compiled
-            matchers = tuple(
-                None if b is None else compile_matcher(p.pattern, b)
-                for p, b in zip(premises, self.bound)
-            )
-            progs = (compile_matcher(trigger), matchers, compile_builder(consequent))
-            object.__setattr__(self, "_programs", progs)
-        return progs
+    def program(self):
+        """The clause's generated program, made on the first call:
+        ``program(t0, index, firings, lookup, renamed, source, ctx)``
+        appends to ``firings`` each (clause, consequent, antecedent
+        indices) that the item ``t0``, stored at ``index``, triggers.
+        ``lookup`` and ``renamed`` are the item store's methods, and
+        ``source`` and ``ctx`` the parse's fresh variables and
+        side-condition context."""
+        program = self._program
+        if program is None:
+            program = _generate(*program_source(self), scope=globals())
+            object.__setattr__(self, "_program", program)
+        return program
 
     def instantiate(self, source: VarSource, mapping: "dict | None" = None):
         """Fresh-variable copy: (trigger, premises, consequent).  The
@@ -210,6 +215,110 @@ def _known_paths(t: Term, bound: set, path: tuple = ()) -> list:
                 out.append(sub)
                 out.extend(_known_paths(a, bound, sub))
     return out
+
+
+def program_source(clause: RuleClause) -> tuple:
+    """(source, values) of ``clause.program()``.
+
+    The program binds into ``clause.compiled`` over one environment with
+    a trail, as a Prolog engine does.  A ground trigger or candidate goes
+    through its pattern's generated matcher (``compile_matcher``, told
+    which variables the mode analysis found bound before the premise), a
+    non-ground one through ``bind``.  The premises become nested loops in
+    the written order:
+
+    - a side condition calls its builtin, looked up in ``REGISTRY`` at
+      each call, on its resolved arguments, and binds each answer's
+      bindings that ``env`` lacks;
+    - a chart lookup reads the symbols at its mode's paths straight from
+      ``env`` (a constant or compound of the pattern gives its symbol
+      when the source is generated), hands the key to ``lookup`` and
+      renames the candidates it gets back before going deeper, so their
+      fresh variables are drawn before a deeper choice draws any.
+
+    Each loop undoes the trail to its own mark after each choice.  The
+    innermost body builds the consequent (``compile_builder``), renames
+    it from ``source`` when it is not ground, so no stored item keeps a
+    clause variable, and runs the transform, if any.
+
+    The source depends only on the clause's shape: every constant,
+    variable id, pattern, mode, matcher and builder is a value, and the
+    helpers are globals of this module, looked up at each call.
+    """
+    trigger, premises, consequent = clause.compiled
+    values: list = []
+
+    def value(x) -> str:
+        values.append(x)
+        return f"k{len(values) - 1}"
+
+    body = [
+        "env = {}",
+        "trail = []",
+        f"if not ({value(compile_matcher(trigger))}(t0, env, trail) if t0.ground"
+        f" else bind({value(trigger)}, t0, env, trail)): return",
+    ]
+    closers = []
+    slots = {clause.trigger_slot: "index"}
+    pad = ""
+    for k, (p, mode, bound) in enumerate(zip(premises, clause.modes, clause.bound), 1):
+        if bound is None:
+            args = "".join(
+                (value(a) if a.ground else f"resolve({value(a)}, env)") + ", " for a in p.args
+            )
+            name = value(p.builtin)
+            body += [
+                f"{pad}fn = REGISTRY.get({name})",
+                f"{pad}if fn is None: raise UnknownBuiltinError({name})",
+                f"{pad}m{k} = len(trail)",
+                f"{pad}for a{k} in list(fn(({args}), ctx)):",
+                f"{pad}    for v, t in a{k}.bindings.items():",
+                f"{pad}        if v not in env:",
+                f"{pad}            env[v] = t",
+                f"{pad}            trail.append(v)",
+            ]
+            closers.append(f"{pad}    while len(trail) > m{k}: del env[trail.pop()]")
+            pad += "    "
+            continue
+        parts, known = [], []
+        for path in (() if mode is None else mode[1]):
+            sub = p.pattern
+            for step in path:
+                sub = sub.args[step]
+            if type(sub) is Var:
+                x = f"s{len(known)}"
+                body += [
+                    f"{pad}{x} = env.get({value(sub.id)})",
+                    f"{pad}while type({x}) is Var: {x} = env.get({x}.id)",
+                ]
+                known.append(f"{x} is not None")
+                parts.append(f"principal({x})")
+            else:
+                parts.append(value(principal(sub)))
+        key = "None" if mode is None else f"({''.join(x + ', ' for x in parts)})"
+        if known:
+            key += f" if {' and '.join(known)} else None"
+        body += [
+            f"{pad}found = [(i, renamed(i, source)) for i in lookup({value(mode)}, {key})]",
+            f"{pad}m{k} = len(trail)",
+            f"{pad}for i{k}, t{k} in found:",
+            f"{pad}    if {value(compile_matcher(p.pattern, bound))}(t{k}, env, trail)"
+            f" if t{k}.ground else bind({value(p.pattern)}, t{k}, env, trail):",
+        ]
+        closers.append(f"{pad}    while len(trail) > m{k}: del env[trail.pop()]")
+        slots[p.slot] = f"i{k}"
+        pad += "        "
+    antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
+    transform = value(clause.transform)
+    body += [
+        f"{pad}out = {value(compile_builder(consequent))}(env)",
+        f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
+        f"{pad}if {transform} is not None: out = {transform}(out, source)",
+        f"{pad}firings.append(({value(clause)}, out, ({antecedents})))",
+    ]
+    body += reversed(closers)
+    params = ["t0", "index", "firings", "lookup", "renamed", "source", "ctx"]
+    return _wrap("program", params, body, values), values
 
 
 @dataclass(frozen=True)

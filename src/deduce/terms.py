@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import types
 from typing import Iterable, Iterator
 
 # Variable identifiers are either source names (strings, from grammar
@@ -80,13 +81,32 @@ class Compound(Term):
             self._hash = hash(("f", functor, args))
 
     def __eq__(self, other):
-        return (
-            type(other) is Compound
-            and self.ground is other.ground
-            and (not self.ground or self._hash == other._hash)
-            and self.functor == other.functor
-            and self.args == other.args
-        )
+        if type(other) is not Compound or self.ground is not other.ground:
+            return False
+        if self.ground:
+            # Only terms of equal hashes are compared below the root.
+            return (
+                self._hash == other._hash
+                and self.functor == other.functor
+                and self.args == other.args
+            )
+        # A non-ground pair keeps the argument lists still to compare in
+        # ``pending``, so comparing deep terms never recurses.
+        pending = [(self, other)]
+        while pending:
+            x, y = pending.pop()
+            if x.functor != y.functor or len(x.args) != len(y.args):
+                return False
+            for a, b in zip(x.args, y.args):
+                if a is b:
+                    continue
+                if type(a) is Compound and not a.ground:
+                    if type(b) is not Compound or b.ground:
+                        return False
+                    pending.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
     def __hash__(self):
         h = self._hash
@@ -318,12 +338,20 @@ def undo(env: dict, trail: list, mark: int) -> None:
 _MAKERS: dict = {}  # generated source -> its compiled ``make``
 
 
-def _generate(source: str, values: list):
+def _generate(source: str, values: list, scope: "dict | None" = None):
+    """``make(*values)`` for the ``make`` that ``source`` defines,
+    compiled once per source.  A name the source neither defines nor
+    gets as a value is a global of ``scope``, a module's namespace,
+    looked up at each call, so the code sees whatever that module binds
+    to the name then."""
     make = _MAKERS.get(source)
     if make is None:
         namespace: dict = {}
         exec(compile(source, "<generated>", "exec"), namespace)
-        make = _MAKERS[source] = namespace["make"]
+        make = namespace["make"]
+        if scope is not None:
+            make = types.FunctionType(make.__code__, scope)
+        _MAKERS[source] = make
     return make(*values)
 
 
@@ -531,19 +559,46 @@ def space_source(name: str) -> VarSource:
     return VarSource(-(FRESH_SPACES.index(name) + 1), -n)
 
 
-def rename_with(t: Term, mapping: dict, source: VarSource) -> Term:
-    """Rename t's variables via mapping, drawing unseen ones from source."""
+def _renamed(t: Term, mapping: dict, fresh) -> Term:
+    """``t`` with each variable replaced by its value in ``mapping``;
+    a variable not there yet gets ``fresh()``, drawn in first-occurrence
+    order.  The walk keeps its own stack of (compound, arguments rebuilt
+    so far), so a term of any depth renames."""
     if t.ground:
         return t
-    if isinstance(t, Var):
+    if type(t) is Var:
         got = mapping.get(t.id)
         if got is None:
-            got = source.fresh()
-            mapping[t.id] = got
+            got = mapping[t.id] = fresh()
         return got
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(rename_with(a, mapping, source) for a in t.args))
-    return t
+    stack = []
+    node, done = t, []
+    while True:
+        args = node.args
+        for k in range(len(done), len(args)):
+            a = args[k]
+            if a.ground:
+                done.append(a)
+            elif type(a) is Var:
+                got = mapping.get(a.id)
+                if got is None:
+                    got = mapping[a.id] = fresh()
+                done.append(got)
+            else:
+                stack.append((node, done))
+                node, done = a, []
+                break
+        else:
+            built = Compound(node.functor, tuple(done))
+            if not stack:
+                return built
+            node, done = stack.pop()
+            done.append(built)
+
+
+def rename_with(t: Term, mapping: dict, source: VarSource) -> Term:
+    """Rename t's variables via mapping, drawing unseen ones from source."""
+    return _renamed(t, mapping, source.fresh)
 
 
 def _named_fresh(avoid: set) -> Iterator[Var]:
@@ -565,23 +620,10 @@ def rename_apart(t: Term, reserved: set, source: "VarSource | None" = None) -> T
     """
     if t.ground:
         return t
-    mapping: dict = {}
     if source is not None:
-        return rename_with(t, mapping, source)
+        return rename_with(t, {}, source)
     avoid = set(reserved) | set(term_vars(t))
-    fresh = _named_fresh(avoid)
-    out = {}
-
-    def walk(x: Term) -> Term:
-        if x.ground:
-            return x
-        if isinstance(x, Var):
-            if x.id not in out:
-                out[x.id] = next(fresh)
-            return out[x.id]
-        return Compound(x.functor, tuple(walk(a) for a in x.args))
-
-    return walk(t)
+    return _renamed(t, {}, _named_fresh(avoid).__next__)
 
 
 def abstract_depth(t: Term, d: int, source: "VarSource | None" = None) -> Term:
@@ -591,23 +633,35 @@ def abstract_depth(t: Term, d: int, source: "VarSource | None" = None) -> Term:
     Depth 0 abstracts the whole term.
     """
     if source is not None:
-        def fresh_var():
-            return source.fresh()
+        fresh_var = source.fresh
     else:
-        avoid = set(term_vars(t))
-        series = _named_fresh(avoid)
-
-        def fresh_var():
-            return next(series)
-
-    def walk(x: Term, depth: int) -> Term:
-        if depth >= d:
-            return fresh_var()
-        if isinstance(x, Compound):
-            return Compound(x.functor, tuple(walk(a, depth + 1) for a in x.args))
-        return x
-
-    return walk(t, 0)
+        fresh_var = _named_fresh(set(term_vars(t))).__next__
+    if d <= 0:
+        return fresh_var()
+    if type(t) is not Compound:
+        return t
+    # (compound, arguments rebuilt so far) of the compounds above ``node``
+    stack = []
+    node, done = t, []
+    while True:
+        args = node.args
+        keep = len(stack) + 1 < d  # node's arguments lie above depth d
+        for k in range(len(done), len(args)):
+            a = args[k]
+            if not keep:
+                done.append(fresh_var())
+            elif type(a) is Compound:
+                stack.append((node, done))
+                node, done = a, []
+                break
+            else:
+                done.append(a)
+        else:
+            built = Compound(node.functor, tuple(done))
+            if not stack:
+                return built
+            node, done = stack.pop()
+            done.append(built)
 
 
 def canonical(t: Term) -> Term:
@@ -616,20 +670,7 @@ def canonical(t: Term) -> Term:
     Two terms are variants exactly when their canonical forms are equal,
     which gives set comparison "up to renaming" for free.
     """
-    if t.ground:
-        return t
-    mapping: dict = {}
-
-    def walk(x: Term) -> Term:
-        if x.ground:
-            return x
-        if isinstance(x, Var):
-            if x.id not in mapping:
-                mapping[x.id] = Var(len(mapping))
-            return mapping[x.id]
-        return Compound(x.functor, tuple(walk(a) for a in x.args))
-
-    return walk(t)
+    return _renamed(t, {}, VarSource().fresh)
 
 
 # ---- concrete syntax ----
@@ -681,44 +722,51 @@ class _TermParser:
         return tok
 
     def parse_term(self) -> Term:
-        kind, val = self.take()
-        if kind == "int":
-            return Const(int(val))
-        if kind == "quoted":
-            return Const(val)
-        if kind != "name":
-            raise TermSyntaxError(f"expected a term, got {val!r}")
-        if _is_var_name(val):
-            if self.peek() == ("punct", "("):
-                raise TermSyntaxError(f"variable {val} cannot take arguments")
-            return Var(val)
-        return self._finish_atom_or_compound(val)
+        return self._parse(symbol=False)
 
     def parse_symbol(self) -> Term:
         """Parse a grammar symbol: the head is a constant or functor even
         when uppercase (S, NP); the variable convention applies only to
         arguments, as in r(X, N)."""
-        kind, val = self.take()
-        if kind == "int":
-            return Const(int(val))
-        if kind == "quoted":
-            return Const(val)
-        if kind != "name":
-            raise TermSyntaxError(f"expected a symbol, got {val!r}")
-        return self._finish_atom_or_compound(val)
+        return self._parse(symbol=True)
 
-    def _finish_atom_or_compound(self, name: str) -> Term:
-        if self.peek() == ("punct", "("):
-            self.take()
-            args = [self.parse_term()]
-            while self.peek() == ("punct", ","):
+    def _parse(self, symbol: bool) -> Term:
+        # (functor, arguments read so far) of each compound whose ')' is
+        # still due, so a term of any depth parses.
+        open_: list = []
+        while True:
+            kind, val = self.take()
+            if kind == "int":
+                t = Const(int(val))
+            elif kind == "quoted":
+                t = Const(val)
+            elif kind != "name":
+                raise TermSyntaxError(f"expected a {'symbol' if symbol else 'term'}, got {val!r}")
+            elif self.peek() == ("punct", "("):
+                if _is_var_name(val) and not symbol:
+                    raise TermSyntaxError(f"variable {val} cannot take arguments")
                 self.take()
-                args.append(self.parse_term())
-            kind, close = self.take()
-            if close != ")":
-                raise TermSyntaxError(f"expected ')' in {name}(...)")
-            return Compound(name, tuple(args))
-        return Const(name)
+                open_.append((val, []))
+                symbol = False
+                continue
+            elif _is_var_name(val) and not symbol:
+                t = Var(val)
+            else:
+                t = Const(val)
+            symbol = False
+            while open_:
+                name, args = open_[-1]
+                args.append(t)
+                if self.peek() == ("punct", ","):
+                    self.take()
+                    break
+                kind, close = self.take()
+                if close != ")":
+                    raise TermSyntaxError(f"expected ')' in {name}(...)")
+                open_.pop()
+                t = Compound(name, tuple(args))
+            else:
+                return t
 
 
 def parse_term(text: str) -> Term:

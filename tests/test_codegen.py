@@ -1,30 +1,38 @@
-"""The generated matchers and builders against ``bind`` and ``resolve``."""
+"""The generated matchers, builders and clause programs against
+``bind``, ``resolve`` and an interpreted walk of each clause."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deduce import terms
+from deduce import engine, terms
 from deduce.engine import check_soundness, parse
 from deduce.grammar import CfGrammar, tokenize
 from deduce.systems import (
+    REGISTRY,
     SYSTEM_NAMES,
     DeductionSystem,
+    EvalContext,
     ItemPremise,
     Rule,
-    RuleClause,
+    SideCondition,
+    UnknownBuiltinError,
     make_earley,
     make_tag,
+    program_source,
     system_for,
 )
 from deduce.terms import (
     Compound,
     Const,
     Var,
+    VarSource,
     bind,
     builder_source,
     compile_builder,
     compile_matcher,
     matcher_source,
+    rename_with,
     resolve,
     term_vars,
     undo,
@@ -45,6 +53,79 @@ def _agree(pattern, bound, t, env):
     undo(env1, trail1, 0)
     assert env1 == env
     return ok
+
+
+# ---- the interpreted walk: the reference for the clause programs ----
+
+def reference_firings(clause, store, index, ctx, envs=None) -> list:
+    """The firings of ``clause`` triggered by the item at ``index``, as
+    (rule, slot, consequent, antecedent indices), by interpreting the
+    clause: the premises run left to right, depth first, through
+    ``bind``, ``resolve`` and ``undo`` on one environment with a trail.
+    The trigger and each lookup's candidates are renamed from
+    ``ctx.source`` before they are bound, and a non-ground consequent
+    after it is built, in the order the engine draws them.  When
+    ``envs`` is given, ``envs[(clause, k)]`` collects the first eight
+    environments met by chart premise ``k``.
+    """
+    source = ctx.source
+    trigger, premises, consequent = clause.compiled
+    item = store.renamed(index, source)
+    env, trail, out = {}, [], []
+
+    def fire(antes):
+        t = resolve(consequent, env)
+        if not t.ground:
+            t = rename_with(t, {}, source)
+        if clause.transform is not None:
+            t = clause.transform(t, source)
+        out.append((clause.rule_name, clause.trigger_slot, t, tuple(antes)))
+
+    def walk(k, antes):
+        if k == len(premises):
+            fire(antes)
+            return
+        p = premises[k]
+        mark = len(trail)
+        if isinstance(p, SideCondition):
+            fn = REGISTRY.get(p.builtin)
+            if fn is None:
+                raise UnknownBuiltinError(p.builtin)
+            for answer in list(fn(tuple(resolve(a, env) for a in p.args), ctx)):
+                for v, t in answer.bindings.items():
+                    if v not in env:
+                        env[v] = t
+                        trail.append(v)
+                walk(k + 1, antes)
+                undo(env, trail, mark)
+            return
+        if envs is not None:
+            met = envs.setdefault((clause, k), [])
+            if len(met) < 8:
+                met.append(dict(env))
+        pattern = resolve(p.pattern, env)
+        found = [(i, store.renamed(i, source))
+                 for i in store.candidates(pattern, clause.modes[k])]
+        for i, t in found:
+            if bind(pattern, t, env, trail):
+                antes[p.slot] = i
+                walk(k + 1, antes)
+            undo(env, trail, mark)
+
+    if bind(trigger, item, env, trail):
+        antes = [None] * clause.n_antecedents
+        antes[clause.trigger_slot] = index
+        walk(0, antes)
+    return out
+
+
+def _program_firings(clause, store, index, ctx) -> list:
+    """What ``consequences`` gets from the clause's program, in the
+    reference's form."""
+    firings = []
+    item = store.renamed(index, ctx.source)
+    clause.program()(item, index, firings, store.lookup, store.renamed, ctx.source, ctx)
+    return [(c.rule_name, c.trigger_slot, t, antes) for c, t, antes in firings]
 
 
 # ---- every clause of the built-in systems, on their fixture charts ----
@@ -69,51 +150,67 @@ def _fixture_runs(toy, cnf, amb, abn, lexicon, trip, counting):
     ]
 
 
-def test_generated_programs_agree_with_bind_and_resolve(
-        monkeypatch, toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar,
-        ccg_lexicon, trip_grammar, counting_grammar):
-    # Every matcher call the engine makes is replayed through bind, and
-    # every built consequent compared with resolve's.  The environments
-    # a premise met are kept, and afterwards every ground item of the
-    # chart is matched under each of them, and under the empty one
-    # against every trigger.
-    seen_envs: dict = {}
-    plain_programs = RuleClause.programs
-
-    def checking_programs(self):
-        trigger, matchers, build = plain_programs(self)
-        trig, premises, consequent = self.compiled
-
-        def checked(k, match):
-            pattern, bound = premises[k].pattern, self.bound[k]
-
-            def checking_match(t, env, trail):
-                envs = seen_envs.setdefault((self, k), [])
-                if len(envs) < 8:
-                    envs.append(dict(env))
-                _agree(pattern, bound, t, env)
-                return match(t, env, trail)
-
-            return checking_match
-
-        def checking_build(env):
-            out = build(env)
-            assert out == resolve(consequent, env)
-            return out
-
-        return (
-            trigger,
-            tuple(m and checked(k, m) for k, m in enumerate(matchers)),
-            checking_build,
-        )
-
-    monkeypatch.setattr(RuleClause, "programs", checking_programs)
+@pytest.fixture(scope="module")
+def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_lexicon,
+             trip_grammar, counting_grammar):
+    """The fixture runs, parsed with every pop also replayed clause by
+    clause through the program and the reference, each from its own
+    fresh-variable source starting at one id: (runs, results, the
+    counts of pops replayed and of firings compared and made, the
+    environments met per chart premise)."""
     runs = _fixture_runs(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar,
                          ccg_lexicon, trip_grammar, counting_grammar)
+    plain = engine.consequences
+    counts = {"pops": 0, "compared": 0, "made": 0}
+    envs: dict = {}
+
+    def replaying(system, store, index, grammar, input_string, source):
+        counts["pops"] += 1
+        for clause in system.clauses:
+            ctx1 = EvalContext(grammar, input_string, VarSource(1_000_000))
+            ctx2 = EvalContext(grammar, input_string, VarSource(1_000_000))
+            got = _program_firings(clause, store, index, ctx1)
+            want = reference_firings(clause, store, index, ctx2, envs)
+            assert got == want, (clause.rule_name, clause.trigger_slot, index)
+            assert ctx1.source.fresh() == ctx2.source.fresh()
+            counts["compared"] += len(got)
+        for firing in plain(system, store, index, grammar, input_string, source):
+            counts["made"] += 1
+            yield firing
+
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "consequences", replaying)
+        for system, grammar, sentence in runs:
+            r = parse(system, grammar, tokenize(sentence))
+            assert r.accepted and not check_soundness(r)
+            results.append(r)
+    return runs, results, counts, envs
+
+
+def test_every_clause_program_fires_as_the_interpreted_walk_does(replayed):
+    # Every pop of every fixture run was replayed through each clause of
+    # its system, and among them every rule fired that the fixture
+    # lexicon can use: it has no backward-slash argument to compose.
+    runs, results, counts, _ = replayed
+    assert counts["pops"] == sum(r.pops for r in results)
+    assert counts["compared"] == counts["made"] > 0
+    rules, fired = set(), set()
+    for (system, _, _), r in zip(runs, results):
+        rules |= {(system.name, rule.name) for rule in system.rules}
+        fired |= {(system.name, h.rule_name) for s in r.store.items() for h in s.histories}
+    assert rules - fired == {
+        ("ccg", "forward_compose2"), ("ccg", "backward_compose1"), ("ccg", "backward_compose2")}
+
+
+def test_generated_programs_agree_with_bind_and_resolve(replayed):
+    # The environments a chart premise met in the replay are kept, and
+    # every ground item of the chart is matched under each of them by
+    # the premise's generated matcher and by bind; so is every item
+    # against every trigger, under the empty environment.
+    runs, results, _, seen_envs = replayed
     tried = set()
-    for system, grammar, sentence in runs:
-        r = parse(system, grammar, tokenize(sentence))
-        assert r.accepted and not check_soundness(r)
+    for (system, _, _), r in zip(runs, results):
         items = [s.item for s in r.store.items() if s.item.ground]
         for clause in system.clauses:
             trig, premises, _ = clause.compiled
@@ -225,12 +322,14 @@ HOSTILE = [
 ]
 
 
-def test_hostile_names_parse_and_stay_out_of_the_source():
+def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
     f, g, h = HOSTILE[3], HOSTILE[0], HOSTILE[2]
     k1, k2 = Const(HOSTILE[1]), Const(HOSTILE[4])
     x, y = Var(HOSTILE[3]), Var("Y")
+    monkeypatch.setitem(REGISTRY, HOSTILE[4], lambda args, ctx: iter([terms.Substitution({})]))
     rules = (
-        Rule("step", [Compound(f, (x, k1))], Compound(g, (x, k2))),
+        Rule("step", [Compound(f, (x, k1)), SideCondition(HOSTILE[4], (x, k2))],
+             Compound(g, (x, k2))),
         Rule("join", [Compound(g, (x, k2)), Compound(f, (x, y))],
              Compound(h, (Compound(f, (y, x)), k1))),
     )
@@ -247,9 +346,10 @@ def test_hostile_names_parse_and_stay_out_of_the_source():
     assert [render for render in r.dump().splitlines() if HOSTILE[3] in render]
     for clause in system.clauses:
         trig, premises, consequent = clause.compiled
-        sources = [matcher_source(trig, ())[0], builder_source(consequent)[0]]
+        sources = [matcher_source(trig, ())[0], builder_source(consequent)[0],
+                   program_source(clause)[0]]
         sources += [matcher_source(p.pattern, clause.bound[k])[0]
-                    for k, p in enumerate(premises)]
+                    for k, p in enumerate(premises) if clause.bound[k] is not None]
         for source in sources:
             assert not any(name in source for name in HOSTILE)
     for source in terms._MAKERS:
@@ -258,21 +358,44 @@ def test_hostile_names_parse_and_stay_out_of_the_source():
 
 # ---- shared code ----
 
+def _clause(system, rule_name, slot):
+    return next(c for c in system.clauses if c.rule_name == rule_name and c.trigger_slot == slot)
+
+
 def test_clauses_of_one_shape_share_code():
     ccg = system_for("ccg")
-    forward = next(c for c in ccg.clauses
-                   if c.rule_name == "forward_apply" and c.trigger_slot == 0)
-    backward = next(c for c in ccg.clauses
-                    if c.rule_name == "backward_apply" and c.trigger_slot == 1)
+    forward = _clause(ccg, "forward_apply", 0)
+    backward = _clause(ccg, "backward_apply", 1)
     assert forward.trigger != backward.trigger
-    assert forward.programs()[0] is not backward.programs()[0]
-    assert forward.programs()[0].__code__ is backward.programs()[0].__code__
-    programs = [
-        p
-        for name in SYSTEM_NAMES
-        for c in system_for(name).clauses
-        for p in (c.programs()[0], c.programs()[2], *c.programs()[1])
-        if p is not None
-    ]
-    assert len(programs) == 78
-    assert len({p.__code__ for p in programs}) == 30
+    assert (compile_matcher(forward.compiled[0]).__code__
+            is compile_matcher(backward.compiled[0]).__code__)
+    clauses = [c for name in SYSTEM_NAMES for c in system_for(name).clauses]
+    pieces = [compile_builder(c.compiled[2]) for c in clauses]
+    for c in clauses:
+        trig, premises, _ = c.compiled
+        pieces.append(compile_matcher(trig))
+        pieces += [compile_matcher(p.pattern, b) for p, b in zip(premises, c.bound)
+                   if b is not None]
+    assert len(pieces) == 78
+    assert len({p.__code__ for p in pieces}) == 30
+    # Whole clauses: backward application and forward composition look
+    # up their partner by the same kind of key.
+    apply_, compose = _clause(ccg, "backward_apply", 0), _clause(ccg, "forward_compose1", 0)
+    assert apply_.trigger != compose.trigger
+    assert apply_.program() is not compose.program()
+    assert apply_.program().__code__ is compose.program().__code__
+    assert len(clauses) == 29
+    assert len({c.program().__code__ for c in clauses}) == 16
+
+
+def test_a_system_variant_generates_no_new_code():
+    # The variants differ from their base system in a transform and in
+    # a rule less, not in the shape of any clause.
+    for base, variant in ((make_tag(), make_tag(foot_mode="foot_axiom")),
+                          (make_earley(), make_earley(restriction_depth=2))):
+        for clause in base.clauses:
+            clause.program()
+        before = len(terms._MAKERS)
+        for clause in variant.clauses:
+            clause.program()
+        assert len(terms._MAKERS) == before

@@ -15,6 +15,7 @@ from deduce.engine import (
 from deduce.grammar import tokenize
 from deduce.store import History
 from deduce.systems import (
+    REGISTRY,
     DeductionSystem,
     GrammarNotCnf,
     Rule,
@@ -244,70 +245,60 @@ def test_consequences_can_pair_the_trigger_with_itself(cnf_ab_grammar):
     assert a != b
 
 
-def _count_lookups(monkeypatch) -> list:
-    """Per chart lookup the engine makes, [pattern, candidates handed
-    out, candidates matched]; filled in as the engine runs.
+def _count_lookups(monkeypatch, rule_name) -> list:
+    """Per pop, [candidates handed out by each chart lookup, candidates
+    matched]; filled in as the engine runs.
 
-    A ground candidate is matched by its premise's generated matcher,
-    a non-ground one by ``bind``; both are counted.  The systems this is
-    used on make at most one lookup per clause, as its last premise, so
-    the matches that follow a lookup, up to the next one, are its own.
+    Candidates are counted where ``ItemStore.lookup`` hands them out.
+    Matches are counted in what the engine yields: every clause of
+    ``rule_name`` makes its one lookup as its last premise, so each
+    candidate that lookup matches is one firing of the rule.  No match
+    can be made without being counted, and since no lookup matches more
+    candidates than it hands out, a pop whose two totals are equal has
+    every lookup matching each candidate it hands out.
     """
-    lookups = []
-    plain_candidates = ItemStore.candidates
-    plain_programs = RuleClause.programs
-    plain_bind = engine_module.bind
+    pops = []
+    plain_lookup = ItemStore.lookup
+    plain_consequences = engine_module.consequences
 
-    def counting_candidates(self, pattern, *args, **kwargs):
-        out = plain_candidates(self, pattern, *args, **kwargs)
-        lookups.append([pattern, len(out), 0])
+    def counting_lookup(self, mode, key, below=None):
+        out = plain_lookup(self, mode, key, below)
+        pops[-1][0].append(len(out))
         return out
 
-    def counted(match):
-        def counting_match(t, env, trail):
-            ok = match(t, env, trail)
-            if ok:
-                lookups[-1][2] += 1
-            return ok
+    def counting_consequences(*args):
+        pops.append([[], 0])
+        for firing in plain_consequences(*args):
+            pops[-1][1] += firing[0].rule_name == rule_name
+            yield firing
 
-        return counting_match
-
-    def counting_programs(self):
-        trigger, matchers, build = plain_programs(self)
-        return trigger, tuple(m and counted(m) for m in matchers), build
-
-    def counting_bind(t1, t2, env, trail):
-        ok = plain_bind(t1, t2, env, trail)
-        if ok and lookups and lookups[-1][0] is t1:
-            lookups[-1][2] += 1
-        return ok
-
-    monkeypatch.setattr(ItemStore, "candidates", counting_candidates)
-    monkeypatch.setattr(RuleClause, "programs", counting_programs)
-    monkeypatch.setattr(engine_module, "bind", counting_bind)
-    return lookups
+    monkeypatch.setattr(ItemStore, "lookup", counting_lookup)
+    monkeypatch.setattr(engine_module, "consequences", counting_consequences)
+    return pops
 
 
 def test_every_cyk_lookup_scans_only_matches(ambiguous_grammar, monkeypatch):
     # Both CYK lookups know the nonterminal and the shared span end, so
     # the moded index hands each one exactly the items that unify.
-    lookups = _count_lookups(monkeypatch)
+    pops = _count_lookups(monkeypatch, "binary")
     r = parse(make_cyk(), ambiguous_grammar, tokenize(" ".join(["a"] * 30)))
     assert r.accepted
-    assert len(lookups) == 2 * r.pops
-    assert all(scanned == matched for _, scanned, matched in lookups)
-    assert sum(matched for _, _, matched in lookups) > 0
+    assert len(pops) == r.pops
+    assert all(len(scanned) == 2 for scanned, _ in pops)
+    assert all(sum(scanned) == matched for scanned, matched in pops)
+    assert sum(matched for _, matched in pops) > 0
 
 
 def test_every_earley_complete_lookup_scans_only_matches(ambiguous_grammar, monkeypatch):
     # Each popped item fires one of complete's two clauses, whose lookup
     # knows the origin, the symbol and the dot position of its partner.
-    lookups = _count_lookups(monkeypatch)
+    pops = _count_lookups(monkeypatch, "complete")
     r = parse(make_earley(), ambiguous_grammar, tokenize(" ".join(["a"] * 30)))
     assert r.accepted
-    assert len(lookups) == r.pops
-    assert all(scanned == matched for _, scanned, matched in lookups)
-    assert sum(matched for _, _, matched in lookups) > 0
+    assert len(pops) == r.pops
+    assert all(len(scanned) == 1 for scanned, _ in pops)
+    assert all(sum(scanned) == matched for scanned, matched in pops)
+    assert sum(matched for _, matched in pops) > 0
 
 
 def test_an_earley_parse_compares_no_justifications(ambiguous_grammar, monkeypatch):
@@ -328,27 +319,36 @@ def test_an_earley_parse_compares_no_justifications(ambiguous_grammar, monkeypat
 
 def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch):
     # Every clause is offered a popped complete item, and its trigger
-    # matcher takes it for one clause only; the engine binds into that
-    # clause's compiled copy in place.
+    # match takes it for one clause only; the engine binds into that
+    # clause's compiled copy in place.  Each Earley clause's first
+    # premise is a call that only a matched trigger reaches: scan's
+    # succ, predict's production, and each complete clause's lookup, in
+    # the mode of that clause.
     system = make_earley()
     r = parse(system, toy_grammar, tokenize("a program halts"))
     complete = [s.index for s in r.store.items() if s.item.args[3] == NIL]
     assert complete and all(r.store.get(i).item.ground for i in complete)
     matched, copied = [], []
-    plain = RuleClause.programs
+    by_mode = {
+        c.modes[0]: (c.rule_name, c.trigger_slot) for c in system.clauses
+        if c.rule_name == "complete"
+    }
+    plain_lookup = ItemStore.lookup
 
-    def counting_programs(self):
-        match, matchers, build = plain(self)
+    def counting_lookup(self, mode, key, below=None):
+        matched.append(by_mode[mode])
+        return plain_lookup(self, mode, key, below)
 
-        def counting_match(t, env, trail):
-            ok = match(t, env, trail)
-            if ok:
-                matched.append((self.rule_name, self.trigger_slot))
-            return ok
+    def first_premise(rule_name, evaluator):
+        def counting(args, ctx):
+            matched.append((rule_name, 0))
+            return evaluator(args, ctx)
 
-        return counting_match, matchers, build
+        return counting
 
-    monkeypatch.setattr(RuleClause, "programs", counting_programs)
+    monkeypatch.setattr(ItemStore, "lookup", counting_lookup)
+    for builtin, rule_name in (("succ", "scan"), ("production", "predict")):
+        monkeypatch.setitem(REGISTRY, builtin, first_premise(rule_name, REGISTRY[builtin]))
     monkeypatch.setattr(RuleClause, "instantiate", lambda self, source: copied.append(1))
     for i in complete:
         list(consequences(system, r.store, i, r.grammar, r.input, VarSource(70_000_000)))

@@ -33,6 +33,7 @@ from deduce.terms import (
     Var,
     VarSource,
     bind,
+    compile_matcher,
     cons,
     mklist,
     parse_term,
@@ -550,10 +551,12 @@ def test_mode_analysis_binds_the_lookup_paths():
 
 
 def _matching_clauses(system, item):
-    """(rule, slot) of every clause whose trigger matcher takes the
-    ground ``item``, each tried on a fresh environment."""
+    """(rule, slot) of every clause whose trigger matcher, the one its
+    program runs first, takes the ground ``item``, each tried on a fresh
+    environment."""
     return [
-        (c.rule_name, c.trigger_slot) for c in system.clauses if c.programs()[0](item, {}, [])
+        (c.rule_name, c.trigger_slot) for c in system.clauses
+        if compile_matcher(c.compiled[0])(item, {}, [])
     ]
 
 

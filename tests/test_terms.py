@@ -3,6 +3,7 @@ small brute-force oracles where the property is about instance sets."""
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from deduce.terms import (
     FRESH_SPACES,
     NIL,
     Substitution,
+    TermSyntaxError,
     Var,
     VarSource,
     abstract_depth,
@@ -23,12 +25,15 @@ from deduce.terms import (
     mklist,
     parse_term,
     parse_term_seq,
+    _TermParser,
     render_term,
     rename_apart,
+    rename_with,
     resolve,
     space_source,
     subsumes,
     term_vars,
+    tokenize_terms,
     undo,
     unify,
     unlist,
@@ -411,3 +416,148 @@ def test_deep_ground_terms_hash_and_compare_without_recursing():
     assert {a: 1}.get(b) is None
     assert Compound("f", (a, Var("X"))) != Compound("f", (b, Var("X")))
     assert hash(Compound("f", (a, Var("X")))) == hash(Compound("f", (a, Var("X"))))
+
+
+# ---- deep terms: no recursion on nesting depth ----
+
+def _deep_chain(n, base):
+    out = base
+    for _ in range(n):
+        out = Compound("s", (out,))
+    return out
+
+
+def test_a_deep_term_renames_compares_abstracts_and_parses():
+    n = 10_000
+    chain = _deep_chain(n, Var("X"))
+    assert canonical(chain) == _deep_chain(n, Var(0))
+    assert rename_with(chain, {}, VarSource(7)) == _deep_chain(n, Var(7))
+    assert rename_apart(chain, {"X"}) == _deep_chain(n, Var("V1"))
+    assert rename_apart(chain, set(), VarSource(7)) == _deep_chain(n, Var(7))
+    assert abstract_depth(chain, n + 1) == chain
+    assert abstract_depth(chain, n) == _deep_chain(n, Var("V1"))
+    assert chain == _deep_chain(n, Var("X"))
+    assert chain != _deep_chain(n, Var("Y"))
+    assert parse_term(render_term(chain)) == chain
+    assert parse_term_seq(render_term(chain) + " b") == [chain, Const("b")]
+
+
+# The recursive definitions the iterative ones replaced, as references.
+
+def _old_rename(x, mapping, fresh):
+    if x.ground:
+        return x
+    if isinstance(x, Var):
+        got = mapping.get(x.id)
+        if got is None:
+            got = mapping[x.id] = fresh()
+        return got
+    return Compound(x.functor, tuple(_old_rename(a, mapping, fresh) for a in x.args))
+
+
+def _old_canonical(x, mapping):
+    if x.ground:
+        return x
+    if isinstance(x, Var):
+        if x.id not in mapping:
+            mapping[x.id] = Var(len(mapping))
+        return mapping[x.id]
+    return Compound(x.functor, tuple(_old_canonical(a, mapping) for a in x.args))
+
+
+def _old_abstract_depth(x, d, depth, fresh):
+    if depth >= d:
+        return fresh()
+    if isinstance(x, Compound):
+        return Compound(x.functor, tuple(_old_abstract_depth(a, d, depth + 1, fresh)
+                                         for a in x.args))
+    return x
+
+
+def _named_series(avoid):
+    """V1, V2, ... skipping the names in ``avoid``."""
+    names = (f"V{n}" for n in itertools.count(1) if f"V{n}" not in avoid)
+    return lambda: Var(next(names))
+
+
+def _old_eq(a, b):
+    if isinstance(a, Compound):
+        return (
+            isinstance(b, Compound) and a.ground is b.ground and a.functor == b.functor
+            and len(a.args) == len(b.args)
+            and all(_old_eq(x, y) for x, y in zip(a.args, b.args))
+        )
+    return type(a) is type(b) and (a.id == b.id if isinstance(a, Var) else a.name == b.name)
+
+
+def _old_parse(tokens, pos, symbol):
+    """(term, next position) by recursive descent."""
+    kind, val = tokens[pos]
+    pos += 1
+    if kind == "int":
+        return Const(int(val)), pos
+    if kind == "quoted":
+        return Const(val), pos
+    opens = pos < len(tokens) and tokens[pos] == ("punct", "(")
+    if not symbol and (val[0].isupper() or val[0] == "_"):
+        if opens:
+            raise TermSyntaxError(val)
+        return Var(val), pos
+    if opens:
+        args = []
+        while True:
+            arg, pos = _old_parse(tokens, pos + 1, False)
+            args.append(arg)
+            if tokens[pos] != ("punct", ","):
+                break
+        return Compound(val, tuple(args)), pos + 1
+    return Const(val), pos
+
+
+_names = st.sampled_from(["a", "b", "'q r'", "7", "X", "_y", "Z"])
+
+
+def _texts(depth):
+    if depth == 0:
+        return _names
+    sub = _texts(depth - 1)
+    return _names | st.builds(
+        lambda f, args: f"{f}({', '.join(args)})",
+        st.sampled_from(["f", "g", "S"]), st.lists(sub, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_terms, small_terms, st.integers(min_value=0, max_value=4))
+def test_the_iterative_term_walks_give_the_recursive_results(t1, t2, d):
+    pair = Compound("g", (t1, t2))
+    for term in (t1, pair):
+        src1, src2 = VarSource(5), VarSource(5)
+        m1, m2 = {"Y": Var(99)}, {"Y": Var(99)}
+        assert rename_with(term, m1, src1) == _old_rename(term, m2, src2.fresh)
+        assert m1 == m2 and src1.fresh() == src2.fresh()
+        assert canonical(term) == _old_canonical(term, {})
+        avoid = {"V1", "X"} | set(term_vars(term))
+        assert rename_apart(term, {"V1", "X"}) == _old_rename(term, {}, _named_series(avoid))
+        src1, src2 = VarSource(5), VarSource(5)
+        assert abstract_depth(term, d, src1) == _old_abstract_depth(term, d, 0, src2.fresh)
+        assert src1.fresh() == src2.fresh()
+        series = _named_series(set(term_vars(term)))
+        assert abstract_depth(term, d) == _old_abstract_depth(term, d, 0, series)
+    for a, b in ((t1, t2), (t1, _rebuilt(t1)), (pair, Compound("g", (_rebuilt(t1), t2)))):
+        assert (a == b) == _old_eq(a, b)
+        assert (a != b) == (not _old_eq(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts(3), st.booleans())
+def test_the_iterative_parser_gives_the_recursive_result(text, symbol):
+    tokens = tokenize_terms(text)
+    parser = _TermParser(tokens)
+    try:
+        want = _old_parse(tokens, 0, symbol)
+    except TermSyntaxError:
+        with pytest.raises(TermSyntaxError):
+            parser.parse_symbol() if symbol else parser.parse_term()
+        return
+    got = parser.parse_symbol() if symbol else parser.parse_term()
+    assert _old_eq(got, want[0]) and parser.pos == want[1] == len(tokens)
