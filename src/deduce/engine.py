@@ -79,7 +79,8 @@ def consequences(system, store, index, grammar, input_string, source):
     whether the clause fires; a failed one draws no variable.  A program
     runs the premises left to right, depth first, as nested loops over
     one binding environment with a trail, binding into the clause's
-    compiled copy in place, so only a consequent is ever built.  A
+    compiled copy in place, so only a consequent is ever built, and a
+    ground one through the store's intern table (``compile_builder``).  A
     premise draws all its choices (a side condition's answers, a
     lookup's renamed candidates) before the program goes deeper, so a
     consequent's renaming and transform draw their fresh variables from
@@ -89,10 +90,10 @@ def consequences(system, store, index, grammar, input_string, source):
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
-    lookup, renamed = store.lookup, store.renamed
+    lookup, renamed, table = store.lookup, store.renamed, store.interned
     firings: list = []
     for clause in system.clauses:
-        clause.program()(trigger_item, index, firings, lookup, renamed, source, ctx)
+        clause.program()(trigger_item, index, firings, lookup, renamed, source, ctx, table)
     yield from firings
 
 

@@ -137,6 +137,12 @@ class ItemStore:
         # recorded in the current stage.
         self._stage = None
         self._justified: set = set()
+        # The hash-consing table of the clause programs' consequent
+        # builders (``compile_builder``): a consequent built again from
+        # the same argument objects is the stored item itself, so its
+        # ``_ground`` probe hits by identity.  It lives and dies with
+        # the store, so no parse's terms outlive its chart.
+        self.interned: dict = {}
 
     def __len__(self) -> int:
         return len(self._items)

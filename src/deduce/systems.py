@@ -172,11 +172,13 @@ class RuleClause:
 
     def program(self):
         """The clause's generated program, made on the first call:
-        ``program(t0, index, firings, lookup, renamed, source, ctx)``
-        appends to ``firings`` each (clause, consequent, antecedent
-        indices) that the item ``t0``, stored at ``index``, triggers.
-        ``lookup`` and ``renamed`` are the item store's methods, and
-        ``source`` and ``ctx`` the parse's fresh variables and
+        ``program(t0, index, firings, lookup, renamed, source, ctx,
+        table)`` appends to ``firings`` each (clause, consequent,
+        antecedent indices) that the item ``t0``, stored at ``index``,
+        triggers.  ``lookup`` and ``renamed`` are the item store's
+        methods and ``table`` its intern table (``ItemStore.interned``),
+        which the consequent builder hash-conses ground terms in;
+        ``source`` and ``ctx`` are the parse's fresh variables and
         side-condition context."""
         program = self._program
         if program is None:
@@ -237,9 +239,12 @@ def program_source(clause: RuleClause) -> tuple:
       fresh variables are drawn before a deeper choice draws any.
 
     Each loop undoes the trail to its own mark after each choice.  The
-    innermost body builds the consequent (``compile_builder``), renames
-    it from ``source`` when it is not ground, so no stored item keeps a
-    clause variable, and runs the transform, if any.
+    innermost body builds the consequent (``compile_builder``) through
+    ``table``, the store's intern table, which the program gets as an
+    argument and never keeps, so a duplicate consequent is the stored
+    item itself; it renames the consequent from ``source`` when it is
+    not ground, so no stored item keeps a clause variable, and runs the
+    transform, if any.
 
     The source depends only on the clause's shape: every constant,
     variable id, pattern, mode, matcher and builder is a value, and the
@@ -311,13 +316,13 @@ def program_source(clause: RuleClause) -> tuple:
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     transform = value(clause.transform)
     body += [
-        f"{pad}out = {value(compile_builder(consequent))}(env)",
+        f"{pad}out = {value(compile_builder(consequent))}(env, table)",
         f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
         f"{pad}if {transform} is not None: out = {transform}(out, source)",
         f"{pad}firings.append(({value(clause)}, out, ({antecedents})))",
     ]
     body += reversed(closers)
-    params = ["t0", "index", "firings", "lookup", "renamed", "source", "ctx"]
+    params = ["t0", "index", "firings", "lookup", "renamed", "source", "ctx", "table"]
     return _wrap("program", params, body, values), values
 
 

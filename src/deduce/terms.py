@@ -424,10 +424,17 @@ def compile_matcher(pattern: Term, bound=()):
 
 
 def builder_source(term: Term) -> tuple:
-    """(source, values) of ``compile_builder(term)``."""
+    """(source, values) of ``compile_builder(term)``.
+
+    Each compound node of ``term`` that is not ground in the pattern
+    becomes a local: one probe of ``table`` under ``(functor, id(arg),
+    ...)`` takes the stored term, or the node is built and, when ground,
+    stored.  A node with a non-ground argument always misses, since
+    every live key holds the ids of ground terms that are alive."""
     values: list = [Compound, resolve]  # k0 and k1 in the source
     body: list = []
     seen: dict = {}
+    nodes = itertools.count()
 
     def value(x) -> str:
         values.append(x)
@@ -445,16 +452,36 @@ def builder_source(term: Term) -> tuple:
                     f"if {x} is None or not {x}.ground: {x} = k1({value(t)}, env)",
                 ])
             return x
-        args = "".join(f"{expr(a)}, " for a in t.args)
-        return f"k0({value(t.functor)}, ({args}))"
+        subs = [expr(a) for a in t.args]
+        f, y = value(t.functor), f"y{next(nodes)}"
+        args = "".join(f"{s}, " for s in subs)
+        ids = "".join(f"id({s}), " for s in subs)
+        body.extend([
+            f"key = ({f}, {ids})",
+            f"{y} = table.get(key)",
+            f"if {y} is None:",
+            f"    {y} = k0({f}, ({args}))",
+            f"    if {y}.ground: table[key] = {y}",
+        ])
+        return y
 
     body.append(f"return {expr(term)}")
-    return _wrap("build", ["env"], body, values), values
+    return _wrap("build", ["env", "table"], body, values), values
 
 
 def compile_builder(term: Term):
-    """A function ``build(env)`` returning a term equal to
-    ``resolve(term, env)``."""
+    """A function ``build(env, table)`` returning a term equal to
+    ``resolve(term, env)``.
+
+    ``table`` is a dict that hash-conses the ground compounds the
+    builders make: each compound is looked up under ``(functor,
+    id(arg), ...)``, so one built from the same argument objects is the
+    very object built first, and a new ground one is stored there.  A
+    stored term holds its arguments, so no id in a live key is reused.
+    A non-ground compound never enters the table.
+    Terms made elsewhere are not in it, so an equal term may still be
+    another object: equality stays structural, and the table only lets
+    equal builds be found by identity."""
     return _generate(*builder_source(term))
 
 

@@ -124,7 +124,8 @@ def _program_firings(clause, store, index, ctx) -> list:
     reference's form."""
     firings = []
     item = store.renamed(index, ctx.source)
-    clause.program()(item, index, firings, store.lookup, store.renamed, ctx.source, ctx)
+    clause.program()(item, index, firings, store.lookup, store.renamed, ctx.source, ctx,
+                     store.interned)
     return [(c.rule_name, c.trigger_slot, t, antes) for c, t, antes in firings]
 
 
@@ -306,9 +307,45 @@ def test_a_generated_matcher_binds_as_bind_does(case):
     st.one_of(st.none(), _ground),
 )
 def test_a_generated_builder_builds_what_resolve_does(term, env, u):
+    # Built twice through one table: both builds equal ``resolve``'s
+    # term, and the table holds only ground compounds.
     if u is not None:
         env["U"] = u
-    assert compile_builder(term)(env) == resolve(term, env)
+    build, table = compile_builder(term), {}
+    assert build(env, table) == resolve(term, env)
+    assert build(env, table) == resolve(term, env)
+    assert all(type(t) is Compound and t.ground for t in table.values())
+
+
+def test_equal_ground_builds_through_one_table_are_one_object():
+    a, x, y, z = Const("a"), Var("X"), Var("Y"), Var("Z")
+    env = {"X": a, "Y": Compound("h", (Const("b"),))}
+    pattern = Compound("f", (x, Compound("g", (y, a))))
+    table = {}
+    first = compile_builder(pattern)(env, table)
+    assert compile_builder(pattern)(env, table) is first
+    # Another builder making an equal term from the same argument
+    # objects finds it too, at every node.
+    inner = compile_builder(Compound("g", (y, a)))(env, table)
+    assert inner is first.args[1]
+    assert compile_builder(Compound("f", (x, z)))({"X": a, "Z": inner}, table) is first
+    assert len(table) == 2
+    # Another table holds its own objects.
+    other = compile_builder(pattern)(env, {})
+    assert other == first and other is not first
+
+
+def test_a_non_ground_build_never_enters_the_table():
+    x, y, w = Var("X"), Var("Y"), Var("W")
+    pattern = Compound("f", (Compound("g", (x,)), y))
+    for env in ({"X": Const("a")}, {"X": Const("a"), "Y": Compound("h", (w,))}):
+        table = {}
+        built = compile_builder(pattern)(env, table)
+        assert not built.ground
+        assert list(table.values()) == [built.args[0]]
+    table = {}
+    assert not compile_builder(pattern)({}, table).ground
+    assert table == {}
 
 
 # ---- names never reach the generated source ----

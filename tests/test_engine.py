@@ -1,6 +1,9 @@
 """Engine loop, counters, oracle closure, soundness replay."""
 
+import gc
 import io
+import sys
+import weakref
 
 import pytest
 
@@ -13,7 +16,7 @@ from deduce.engine import (
     parse,
 )
 from deduce.grammar import tokenize
-from deduce.store import History
+from deduce.store import INITIAL, History
 from deduce.systems import (
     REGISTRY,
     DeductionSystem,
@@ -26,6 +29,7 @@ from deduce.systems import (
     make_earley,
     make_tag,
     make_topdown,
+    system_for,
 )
 from deduce import engine as engine_module
 from deduce.store import ItemStore
@@ -315,6 +319,48 @@ def test_an_earley_parse_compares_no_justifications(ambiguous_grammar, monkeypat
     r = parse(make_earley(), ambiguous_grammar, tokenize(" ".join(["a"] * 20)))
     assert r.accepted and r.duplicates > 0
     assert compared == []
+
+
+@pytest.mark.parametrize("system, interned, stored", [
+    (make_earley(), 482, 483),
+    (make_cyk(), 190, 210),
+], ids=["earley", "cyk"])
+def test_every_derived_item_is_its_parse_s_interned_object(ambiguous_grammar, system,
+                                                           interned, stored):
+    # The consequent builders hash-cons a parse's ground terms in its
+    # store's table, so a derived item is the object the table holds,
+    # and a duplicate derivation meets the stored item by identity.
+    # Axioms are made outside the builders and are not in the table.
+    r = parse(system, ambiguous_grammar, tokenize(" ".join(["a"] * 20)))
+    held = {id(t) for t in r.store.interned.values()}
+    items = list(r.store.items())
+    assert len(items) == stored
+    assert sum(id(s.item) in held for s in items) == interned
+    assert all(s.histories[0] == History(INITIAL, ()) for s in items if id(s.item) not in held)
+
+
+def test_a_parse_s_intern_table_dies_with_its_store(ambiguous_grammar):
+    # Two parses of one sentence share no table and no interned term,
+    # no module of the package holds a table or its terms, and once the
+    # result is dropped, its store is freed.
+    system, w = system_for("earley"), tokenize(" ".join(["a"] * 8))
+    r1, r2 = parse(system, ambiguous_grammar, w), parse(system, ambiguous_grammar, w)
+    t1, t2 = r1.store.interned, r2.store.interned
+    held = {id(t) for t in t1.values()}
+    assert t1 and t2 and t1 is not t2
+    assert not held & {id(t) for t in t2.values()}
+    tables = {id(t1), id(t2)}
+    for name, module in list(sys.modules.items()):
+        if name != "deduce" and not name.startswith("deduce."):
+            continue
+        for value in vars(module).values():
+            assert id(value) not in tables | held, name
+            if isinstance(value, dict):
+                assert not {id(v) for v in value.values()} & (tables | held), name
+    ref = weakref.ref(r1.store)
+    del r1, t1
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch):
