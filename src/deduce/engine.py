@@ -20,7 +20,8 @@ from .systems import (
     REGISTRY,
     SideCondition,
     SideConditionError,
-    UnknownBuiltinError,
+    answer_substitutions,
+    builtin_answers,
     item_renderer,
 )
 from .terms import (
@@ -234,14 +235,13 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
                     break
                 nexts = []
                 if isinstance(p, SideCondition):
-                    fn = REGISTRY.get(p.builtin)
-                    if fn is None:
-                        raise UnknownBuiltinError(p.builtin)
                     for s, new in partials:
                         args = tuple(s.apply(a) for a in p.args)
                         found = answers.get((id(p), args))
                         if found is None:
-                            found = answers[id(p), args] = list(fn(args, ctx))
+                            found = answers[id(p), args] = answer_substitutions(
+                                args, builtin_answers(p.builtin, args, ctx)
+                            )
                         for s2 in found:
                             nexts.append((s.compose(s2), new))
                 else:
@@ -315,12 +315,11 @@ def _replay_ok(system, store, stored, hist, axioms, g, w, source):
         nexts = []
         for s in partials:
             if isinstance(p, SideCondition):
-                fn = REGISTRY.get(p.builtin)
-                if fn is None:
+                if p.builtin not in REGISTRY:
                     return False
                 args = tuple(s.apply(a) for a in p.args)
                 try:
-                    for s2 in fn(args, ctx):
+                    for s2 in answer_substitutions(args, builtin_answers(p.builtin, args, ctx)):
                         nexts.append(s.compose(s2))
                 except SideConditionError:
                     continue

@@ -89,9 +89,13 @@ class CfGrammar:
     def production_terms(self) -> tuple:
         """``p(Lhs, Rhs)`` for every production, then for every lexical
         entry as a one-word production, with ``Rhs`` a list; built once
-        per grammar."""
+        per grammar.  A word is the one ``Const`` of its name that the
+        productions use, if they use one."""
         pairs = list(self.productions)
-        pairs += [(preterm, [Const(word)]) for word, preterm in self.lexicon]
+        words = {s.name: s for _, rhs in pairs for s in rhs if type(s) is Const}
+        pairs += [
+            (preterm, [words.setdefault(word, Const(word))]) for word, preterm in self.lexicon
+        ]
         return tuple(Compound("p", (lhs, mklist(rhs))) for lhs, rhs in pairs)
 
 
@@ -109,6 +113,9 @@ def load_cf(text: str) -> CfGrammar:
     # Quoted-literal expansions are appended after all explicit entries,
     # in first-use order, so rendering and reloading is a fixpoint.
     auto_words: dict = {}
+    # One Const per symbol name for the whole grammar, so equal symbols
+    # are one object wherever they occur.
+    symbols: dict = {}
 
     def auto_lex(word):
         auto_words.setdefault(word, None)
@@ -123,26 +130,24 @@ def load_cf(text: str) -> CfGrammar:
                 rest = line[len("start"):].strip()
                 if not rest:
                     raise GrammarError("start declaration needs a symbol", line_no)
-                starts.extend(_parse_terms(rest, line_no))
+                starts.extend(_parse_terms(rest, line_no, symbols))
             elif line.startswith("lex ") or line == "lex":
                 parts = line.split(None, 2)
                 if len(parts) != 3:
                     raise GrammarError("lex line needs a word and a preterminal", line_no)
                 word = parts[1].strip("'")
-                preterm = _parse_one_term(parts[2], line_no)
+                preterm = _parse_one_term(parts[2], line_no, symbols)
                 lexicon.append((word, preterm))
                 terminals.add(word)
             elif "->" in line:
                 lhs_text, rhs_text = line.split("->", 1)
-                lhs = _parse_one_term(lhs_text, line_no)
+                lhs = _parse_one_term(lhs_text, line_no, symbols)
                 rhs = []
-                for sym in _parse_terms(rhs_text, line_no):
+                for sym in _parse_terms(rhs_text, line_no, symbols):
                     if isinstance(sym, Const) and isinstance(sym.name, str) and sym.name.startswith("'"):
-                        word = sym.name.strip("'")
-                        auto_lex(word)
-                        rhs.append(_quoted_preterminal(word))
-                    else:
-                        rhs.append(sym)
+                        # ``sym`` is already the quoted preterminal of its word.
+                        auto_lex(sym.name.strip("'"))
+                    rhs.append(sym)
                 productions.append((lhs, tuple(rhs)))
             else:
                 raise GrammarError(f"cannot parse line {line!r}", line_no)
@@ -150,7 +155,7 @@ def load_cf(text: str) -> CfGrammar:
             raise GrammarError(str(exc), line_no) from exc
 
     for word in auto_words:
-        entry = (word, _quoted_preterminal(word))
+        entry = (word, symbols[_quoted_preterminal(word).name])
         if entry not in lexicon:
             lexicon.append(entry)
 
@@ -184,16 +189,16 @@ def _head_name(t: Term):
     return None
 
 
-def _parse_one_term(text: str, line_no: int) -> Term:
-    terms = _parse_terms(text, line_no)
+def _parse_one_term(text: str, line_no: int, symbols: dict) -> Term:
+    terms = _parse_terms(text, line_no, symbols)
     if len(terms) != 1:
         raise GrammarError(f"expected one term in {text.strip()!r}", line_no)
     return terms[0]
 
 
-def _parse_terms(text: str, line_no: int) -> list[Term]:
+def _parse_terms(text: str, line_no: int, symbols: dict) -> list[Term]:
     try:
-        parser = _TermParser(tokenize_terms(text))
+        parser = _TermParser(tokenize_terms(text), symbols)
         out = []
         while parser.peek() != (None, None):
             out.append(parser.parse_symbol())

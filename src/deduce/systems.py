@@ -47,7 +47,6 @@ from .terms import (
     Compound,
     Const,
     NIL,
-    Substitution,
     Term,
     Var,
     VarSource,
@@ -141,22 +140,21 @@ class RuleClause:
         argument paths whose symbol is known when it runs (constants,
         compounds, and variables of the trigger or of an earlier premise),
         or None for a side condition or a bare-variable pattern.
-        ``bound`` holds, per chart premise, the ids in ``compiled`` of the
-        variables bound before it, or None for a side condition.  At the
-        end of the walk every consequent variable must be bound."""
+        ``bound`` holds, per premise, the ids in ``compiled`` of the
+        variables bound before it runs.  At the end of the walk every
+        consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
         modes, bound_before = [], []
         for p in self.premises:
+            bound_before.append(frozenset(bound))
             if isinstance(p, SideCondition):
                 modes.append(None)
-                bound_before.append(None)
                 for a in p.args:
                     bound.update(term_vars(a))
             else:
                 symbol = principal(p.pattern)
                 paths = tuple(_known_paths(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
-                bound_before.append(frozenset(bound))
                 bound.update(term_vars(p.pattern))
         free = [v for v in term_vars(self.consequent) if v not in bound]
         if free:
@@ -167,7 +165,7 @@ class RuleClause:
         mapping: dict = {}
         object.__setattr__(self, "compiled", self.instantiate(space_source("clause"), mapping))
         object.__setattr__(self, "bound", tuple(
-            None if b is None else frozenset(mapping[v].id for v in b) for b in bound_before
+            frozenset(mapping[v].id for v in b) for b in bound_before
         ))
 
     def program(self):
@@ -179,7 +177,9 @@ class RuleClause:
         methods and ``table`` its intern table (``ItemStore.interned``),
         which the consequent builder hash-conses ground terms in;
         ``source`` and ``ctx`` are the parse's fresh variables and
-        side-condition context."""
+        side-condition context.  The program binds each answer tuple a
+        builtin yields to the condition's arguments itself, on its own
+        trail (``program_source``)."""
         program = self._program
         if program is None:
             program = _generate(*program_source(self), scope=globals())
@@ -230,21 +230,29 @@ def program_source(clause: RuleClause) -> tuple:
     the written order:
 
     - a side condition calls its builtin, looked up in ``REGISTRY`` at
-      each call, on its resolved arguments, and binds each answer's
-      bindings that ``env`` lacks;
+      each call, on its resolved arguments.  Each answer is a tuple of
+      terms, one per argument, that the program binds to the arguments
+      position by position on its own trail: a position whose answer
+      term is the very argument passed in is skipped; a variable that
+      the mode analysis found unbound, at its first occurrence in the
+      arguments, takes a ground answer by a plain store (unless an
+      earlier position has bound it after all, through a term the
+      builtin handed back); every other position goes through ``bind``,
+      occurs check included.  An answer of the wrong length raises
+      ``SideConditionError``;
     - a chart lookup reads the symbols at its mode's paths straight from
       ``env`` (a constant or compound of the pattern gives its symbol
       when the source is generated), hands the key to ``lookup`` and
       renames the candidates it gets back before going deeper, so their
       fresh variables are drawn before a deeper choice draws any.
 
-    Each loop undoes the trail to its own mark after each choice.  The
-    innermost body builds the consequent (``compile_builder``) through
-    ``table``, the store's intern table, which the program gets as an
-    argument and never keeps, so a duplicate consequent is the stored
-    item itself; it renames the consequent from ``source`` when it is
-    not ground, so no stored item keeps a clause variable, and runs the
-    transform, if any.
+    Each loop undoes the trail to its own mark before each choice, so a
+    failed binding just moves on to the next.  The innermost body builds
+    the consequent (``compile_builder``) through ``table``, the store's
+    intern table, which the program gets as an argument and never keeps,
+    so a duplicate consequent is the stored item itself; it renames the
+    consequent from ``source`` when it is not ground, so no stored item
+    keeps a clause variable, and runs the transform, if any.
 
     The source depends only on the clause's shape: every constant,
     variable id, pattern, mode, matcher and builder is a value, and the
@@ -263,26 +271,43 @@ def program_source(clause: RuleClause) -> tuple:
         f"if not ({value(compile_matcher(trigger))}(t0, env, trail) if t0.ground"
         f" else bind({value(trigger)}, t0, env, trail)): return",
     ]
-    closers = []
     slots = {clause.trigger_slot: "index"}
     pad = ""
     for k, (p, mode, bound) in enumerate(zip(premises, clause.modes, clause.bound), 1):
-        if bound is None:
-            args = "".join(
-                (value(a) if a.ground else f"resolve({value(a)}, env)") + ", " for a in p.args
-            )
+        undo = f"{pad}    while len(trail) > m{k}: del env[trail.pop()]"
+        if isinstance(p, SideCondition):
             name = value(p.builtin)
+            passed, answers, binds = [], [], []
+            seen: set = set()
+            for n, a in enumerate(p.args):
+                u = f"u{k}_{n}"
+                answers.append(u)
+                names = term_vars(a)
+                if a.ground or not bound.intersection(names):
+                    # No variable of ``a`` is bound yet: ``a`` is its own value.
+                    x = value(a)
+                else:
+                    x = f"r{k}_{n}"
+                    body.append(f"{pad}{x} = resolve({value(a)}, env)")
+                passed.append(x)
+                if type(a) is Var and a.id not in bound and a.id not in seen:
+                    v = value(a.id)
+                    binds += [
+                        f"if {u}.ground and {v} not in env:",
+                        f"    env[{v}] = {u}",
+                        f"    trail.append({v})",
+                        f"elif {u} is not {x} and not bind({x}, {u}, env, trail): continue",
+                    ]
+                else:
+                    binds.append(f"if {u} is not {x} and not bind({x}, {u}, env, trail): continue")
+                seen.update(names)
             body += [
-                f"{pad}fn = REGISTRY.get({name})",
-                f"{pad}if fn is None: raise UnknownBuiltinError({name})",
                 f"{pad}m{k} = len(trail)",
-                f"{pad}for a{k} in list(fn(({args}), ctx)):",
-                f"{pad}    for v, t in a{k}.bindings.items():",
-                f"{pad}        if v not in env:",
-                f"{pad}            env[v] = t",
-                f"{pad}            trail.append(v)",
+                f"{pad}for {''.join(u + ', ' for u in answers)}in builtin_answers("
+                f"{name}, ({''.join(x + ', ' for x in passed)}), ctx):",
+                undo,
             ]
-            closers.append(f"{pad}    while len(trail) > m{k}: del env[trail.pop()]")
+            body += [f"{pad}    {line}" for line in binds]
             pad += "    "
             continue
         parts, known = [], []
@@ -304,15 +329,14 @@ def program_source(clause: RuleClause) -> tuple:
         if known:
             key += f" if {' and '.join(known)} else None"
         body += [
-            f"{pad}found = [(i, renamed(i, source)) for i in lookup({value(mode)}, {key})]",
             f"{pad}m{k} = len(trail)",
-            f"{pad}for i{k}, t{k} in found:",
-            f"{pad}    if {value(compile_matcher(p.pattern, bound))}(t{k}, env, trail)"
-            f" if t{k}.ground else bind({value(p.pattern)}, t{k}, env, trail):",
+            f"{pad}for i{k}, t{k} in candidates(lookup({value(mode)}, {key}), renamed, source):",
+            undo,
+            f"{pad}    if not ({value(compile_matcher(p.pattern, bound))}(t{k}, env, trail)"
+            f" if t{k}.ground else bind({value(p.pattern)}, t{k}, env, trail)): continue",
         ]
-        closers.append(f"{pad}    while len(trail) > m{k}: del env[trail.pop()]")
         slots[p.slot] = f"i{k}"
-        pad += "        "
+        pad += "    "
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     transform = value(clause.transform)
     body += [
@@ -321,9 +345,13 @@ def program_source(clause: RuleClause) -> tuple:
         f"{pad}if {transform} is not None: out = {transform}(out, source)",
         f"{pad}firings.append(({value(clause)}, out, ({antecedents})))",
     ]
-    body += reversed(closers)
     params = ["t0", "index", "firings", "lookup", "renamed", "source", "ctx", "table"]
     return _wrap("program", params, body, values), values
+
+
+def candidates(indices, renamed, source) -> list:
+    """(index, item renamed from ``source``) for each of ``indices``."""
+    return [(i, renamed(i, source)) for i in indices]
 
 
 @dataclass(frozen=True)
@@ -409,13 +437,32 @@ class EvalContext:
     source: VarSource
 
 
-def _yield_unify(args, candidates):
-    """Substitutions unifying the arg tuple with each candidate tuple."""
-    probe = mklist(args)
-    for cand in candidates:
-        s = unify(probe, mklist(cand))
+def builtin_answers(builtin: str, args: tuple, ctx) -> list:
+    """Every answer of the side condition ``builtin`` on ``args``, each
+    checked to hold one term per argument."""
+    fn = REGISTRY.get(builtin)
+    if fn is None:
+        raise UnknownBuiltinError(builtin)
+    answers = list(fn(args, ctx))
+    for answer in answers:
+        if len(answer) != len(args):
+            raise SideConditionError(
+                f"{builtin} answered {len(answer)} terms for {len(args)} arguments"
+            )
+    return answers
+
+
+def answer_substitutions(args: tuple, answers) -> list:
+    """The answers that unify with ``args``, each as the substitution
+    that does: the most general unifier of ``p(args)`` and
+    ``p(answer)``."""
+    probe = Compound("p", args)
+    out = []
+    for answer in answers:
+        s = unify(probe, Compound("p", tuple(answer)))
         if s is not None:
-            yield s
+            out.append(s)
+    return out
 
 
 def _need_cf(ctx, name):
@@ -442,45 +489,39 @@ def _eval_word_at(args, ctx):
     i = _int_of(pos)
     if i is not None:
         if 1 <= i <= len(tokens):
-            yield from _yield_unify(args, [(pos, Const(tokens[i - 1]))])
+            yield (pos, Const(tokens[i - 1]))
         return
-    yield from _yield_unify(
-        args, [(Const(i + 1), Const(tok)) for i, tok in enumerate(tokens)]
-    )
+    for i, tok in enumerate(tokens):
+        yield (Const(i + 1), Const(tok))
 
 
 def _eval_production(args, ctx):
     g = _need_cf(ctx, "production")
-    probe = Compound("p", args)
     lhs = args[0]
     for pair in g.production_terms:
         if not pair.ground:
             pair = rename_with(pair, {}, ctx.source)
         elif lhs.ground and pair.args[0] != lhs:
             continue
-        s = unify(probe, pair)
-        if s is not None:
-            yield s
+        yield pair.args
 
 
 def _eval_lex(args, ctx):
     g = _need_cf(ctx, "lex")
     word = args[0]
-    yield from _yield_unify(args, [
-        (Const(w), p if p.ground else rename_with(p, {}, ctx.source))
-        for w, p in g.lexicon
-        if type(word) is not Const or word.name == w
-    ])
+    for w, p in g.lexicon:
+        if type(word) is not Const or word.name == w:
+            yield (Const(w), p if p.ground else rename_with(p, {}, ctx.source))
 
 
 def _eval_succ(args, ctx):
     a, b = args
     i, j = _int_of(a), _int_of(b)
     if i is not None:
-        yield from _yield_unify(args, [(a, Const(i + 1))])
+        yield (a, Const(i + 1))
     elif j is not None:
         if j >= 1:
-            yield from _yield_unify(args, [(Const(j - 1), b)])
+            yield (Const(j - 1), b)
     else:
         raise SideConditionError("succ needs one bound integer")
 
@@ -498,7 +539,7 @@ def _eval_index_union(args, ctx):
         merged = a
     else:
         return  # both defined and different: undefined, the clause fails
-    yield from _yield_unify(args, [(a, b, merged)])
+    yield (a, b, merged)
 
 
 def _decode_node(t: Term):
@@ -536,7 +577,6 @@ def _eval_adjoinable(args, ctx):
     if isinstance(aux_arg, Const):
         auxes = [t for t in auxes if t.name == aux_arg.name]
     decoded = _decode_node(node_arg)
-    candidates = []
     for aux in auxes:
         want = aux.root_label
         if decoded is not None:
@@ -546,13 +586,12 @@ def _eval_adjoinable(args, ctx):
             except KeyError:
                 continue
             if tree.has_node(addr) and tree.label(addr) == want:
-                candidates.append((node_arg, Const(aux.name)))
+                yield (node_arg, Const(aux.name))
             continue
         for tree in g.trees:
             for addr in tree.addresses():
                 if tree.label(addr) == want:
-                    candidates.append((node_ref(tree.name, addr), Const(aux.name)))
-    yield from _yield_unify(args, candidates)
+                    yield (node_ref(tree.name, addr), Const(aux.name))
 
 
 def _eval_node_label(args, ctx):
@@ -566,14 +605,11 @@ def _eval_node_label(args, ctx):
         except KeyError:
             return
         if tree.has_node(addr):
-            yield from _yield_unify(args, [(node_arg, _label_term(tree.label(addr)))])
+            yield (node_arg, _label_term(tree.label(addr)))
         return
-    candidates = [
-        (node_ref(t.name, addr), _label_term(t.label(addr)))
-        for t in g.trees
-        for addr in t.addresses()
-    ]
-    yield from _yield_unify(args, candidates)
+    for t in g.trees:
+        for addr in t.addresses():
+            yield (node_ref(t.name, addr), _label_term(t.label(addr)))
 
 
 def _eval_child_undefined(args, ctx):
@@ -587,7 +623,7 @@ def _eval_child_undefined(args, ctx):
     except KeyError:
         return
     if not tree.has_node(addr):
-        yield Substitution({})
+        yield args
 
 
 def _eval_foot_of(args, ctx):
@@ -596,10 +632,9 @@ def _eval_foot_of(args, ctx):
     auxes = g.auxiliaries
     if isinstance(aux_arg, Const):
         auxes = [t for t in auxes if t.name == aux_arg.name]
-    yield from _yield_unify(
-        args,
-        [(Const(t.name), node_ref(t.name, t.foot)) for t in auxes if t.foot is not None],
-    )
+    for t in auxes:
+        if t.foot is not None:
+            yield (Const(t.name), node_ref(t.name, t.foot))
 
 
 def _eval_is_start(args, ctx):
@@ -612,7 +647,8 @@ def _eval_is_start(args, ctx):
         starts = [Const(g.start)]
     else:
         raise SideConditionError("is_start: unsupported grammar")
-    yield from _yield_unify(args, [(s,) for s in starts])
+    for s in starts:
+        yield (s,)
 
 
 def _eval_append(args, ctx):
@@ -620,7 +656,7 @@ def _eval_append(args, ctx):
     elems = unlist(xs)
     if elems is None:
         raise SideConditionError("append needs a proper list first argument")
-    yield from _yield_unify(args, [(xs, ys, mklist(elems, tail=ys))])
+    yield (xs, ys, mklist(elems, tail=ys))
 
 
 def _eval_split_stack(args, ctx):
@@ -628,10 +664,7 @@ def _eval_split_stack(args, ctx):
     elems = unlist(gamma)
     if elems is None:
         raise SideConditionError("split_stack needs a proper list first argument")
-    expected = mklist(list(reversed(elems)), tail=rest)
-    s = unify(alpha, expected)
-    if s is not None:
-        yield s
+    yield (gamma, mklist(list(reversed(elems)), tail=rest), rest)
 
 
 REGISTRY: dict = {
@@ -651,16 +684,23 @@ REGISTRY: dict = {
 
 
 def register_builtin(name: str, evaluator):
+    """Register ``evaluator(args, ctx)`` as the side condition ``name``.
+
+    It gets the condition's arguments, resolved, as a tuple of terms and
+    yields candidate answers: tuples of as many terms, one per argument.
+    The caller unifies each answer with the arguments and keeps the ones
+    that unify, so an evaluator need not filter its candidates.  Fresh
+    variables come from ``ctx.source``."""
     REGISTRY[name] = evaluator
 
 
 def eval_side_condition(builtin: str, args, grammar, input_string, source=None):
-    """Evaluate one side condition to a list of substitutions."""
-    fn = REGISTRY.get(builtin)
-    if fn is None:
-        raise UnknownBuiltinError(builtin)
+    """Evaluate one side condition to a list of substitutions: one per
+    answer of the builtin that unifies with ``args``, binding the
+    variables of ``args`` (``answer_substitutions``)."""
     ctx = EvalContext(grammar, input_string, source or space_source("side_conditions"))
-    return list(fn(tuple(args), ctx))
+    args = tuple(args)
+    return answer_substitutions(args, builtin_answers(builtin, args, ctx))
 
 
 # ---- the six systems ----

@@ -84,12 +84,18 @@ class Compound(Term):
         if type(other) is not Compound or self.ground is not other.ground:
             return False
         if self.ground:
-            # Only terms of equal hashes are compared below the root.
-            return (
-                self._hash == other._hash
-                and self.functor == other.functor
-                and self.args == other.args
-            )
+            # Only terms of equal hashes are compared below the root, by
+            # the C-level tuple comparison, which recurses once per level;
+            # a pair too deep for it is compared again on an explicit
+            # stack.
+            try:
+                return (
+                    self._hash == other._hash
+                    and self.functor == other.functor
+                    and self.args == other.args
+                )
+            except RecursionError:
+                return _ground_equal(self, other)
         # A non-ground pair keeps the argument lists still to compare in
         # ``pending``, so comparing deep terms never recurses.
         pending = [(self, other)]
@@ -113,6 +119,27 @@ class Compound(Term):
         if h is None:
             h = self._hash = hash(("f", self.functor, self.args))
         return h
+
+
+def _ground_equal(x: Compound, y: Compound) -> bool:
+    """``x == y`` for two ground compounds, walked on an explicit stack:
+    no call made here compares two compounds, so it works at any depth,
+    also when the Python stack is nearly used up."""
+    pending = [(x, y)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Compound:
+            if a._hash != b._hash or a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            pending.extend(zip(a.args, b.args))
+        elif a.name != b.name:
+            return False
+    return True
 
 
 NIL = Const("[]")
@@ -736,9 +763,18 @@ def _is_var_name(name: str) -> bool:
 
 
 class _TermParser:
-    def __init__(self, tokens: list[tuple[str, str]]):
+    def __init__(self, tokens: list[tuple[str, str]], symbols: "dict | None" = None):
         self.tokens = tokens
         self.pos = 0
+        # name -> the one Const of that name; a caller that passes its own
+        # dict to several parsers shares the constants among them.
+        self.symbols = {} if symbols is None else symbols
+
+    def const(self, name) -> Const:
+        c = self.symbols.get(name)
+        if c is None:
+            c = self.symbols[name] = Const(name)
+        return c
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -764,9 +800,9 @@ class _TermParser:
         while True:
             kind, val = self.take()
             if kind == "int":
-                t = Const(int(val))
+                t = self.const(int(val))
             elif kind == "quoted":
-                t = Const(val)
+                t = self.const(val)
             elif kind != "name":
                 raise TermSyntaxError(f"expected a {'symbol' if symbol else 'term'}, got {val!r}")
             elif self.peek() == ("punct", "("):
@@ -779,7 +815,7 @@ class _TermParser:
             elif _is_var_name(val) and not symbol:
                 t = Var(val)
             else:
-                t = Const(val)
+                t = self.const(val)
             symbol = False
             while open_:
                 name, args = open_[-1]

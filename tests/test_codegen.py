@@ -16,7 +16,9 @@ from deduce.systems import (
     ItemPremise,
     Rule,
     SideCondition,
+    SideConditionError,
     UnknownBuiltinError,
+    eval_side_condition,
     make_earley,
     make_tag,
     program_source,
@@ -62,6 +64,8 @@ def reference_firings(clause, store, index, ctx, envs=None) -> list:
     (rule, slot, consequent, antecedent indices), by interpreting the
     clause: the premises run left to right, depth first, through
     ``bind``, ``resolve`` and ``undo`` on one environment with a trail.
+    A side condition's answer is bound as one term, ``p(answer)``,
+    against ``p(arguments)``.
     The trigger and each lookup's candidates are renamed from
     ``ctx.source`` before they are bound, and a non-ground consequent
     after it is built, in the order the engine draws them.  When
@@ -91,12 +95,12 @@ def reference_firings(clause, store, index, ctx, envs=None) -> list:
             fn = REGISTRY.get(p.builtin)
             if fn is None:
                 raise UnknownBuiltinError(p.builtin)
-            for answer in list(fn(tuple(resolve(a, env) for a in p.args), ctx)):
-                for v, t in answer.bindings.items():
-                    if v not in env:
-                        env[v] = t
-                        trail.append(v)
-                walk(k + 1, antes)
+            args = tuple(resolve(a, env) for a in p.args)
+            for answer in list(fn(args, ctx)):
+                if len(answer) != len(args):
+                    raise SideConditionError(p.builtin)
+                if bind(Compound("p", args), Compound("p", tuple(answer)), env, trail):
+                    walk(k + 1, antes)
                 undo(env, trail, mark)
             return
         if envs is not None:
@@ -218,7 +222,7 @@ def test_generated_programs_agree_with_bind_and_resolve(replayed):
             for item in items:
                 _agree(trig, (), item, {})
             for k, bound in enumerate(clause.bound):
-                if bound is None:
+                if not isinstance(premises[k], ItemPremise):
                     continue
                 envs = seen_envs.get((clause, k), []) + _envs(clause, k, items)
                 for env in envs:
@@ -228,8 +232,8 @@ def test_generated_programs_agree_with_bind_and_resolve(replayed):
                     tried.add((clause, k))
     for system, _, _ in runs:
         for clause in system.clauses:
-            for k, bound in enumerate(clause.bound):
-                assert bound is None or (clause, k) in tried, (clause.rule_name, k)
+            for k, p in enumerate(clause.compiled[1]):
+                assert not isinstance(p, ItemPremise) or (clause, k) in tried, (clause.rule_name, k)
 
 
 def _envs(clause, k, items, most=20):
@@ -363,7 +367,7 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
     f, g, h = HOSTILE[3], HOSTILE[0], HOSTILE[2]
     k1, k2 = Const(HOSTILE[1]), Const(HOSTILE[4])
     x, y = Var(HOSTILE[3]), Var("Y")
-    monkeypatch.setitem(REGISTRY, HOSTILE[4], lambda args, ctx: iter([terms.Substitution({})]))
+    monkeypatch.setitem(REGISTRY, HOSTILE[4], lambda args, ctx: iter([args]))
     rules = (
         Rule("step", [Compound(f, (x, k1)), SideCondition(HOSTILE[4], (x, k2))],
              Compound(g, (x, k2))),
@@ -386,11 +390,49 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
         sources = [matcher_source(trig, ())[0], builder_source(consequent)[0],
                    program_source(clause)[0]]
         sources += [matcher_source(p.pattern, clause.bound[k])[0]
-                    for k, p in enumerate(premises) if clause.bound[k] is not None]
+                    for k, p in enumerate(premises) if isinstance(p, ItemPremise)]
         for source in sources:
             assert not any(name in source for name in HOSTILE)
     for source in terms._MAKERS:
         assert not any(name in source for name in HOSTILE)
+
+
+def test_an_answer_of_the_wrong_length_names_its_builtin(monkeypatch):
+    # A builtin yields one term per argument; ``short`` yields one term
+    # for two arguments, and both the clause program and the oracles'
+    # adapter say which builtin did.
+    monkeypatch.setitem(REGISTRY, "short", lambda args, ctx: iter([args[:1]]))
+    x, y = Var("X"), Var("Y")
+    rule = Rule("step", [Compound("f", (x,)), SideCondition("short", (x, y))],
+                Compound("g", (y,)))
+    system = DeductionSystem("short", CfGrammar, (rule,),
+                             lambda grammar, w: [Compound("f", (Const("a"),))],
+                             lambda grammar, w: [])
+    grammar = CfGrammar((), (), (), frozenset())
+    with pytest.raises(SideConditionError, match="short answered 1 terms for 2 arguments"):
+        parse(system, grammar, tokenize("a"))
+    with pytest.raises(SideConditionError, match="short answered 1 terms for 2 arguments"):
+        eval_side_condition("short", (Const("a"), y), grammar, tokenize("a"))
+
+
+def test_an_earlier_answer_may_bind_a_later_argument(monkeypatch):
+    # ``echo`` puts its second argument, the unbound Y, inside its first
+    # answer term, so binding that term binds Y to c before the second
+    # position is reached; its ground answer must then agree with c
+    # rather than be stored over it.
+    c, d = Const("c"), Const("d")
+    monkeypatch.setitem(REGISTRY, "echo", lambda args, ctx: iter(
+        [(Compound("f", (args[1],)), d), (Compound("f", (args[1],)), c)]))
+    y = Var("Y")
+    rule = Rule("step", [Const("go"), SideCondition("echo", (Compound("f", (c,)), y))],
+                Compound("g", (y,)))
+    system = DeductionSystem("echo", CfGrammar, (rule,), lambda grammar, w: [Const("go")],
+                             lambda grammar, w: [])
+    grammar = CfGrammar((), (), (), frozenset())
+    r = parse(system, grammar, tokenize("a"))
+    assert [s.item for s in r.store.items()] == [Const("go"), Compound("g", (c,))]
+    [s] = eval_side_condition("echo", (Compound("f", (c,)), y), grammar, tokenize("a"))
+    assert s.apply(y) == c
 
 
 # ---- shared code ----
@@ -412,7 +454,7 @@ def test_clauses_of_one_shape_share_code():
         trig, premises, _ = c.compiled
         pieces.append(compile_matcher(trig))
         pieces += [compile_matcher(p.pattern, b) for p, b in zip(premises, c.bound)
-                   if b is not None]
+                   if isinstance(p, ItemPremise)]
     assert len(pieces) == 78
     assert len({p.__code__ for p in pieces}) == 30
     # Whole clauses: backward application and forward composition look
@@ -422,7 +464,11 @@ def test_clauses_of_one_shape_share_code():
     assert apply_.program() is not compose.program()
     assert apply_.program().__code__ is compose.program().__code__
     assert len(clauses) == 29
-    assert len({c.program().__code__ for c in clauses}) == 16
+    # A side condition's code depends on which argument variables are
+    # bound before it: top-down scan (word bound by the trigger) and
+    # bottom-up shift (word unbound) share no program, nor do top-down
+    # predict and bottom-up reduce.
+    assert len({c.program().__code__ for c in clauses}) == 18
 
 
 def test_a_system_variant_generates_no_new_code():

@@ -339,6 +339,15 @@ def test_every_derived_item_is_its_parse_s_interned_object(ambiguous_grammar, sy
     assert all(s.histories[0] == History(INITIAL, ()) for s in items if id(s.item) not in held)
 
 
+def test_no_two_interned_terms_are_equal(ambiguous_grammar):
+    # The grammar loader makes one constant per symbol, so equal
+    # consequents are built from the same argument objects and the table
+    # holds each ground term once.
+    r = parse(make_earley(), ambiguous_grammar, tokenize(" ".join(["a"] * 20)))
+    values = list(r.store.interned.values())
+    assert len(values) == len(set(values)) == 485
+
+
 def test_a_parse_s_intern_table_dies_with_its_store(ambiguous_grammar):
     # Two parses of one sentence share no table and no interned term,
     # no module of the package holds a table or its terms, and once the

@@ -418,6 +418,33 @@ def test_deep_ground_terms_hash_and_compare_without_recursing():
     assert hash(Compound("f", (a, Var("X")))) == hash(Compound("f", (a, Var("X"))))
 
 
+@pytest.mark.parametrize("depth", [500, 3_000, 20_000])
+def test_equal_deep_ground_terms_compare_without_recursion_error(depth):
+    # Two separately built chains share no subterm, so ``==`` must go
+    # all the way down; past the Python stack it walks its own.
+    def chain(base):
+        out = Const(base)
+        for _ in range(depth):
+            out = Compound("s", (out,))
+        return out
+
+    a, b = chain(0), chain(0)
+    assert a is not b and a == b and not a != b
+    assert {a: "a"}[b] == "a"
+    c = chain(1)
+    assert a != c and not a == c
+    # Chains that differ only at the bottom but collide in every hash
+    # above it are told apart below the root.
+    d = chain(2)
+    x, y = c, d
+    while type(x) is Compound:
+        y._hash = x._hash
+        x, y = x.args[0], y.args[0]
+    assert c != d and not c == d
+    assert Compound("f", (a, Var("X"))) == Compound("f", (b, Var("X")))
+    assert Compound("f", (c, Var("X"))) != Compound("f", (d, Var("X")))
+
+
 # ---- deep terms: no recursion on nesting depth ----
 
 def _deep_chain(n, base):
