@@ -140,21 +140,22 @@ class RuleClause:
         argument paths whose symbol is known when it runs (constants,
         compounds, and variables of the trigger or of an earlier premise),
         or None for a side condition or a bare-variable pattern.
-        ``bound`` holds, per premise, the ids in ``compiled`` of the
-        variables bound before it runs.  At the end of the walk every
-        consequent variable must be bound."""
+        ``bound`` holds, per chart premise, the ids in ``compiled`` of the
+        variables bound before it, or None for a side condition.  At the
+        end of the walk every consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
         modes, bound_before = [], []
         for p in self.premises:
-            bound_before.append(frozenset(bound))
             if isinstance(p, SideCondition):
                 modes.append(None)
+                bound_before.append(None)
                 for a in p.args:
                     bound.update(term_vars(a))
             else:
                 symbol = principal(p.pattern)
                 paths = tuple(_known_paths(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
+                bound_before.append(frozenset(bound))
                 bound.update(term_vars(p.pattern))
         free = [v for v in term_vars(self.consequent) if v not in bound]
         if free:
@@ -165,7 +166,7 @@ class RuleClause:
         mapping: dict = {}
         object.__setattr__(self, "compiled", self.instantiate(space_source("clause"), mapping))
         object.__setattr__(self, "bound", tuple(
-            frozenset(mapping[v].id for v in b) for b in bound_before
+            None if b is None else frozenset(mapping[v].id for v in b) for b in bound_before
         ))
 
     def program(self):
@@ -233,13 +234,9 @@ def program_source(clause: RuleClause) -> tuple:
       each call, on its resolved arguments.  Each answer is a tuple of
       terms, one per argument, that the program binds to the arguments
       position by position on its own trail: a position whose answer
-      term is the very argument passed in is skipped; a variable that
-      the mode analysis found unbound, at its first occurrence in the
-      arguments, takes a ground answer by a plain store (unless an
-      earlier position has bound it after all, through a term the
-      builtin handed back); every other position goes through ``bind``,
-      occurs check included.  An answer of the wrong length raises
-      ``SideConditionError``;
+      term is the very argument passed in is skipped, and every other
+      goes through ``bind``, occurs check included.  An answer of the
+      wrong length raises ``SideConditionError``;
     - a chart lookup reads the symbols at its mode's paths straight from
       ``env`` (a constant or compound of the pattern gives its symbol
       when the source is generated), hands the key to ``lookup`` and
@@ -278,29 +275,16 @@ def program_source(clause: RuleClause) -> tuple:
         if isinstance(p, SideCondition):
             name = value(p.builtin)
             passed, answers, binds = [], [], []
-            seen: set = set()
             for n, a in enumerate(p.args):
                 u = f"u{k}_{n}"
                 answers.append(u)
-                names = term_vars(a)
-                if a.ground or not bound.intersection(names):
-                    # No variable of ``a`` is bound yet: ``a`` is its own value.
+                if a.ground:
                     x = value(a)
                 else:
                     x = f"r{k}_{n}"
                     body.append(f"{pad}{x} = resolve({value(a)}, env)")
                 passed.append(x)
-                if type(a) is Var and a.id not in bound and a.id not in seen:
-                    v = value(a.id)
-                    binds += [
-                        f"if {u}.ground and {v} not in env:",
-                        f"    env[{v}] = {u}",
-                        f"    trail.append({v})",
-                        f"elif {u} is not {x} and not bind({x}, {u}, env, trail): continue",
-                    ]
-                else:
-                    binds.append(f"if {u} is not {x} and not bind({x}, {u}, env, trail): continue")
-                seen.update(names)
+                binds.append(f"if {u} is not {x} and not bind({x}, {u}, env, trail): continue")
             body += [
                 f"{pad}m{k} = len(trail)",
                 f"{pad}for {''.join(u + ', ' for u in answers)}in builtin_answers("

@@ -222,7 +222,7 @@ def test_generated_programs_agree_with_bind_and_resolve(replayed):
             for item in items:
                 _agree(trig, (), item, {})
             for k, bound in enumerate(clause.bound):
-                if not isinstance(premises[k], ItemPremise):
+                if bound is None:
                     continue
                 envs = seen_envs.get((clause, k), []) + _envs(clause, k, items)
                 for env in envs:
@@ -232,8 +232,8 @@ def test_generated_programs_agree_with_bind_and_resolve(replayed):
                     tried.add((clause, k))
     for system, _, _ in runs:
         for clause in system.clauses:
-            for k, p in enumerate(clause.compiled[1]):
-                assert not isinstance(p, ItemPremise) or (clause, k) in tried, (clause.rule_name, k)
+            for k, bound in enumerate(clause.bound):
+                assert bound is None or (clause, k) in tried, (clause.rule_name, k)
 
 
 def _envs(clause, k, items, most=20):
@@ -390,7 +390,7 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
         sources = [matcher_source(trig, ())[0], builder_source(consequent)[0],
                    program_source(clause)[0]]
         sources += [matcher_source(p.pattern, clause.bound[k])[0]
-                    for k, p in enumerate(premises) if isinstance(p, ItemPremise)]
+                    for k, p in enumerate(premises) if clause.bound[k] is not None]
         for source in sources:
             assert not any(name in source for name in HOSTILE)
     for source in terms._MAKERS:
@@ -418,8 +418,7 @@ def test_an_answer_of_the_wrong_length_names_its_builtin(monkeypatch):
 def test_an_earlier_answer_may_bind_a_later_argument(monkeypatch):
     # ``echo`` puts its second argument, the unbound Y, inside its first
     # answer term, so binding that term binds Y to c before the second
-    # position is reached; its ground answer must then agree with c
-    # rather than be stored over it.
+    # position is reached; its ground answer must then agree with c.
     c, d = Const("c"), Const("d")
     monkeypatch.setitem(REGISTRY, "echo", lambda args, ctx: iter(
         [(Compound("f", (args[1],)), d), (Compound("f", (args[1],)), c)]))
@@ -454,7 +453,7 @@ def test_clauses_of_one_shape_share_code():
         trig, premises, _ = c.compiled
         pieces.append(compile_matcher(trig))
         pieces += [compile_matcher(p.pattern, b) for p, b in zip(premises, c.bound)
-                   if isinstance(p, ItemPremise)]
+                   if b is not None]
     assert len(pieces) == 78
     assert len({p.__code__ for p in pieces}) == 30
     # Whole clauses: backward application and forward composition look
@@ -464,11 +463,7 @@ def test_clauses_of_one_shape_share_code():
     assert apply_.program() is not compose.program()
     assert apply_.program().__code__ is compose.program().__code__
     assert len(clauses) == 29
-    # A side condition's code depends on which argument variables are
-    # bound before it: top-down scan (word bound by the trigger) and
-    # bottom-up shift (word unbound) share no program, nor do top-down
-    # predict and bottom-up reduce.
-    assert len({c.program().__code__ for c in clauses}) == 18
+    assert len({c.program().__code__ for c in clauses}) == 16
 
 
 def test_a_system_variant_generates_no_new_code():
