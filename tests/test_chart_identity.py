@@ -3,15 +3,21 @@
 ``tests/data/chart_digests.txt`` holds one line per case: its name and
 the SHA-256 of its ``dump()`` (``_G`` numbers included), its pop,
 enqueue and duplicate counts, its verdict and every ``extract(limit=16)``
-rendering.  A change that should leave the engine's work as it is keeps
-every digest.  One that changes a chart on purpose regenerates the file,
-and says why, with
+rendering.  ``tests/data/run_records.txt`` holds, for the same cases and
+one parse halted by its step limit, the run record: the pop, enqueue and
+duplicate counts, whether the limit halted it, and the SHA-256 of its
+whole ``--trace rules`` text.  A change that should leave the engine's
+work as it is keeps every line of both.  One that changes a chart or a
+run on purpose regenerates the files, and says why, with
 
     PYTHONPATH=src python tests/test_chart_identity.py > tests/data/chart_digests.txt
+    PYTHONPATH=src python tests/test_chart_identity.py records > tests/data/run_records.txt
 """
 
 import hashlib
+import io
 import pathlib
+import sys
 
 import pytest
 
@@ -22,6 +28,7 @@ from deduce.systems import system_for
 
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = DATA / "chart_digests.txt"
+RECORDS = DATA / "run_records.txt"
 
 _LOADERS = {".cf": load_cf, ".dcg": load_cf, ".ccg": load_ccg, ".tag": load_tag}
 _GRAMMARS: dict = {}
@@ -35,16 +42,19 @@ def _grammar(name: str):
     return g
 
 
-def _cases() -> list:
+def _case(system, kwargs, grammar, sentence, limit=ParseOptions().step_limit) -> tuple:
     """(name, system name, its builder's arguments, grammar file,
     sentence, step limit)."""
-    default = ParseOptions().step_limit
+    label = "/".join([system, *map(str, kwargs.values())])
+    return (f"{label}:{grammar}:{sentence or '-'}:{limit}", system, kwargs, grammar, sentence,
+            limit)
+
+
+def _cases() -> list:
     out = []
 
-    def add(system, kwargs, grammar, sentence, limit=default):
-        label = "/".join([system, *map(str, kwargs.values())])
-        out.append((f"{label}:{grammar}:{sentence or '-'}:{limit}", system, kwargs, grammar,
-                    sentence, limit))
+    def add(*case):
+        out.append(_case(*case))
 
     for n in range(1, 11):
         for system in ("earley", "cyk", "bottomup"):
@@ -77,6 +87,8 @@ def _cases() -> list:
 
 
 CASES = _cases()
+# The run record also pins a parse that its step limit halts.
+RECORD_CASES = CASES + [_case("earley", {}, "ambiguous.cf", "a a a a a a", 20)]
 
 
 def run_case(system, kwargs, grammar, sentence, limit):
@@ -94,13 +106,29 @@ def digest(result) -> str:
     return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
 
 
-def _golden() -> dict:
-    lines = DIGESTS.read_text(encoding="utf-8").splitlines()
-    return dict(line.split("\t") for line in lines)
+def run_record(system, kwargs, grammar, sentence, limit) -> str:
+    """The counts of a ``--trace rules`` run and the SHA-256 of its
+    trace text."""
+    out = io.StringIO()
+    r = parse(system_for(system, **kwargs), _grammar(grammar), tokenize(sentence),
+              ParseOptions(step_limit=limit, trace="rules"), trace_out=out)
+    trace = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return (f"pops {r.pops} enqueues {r.enqueues} duplicates {r.duplicates}"
+            f" halted {r.halted_by_limit}\t{trace}")
+
+
+def _golden(path=DIGESTS) -> dict:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("\t", 1) for line in lines)
 
 
 def test_the_digest_file_lists_every_case():
     assert list(_golden()) == [name for name, *_ in CASES]
+
+
+def test_the_run_record_file_lists_every_case():
+    assert list(_golden(RECORDS)) == [name for name, *_ in RECORD_CASES]
+    assert "halted True" in _golden(RECORDS)[RECORD_CASES[-1][0]]
 
 
 @pytest.mark.parametrize("name, system, kwargs, grammar, sentence, limit", CASES,
@@ -111,6 +139,16 @@ def test_a_fixture_parse_keeps_its_digest(name, system, kwargs, grammar, sentenc
     assert digest(r) == _golden()[name]
 
 
+@pytest.mark.parametrize("name, system, kwargs, grammar, sentence, limit", RECORD_CASES,
+                         ids=[case[0] for case in RECORD_CASES])
+def test_a_fixture_parse_keeps_its_run_record(name, system, kwargs, grammar, sentence, limit):
+    assert run_record(system, kwargs, grammar, sentence, limit) == _golden(RECORDS)[name]
+
+
 if __name__ == "__main__":
-    for name, *case in CASES:
-        print(f"{name}\t{digest(run_case(*case))}")
+    if sys.argv[1:] == ["records"]:
+        for name, *case in RECORD_CASES:
+            print(f"{name}\t{run_record(*case)}")
+    else:
+        for name, *case in CASES:
+            print(f"{name}\t{digest(run_case(*case))}")
