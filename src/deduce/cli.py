@@ -45,9 +45,17 @@ def grammar_class_for(path: str, explicit: "str | None") -> str:
 
 
 def load_grammar(path: str, klass: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return _LOADERS[klass](text)
+    """The grammar in the file at ``path``, read as UTF-8 text with its
+    line endings translated as text-mode ``open`` does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GrammarError(
+            f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    return _LOADERS[klass](text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def build_system(args):

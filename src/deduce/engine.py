@@ -1,10 +1,11 @@
 """Agenda-driven deduction: one procedure for every rule system.
 
-The engine seeds the store with axioms, then repeatedly pops an item,
-fires every clause whose trigger matches it against the chart built so
-far, and enqueues the consequents.  Duplicates collapse in the store;
-the goal check runs after the loop whether or not the step limit was
-hit, so a halted parse still reports any goals already derived.
+The engine seeds the store with axioms, then repeatedly pops an item
+and fires every clause whose trigger matches it against the chart built
+so far; each clause program enqueues its consequents as it makes them.
+Duplicates collapse in the store; the goal check runs after the loop
+whether or not the step limit was hit, so a halted parse still reports
+any goals already derived.
 """
 
 from __future__ import annotations
@@ -72,30 +73,45 @@ class ParseResult:
 
 
 def consequences(system, store, index, grammar, input_string, source):
-    """Every firing triggered by the item at ``index``.
+    """Every firing triggered by the item at ``index``, recorded nowhere.
 
     Yields (clause, consequent, antecedent indices), clause by clause in
-    the system's order.  The item is offered to every clause's generated
-    program (``RuleClause.program``), whose trigger match alone decides
-    whether the clause fires; a failed one draws no variable.  A program
-    runs the premises left to right, depth first, as nested loops over
-    one binding environment with a trail, binding into the clause's
-    compiled copy in place, so only a consequent is ever built, and a
-    ground one through the store's intern table (``compile_builder``).  A
-    premise draws all its choices (a side condition's answers, a
-    lookup's renamed candidates) before the program goes deeper, so a
-    consequent's renaming and transform draw their fresh variables from
-    ``source`` after theirs.  Chart lookups see all indices below the
-    agenda head, which includes the trigger itself, so a rule may pair
-    the trigger with its own chart entry.
+    the system's order.  It runs the programs that ``parse`` runs, each
+    handed a callable that collects its firings where ``parse`` hands
+    the store's ``enqueue``.  The item is offered to every clause's
+    generated program (``RuleClause.program``), whose trigger match
+    alone decides whether the clause fires; a failed one draws no
+    variable.  A program runs the premises left to right, depth first,
+    as nested loops over one binding environment with a trail, binding
+    into the clause's compiled copy in place, so only a consequent is
+    ever built, and a ground one through the store's intern table
+    (``compile_builder``).  A premise draws all its choices (a side
+    condition's answers, a lookup's renamed candidates) before the
+    program goes deeper, so a consequent's renaming and transform draw
+    their fresh variables from ``source`` after theirs.  Chart lookups
+    see all indices below the agenda head, which includes the trigger
+    itself, so a rule may pair the trigger with its own chart entry.
     """
     trigger_item = store.renamed(index, source)
     ctx = EvalContext(grammar, input_string, source)
-    lookup, renamed, table = store.lookup, store.renamed, store.interned
     firings: list = []
     for clause in system.clauses:
-        clause.program()(trigger_item, index, firings, lookup, renamed, source, ctx, table)
+        def collect(item, history, clause=clause):
+            firings.append((clause, item, history.antecedents))
+
+        clause.program()(trigger_item, index, collect, store.fetch, source, ctx, store.interned)
     yield from firings
+
+
+def _tracing(enqueue, render, out):
+    """``enqueue`` that also writes a FIRE line for each new item and a
+    DUP line for each duplicate, as ``--trace rules`` shows them."""
+    def traced(item, history):
+        index, added = enqueue(item, history)
+        print(f"{'FIRE' if added else 'DUP'} {index} {render(item)} {history.render()}", file=out)
+        return index, added
+
+    return traced
 
 
 def parse(
@@ -105,6 +121,13 @@ def parse(
     options: "ParseOptions | None" = None,
     trace_out=None,
 ) -> ParseResult:
+    """Run ``system`` over ``input_string`` to its closure or its step
+    limit.
+
+    Each pop renames the trigger and runs every clause program on it;
+    a program hands each firing to the store's ``enqueue`` as it makes
+    it, so the engine's loop runs once per pop, not once per firing.
+    """
     opts = options or ParseOptions()
     if not isinstance(grammar, system.grammar_class):
         raise EngineError(
@@ -123,39 +146,27 @@ def parse(
 
     store = ItemStore(system.modes)
     source = VarSource()
-    pops = enqueues = duplicates = 0
 
     for axiom in system.axioms(grammar, input_string):
-        idx, added = store.enqueue(axiom, History(INITIAL, ()), stage=0)
-        if added:
-            enqueues += 1
-            if rule_tracing:
-                print(f"FIRE {idx} {render(axiom)} {INITIAL}()", file=out)
-        else:
-            duplicates += 1
+        idx, added = store.enqueue(axiom, History(INITIAL, ()))
+        if added and rule_tracing:
+            print(f"FIRE {idx} {render(axiom)} {INITIAL}()", file=out)
 
-    while True:
-        if pops >= opts.step_limit:
-            break
+    enqueue = _tracing(store.enqueue, render, out) if rule_tracing else store.enqueue
+    fetch, table = store.fetch, store.interned
+    ctx = EvalContext(grammar, input_string, source)
+    programs = [clause.program() for clause in system.clauses]
+    pops = 0
+    while pops < opts.step_limit:
         index = store.pop()
         if index is None:
             break
         pops += 1
         if tracing:
             print(f"POP {index} {render(store.get(index).item)}", file=out)
-        for clause, consequent, antecedents in consequences(
-            system, store, index, grammar, input_string, source
-        ):
-            history = History(clause.rule_name, antecedents)
-            new_index, added = store.enqueue(consequent, history, stage=pops)
-            if added:
-                enqueues += 1
-                if rule_tracing:
-                    print(f"FIRE {new_index} {render(consequent)} {history.render()}", file=out)
-            else:
-                duplicates += 1
-                if rule_tracing:
-                    print(f"DUP {new_index} {render(consequent)} {history.render()}", file=out)
+        trigger_item = store.renamed(index, source)
+        for program in programs:
+            program(trigger_item, index, enqueue, fetch, source, ctx, table)
 
     halted = store.agenda_size > 0
     goal_indices = store.goal_items(system.goal_patterns(grammar, input_string), source=source)
@@ -171,8 +182,8 @@ def parse(
         accepted=bool(goal_indices),
         goal_indices=goal_indices,
         pops=pops,
-        enqueues=enqueues,
-        duplicates=duplicates,
+        enqueues=len(store),
+        duplicates=store.duplicates,
         halted_by_limit=halted,
     )
 

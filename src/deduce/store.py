@@ -22,7 +22,7 @@ functor that agree with it on the symbols of its top-level arguments.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .terms import (
     Compound,
@@ -40,14 +40,25 @@ from .terms import (
 INITIAL = "initial"
 
 
-@dataclass(frozen=True)
-class History:
+class History(tuple):
     """One justification: rule name plus antecedent store indices in
     rule order.  Axioms carry the reserved name ``initial`` and no
-    antecedents."""
+    antecedents.
 
-    rule_name: str
-    antecedents: tuple
+    A plain pair underneath, so it hashes and compares in C; the clause
+    programs build one as ``tuple.__new__(History, (name, indices))``,
+    which runs no Python code."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule_name: str, antecedents: tuple):
+        return tuple.__new__(cls, (rule_name, antecedents))
+
+    rule_name = property(itemgetter(0))
+    antecedents = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"History({self.rule_name!r}, {self.antecedents!r})"
 
     def render(self) -> str:
         inner = ";".join(str(i) for i in self.antecedents)
@@ -133,10 +144,12 @@ class ItemStore:
         # arguments: the candidates for subsuming a later item.
         self._nonground: dict = {}
         self._variable = None  # index of a stored bare variable
-        # The (item index, rule name, antecedents) of every justification
-        # recorded in the current stage.
-        self._stage = None
+        # The (item index, history) of every justification recorded
+        # since the last pop.
         self._justified: set = set()
+        # Enqueues that met a subsuming item: duplicate justifications,
+        # recorded or not.
+        self.duplicates = 0
         # The hash-consing table of the clause programs' consequent
         # builders (``compile_builder``): a consequent built again from
         # the same argument objects is the stored item itself, so its
@@ -172,11 +185,9 @@ class ItemStore:
     # ---- growth ----
 
     def _subsumer(self, item: Term):
-        """Index of the first stored item subsuming ``item``, or None."""
-        if item.ground:
-            exact = self._ground.get(item)
-            if exact is not None:
-                return exact
+        """Index of the first stored non-ground item subsuming ``item``,
+        or None.  ``enqueue`` has already looked a ground ``item`` up
+        among the ground items."""
         found = None
         nonground = self._nonground.get(principal(item))
         if nonground is not None:
@@ -191,31 +202,33 @@ class ItemStore:
             return self._variable
         return found
 
-    def enqueue(self, item: Term, history: History, stage: int = 0):
+    def enqueue(self, item: Term, history: History):
         """Add an item, or record ``history`` on the subsuming earlier
         item.  Returns (index, added).
 
-        A justification is recorded once per item, provided that it
-        repeats only within one ``stage``: the store remembers only the
-        current stage's justifications.  The engine's stage is the pop,
-        and a combination of antecedents fires only in the pop of its
-        highest index, since lookups see only indices below the agenda
-        head.
+        The clause programs call this once per firing, as it is made.
+        The new item's stage is the pop under way (``head - 1``; 0 for
+        the axioms).  A justification is recorded once per item,
+        provided that it repeats only within one pop: ``pop`` forgets
+        the previous pop's justifications.  A combination of antecedents
+        fires only in the pop of its highest index, since lookups see
+        only indices below the agenda head, so an item enqueued during
+        a pop is never a candidate in it.
         """
-        if stage != self._stage:
-            self._stage = stage
-            self._justified.clear()
-        winner = self._subsumer(item)
+        winner = self._ground.get(item) if item.ground else None
+        if winner is None:
+            winner = self._subsumer(item)
         if winner is not None:
-            key = (winner, history.rule_name, history.antecedents)
+            self.duplicates += 1
+            key = (winner, history)
             if key not in self._justified:
                 self._justified.add(key)
                 self._items[winner - 1].histories.append(history)
             return winner, False
         index = len(self._items) + 1
-        stored = StoredItem(index, item, stage, history)
+        stored = StoredItem(index, item, self._head - 1, history)
         self._items.append(stored)
-        self._justified.add((index, history.rule_name, history.antecedents))
+        self._justified.add((index, history))
         symbol = principal(item)
         if item.ground:
             self._ground[item] = index
@@ -235,11 +248,14 @@ class ItemStore:
         return index, True
 
     def pop(self):
-        """Next agenda index in FIFO order, or None when exhausted."""
+        """Next agenda index in FIFO order, or None when exhausted.  It
+        starts a new stage: the justifications recorded so far can no
+        longer repeat."""
         if self._head > len(self._items):
             return None
         index = self._head
         self._head += 1
+        self._justified.clear()
         return index
 
     # ---- retrieval ----
@@ -258,6 +274,13 @@ class ItemStore:
             return range(1, bound)
         hits = moded.candidates(key)
         return hits[:bisect_left(hits, bound)]
+
+    def fetch(self, mode, key, source: VarSource) -> list:
+        """(index, item renamed from ``source``) for each index that
+        ``lookup(mode, key)`` gives, drawn in that order: the clause
+        programs' chart premises."""
+        renamed = self.renamed
+        return [(i, renamed(i, source)) for i in self.lookup(mode, key)]
 
     def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
         """``lookup`` for ``pattern``: its key under ``mode``, one of the

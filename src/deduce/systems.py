@@ -40,7 +40,7 @@ from .grammar import (
     TagGrammar,
     validate_cnf,
 )
-from .store import INITIAL
+from .store import INITIAL, History
 # bind, resolve, rename_with, principal, Var and Const are also the
 # helpers the generated clause programs call (``program_source``).
 from .terms import (
@@ -171,16 +171,20 @@ class RuleClause:
 
     def program(self):
         """The clause's generated program, made on the first call:
-        ``program(t0, index, firings, lookup, renamed, source, ctx,
-        table)`` appends to ``firings`` each (clause, consequent,
-        antecedent indices) that the item ``t0``, stored at ``index``,
-        triggers.  ``lookup`` and ``renamed`` are the item store's
-        methods and ``table`` its intern table (``ItemStore.interned``),
-        which the consequent builder hash-conses ground terms in;
-        ``source`` and ``ctx`` are the parse's fresh variables and
-        side-condition context.  The program binds each answer tuple a
-        builtin yields to the condition's arguments itself, on its own
-        trail (``program_source``)."""
+        ``program(t0, index, enqueue, fetch, source, ctx, table)`` calls
+        ``enqueue(consequent, History(rule name, antecedent indices))``
+        for each firing that the item ``t0``, stored at ``index``,
+        triggers, as the firing is made, and ignores what it returns.
+        The engine passes the item store's ``enqueue`` (or a tracing
+        wrapper of it), ``consequences`` a collecting callable.
+        ``fetch`` is the store's method that gives a lookup's candidates
+        renamed, and ``table`` its intern table
+        (``ItemStore.interned``), which the consequent builder
+        hash-conses ground terms in; ``source`` and ``ctx`` are the
+        parse's fresh variables and side-condition context.  The
+        program binds each answer tuple a builtin yields to the
+        condition's arguments itself, on its own trail
+        (``program_source``)."""
         program = self._program
         if program is None:
             program = _generate(*program_source(self), scope=globals())
@@ -239,9 +243,10 @@ def program_source(clause: RuleClause) -> tuple:
       wrong length raises ``SideConditionError``;
     - a chart lookup reads the symbols at its mode's paths straight from
       ``env`` (a constant or compound of the pattern gives its symbol
-      when the source is generated), hands the key to ``lookup`` and
-      renames the candidates it gets back before going deeper, so their
-      fresh variables are drawn before a deeper choice draws any.
+      when the source is generated) and hands the key to ``fetch``
+      (``ItemStore.fetch``), which renames the candidates before the
+      program goes deeper, so their fresh variables are drawn before a
+      deeper choice draws any.
 
     Each loop undoes the trail to its own mark before each choice, so a
     failed binding just moves on to the next.  The innermost body builds
@@ -249,11 +254,15 @@ def program_source(clause: RuleClause) -> tuple:
     intern table, which the program gets as an argument and never keeps,
     so a duplicate consequent is the stored item itself; it renames the
     consequent from ``source`` when it is not ground, so no stored item
-    keeps a clause variable, and runs the transform, if any.
+    keeps a clause variable, and runs the transform, if any.  It then
+    hands the consequent and its ``History`` to ``enqueue`` at once;
+    the history is built by ``tuple.__new__``, so no Python code runs
+    for it.
 
     The source depends only on the clause's shape: every constant,
-    variable id, pattern, mode, matcher and builder is a value, and the
-    helpers are globals of this module, looked up at each call.
+    variable id, rule name, pattern, mode, matcher and builder is a
+    value, and the helpers are globals of this module, looked up at each
+    call.
     """
     trigger, premises, consequent = clause.compiled
     values: list = []
@@ -314,7 +323,7 @@ def program_source(clause: RuleClause) -> tuple:
             key += f" if {' and '.join(known)} else None"
         body += [
             f"{pad}m{k} = len(trail)",
-            f"{pad}for i{k}, t{k} in candidates(lookup({value(mode)}, {key}), renamed, source):",
+            f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source):",
             undo,
             f"{pad}    if not ({value(compile_matcher(p.pattern, bound))}(t{k}, env, trail)"
             f" if t{k}.ground else bind({value(p.pattern)}, t{k}, env, trail)): continue",
@@ -327,15 +336,11 @@ def program_source(clause: RuleClause) -> tuple:
         f"{pad}out = {value(compile_builder(consequent))}(env, table)",
         f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
         f"{pad}if {transform} is not None: out = {transform}(out, source)",
-        f"{pad}firings.append(({value(clause)}, out, ({antecedents})))",
+        f"{pad}enqueue(out, {value(tuple.__new__)}({value(History)},"
+        f" ({value(clause.rule_name)}, ({antecedents}))))",
     ]
-    params = ["t0", "index", "firings", "lookup", "renamed", "source", "ctx", "table"]
+    params = ["t0", "index", "enqueue", "fetch", "source", "ctx", "table"]
     return _wrap("program", params, body, values), values
-
-
-def candidates(indices, renamed, source) -> list:
-    """(index, item renamed from ``source``) for each of ``indices``."""
-    return [(i, renamed(i, source)) for i in indices]
 
 
 @dataclass(frozen=True)

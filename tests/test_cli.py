@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, formats, stdin input."""
 
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -236,3 +239,27 @@ def test_a_negative_count_is_an_argparse_error(capsys, command, flag, grammar):
             "--sentence", "a b", flag, "-1")
     assert exc.value.code == 2
     assert f"error: argument {flag}: expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_a_grammar_file_that_is_not_utf8_is_a_grammar_error(tmp_path, capsys):
+    path = tmp_path / "bad.cf"
+    path.write_bytes(b"\xff\xfeS -> a\n")
+    code = run("parse", "--system", "earley", "--grammar", str(path), "--sentence", "a")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"grammar error: {path}: not UTF-8 text (byte 0xff at offset 0)\n")
+
+
+def test_python_dash_m_deduce_runs_the_cli():
+    # The package runs as ``python -m deduce`` where no console script
+    # is installed, with the CLI's exit codes.
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    codes = []
+    for sentence in ("a program halts", "halts a program", None):
+        argv = [sys.executable, "-m", "deduce", "parse", "--system", "earley",
+                "--grammar", TOY if sentence else "no/such.cf", "--sentence", sentence or "a"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        codes.append(done.returncode)
+    assert codes == [0, 1, 2]

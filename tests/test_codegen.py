@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deduce import engine, terms
+from deduce import terms
 from deduce.engine import check_soundness, parse
 from deduce.grammar import CfGrammar, tokenize
+from deduce.store import ItemStore
 from deduce.systems import (
     REGISTRY,
     SYSTEM_NAMES,
@@ -124,13 +125,16 @@ def reference_firings(clause, store, index, ctx, envs=None) -> list:
 
 
 def _program_firings(clause, store, index, ctx) -> list:
-    """What ``consequences`` gets from the clause's program, in the
+    """What the clause's program hands to ``enqueue``, collected in the
     reference's form."""
     firings = []
+
+    def collect(t, history):
+        firings.append((history.rule_name, clause.trigger_slot, t, history.antecedents))
+
     item = store.renamed(index, ctx.source)
-    clause.program()(item, index, firings, store.lookup, store.renamed, ctx.source, ctx,
-                     store.interned)
-    return [(c.rule_name, c.trigger_slot, t, antes) for c, t, antes in firings]
+    clause.program()(item, index, collect, store.fetch, ctx.source, ctx, store.interned)
+    return firings
 
 
 # ---- every clause of the built-in systems, on their fixture charts ----
@@ -160,17 +164,23 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
              trip_grammar, counting_grammar):
     """The fixture runs, parsed with every pop also replayed clause by
     clause through the program and the reference, each from its own
-    fresh-variable source starting at one id: (runs, results, the
-    counts of pops replayed and of firings compared and made, the
-    environments met per chart premise)."""
+    fresh-variable source starting at one id, as soon as ``ItemStore.pop``
+    hands the index out: (runs, results, the counts of pops replayed, of
+    firings compared and of firings the parse enqueued, the environments
+    met per chart premise)."""
     runs = _fixture_runs(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar,
                          ccg_lexicon, trip_grammar, counting_grammar)
-    plain = engine.consequences
+    plain_pop, plain_enqueue = ItemStore.pop, ItemStore.enqueue
     counts = {"pops": 0, "compared": 0, "made": 0}
     envs: dict = {}
+    run = []  # the (system, grammar, input) being parsed
 
-    def replaying(system, store, index, grammar, input_string, source):
+    def replaying_pop(store):
+        index = plain_pop(store)
+        if index is None:
+            return None
         counts["pops"] += 1
+        system, grammar, input_string = run[-1]
         for clause in system.clauses:
             ctx1 = EvalContext(grammar, input_string, VarSource(1_000_000))
             ctx2 = EvalContext(grammar, input_string, VarSource(1_000_000))
@@ -179,15 +189,20 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
             assert got == want, (clause.rule_name, clause.trigger_slot, index)
             assert ctx1.source.fresh() == ctx2.source.fresh()
             counts["compared"] += len(got)
-        for firing in plain(system, store, index, grammar, input_string, source):
-            counts["made"] += 1
-            yield firing
+        return index
+
+    def counting_enqueue(store, item, history):
+        # The axioms are all enqueued before the first pop.
+        counts["made"] += store.head > 1
+        return plain_enqueue(store, item, history)
 
     results = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "consequences", replaying)
+        mp.setattr(ItemStore, "pop", replaying_pop)
+        mp.setattr(ItemStore, "enqueue", counting_enqueue)
         for system, grammar, sentence in runs:
-            r = parse(system, grammar, tokenize(sentence))
+            run.append((system, grammar, tokenize(sentence)))
+            r = parse(*run[-1])
             assert r.accepted and not check_soundness(r)
             results.append(r)
     return runs, results, counts, envs

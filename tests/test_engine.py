@@ -31,7 +31,6 @@ from deduce.systems import (
     make_topdown,
     system_for,
 )
-from deduce import engine as engine_module
 from deduce.store import ItemStore
 from deduce.terms import NIL, VarSource, canonical, parse_term, term_vars
 
@@ -254,30 +253,36 @@ def _count_lookups(monkeypatch, rule_name) -> list:
     matched]; filled in as the engine runs.
 
     Candidates are counted where ``ItemStore.lookup`` hands them out.
-    Matches are counted in what the engine yields: every clause of
-    ``rule_name`` makes its one lookup as its last premise, so each
-    candidate that lookup matches is one firing of the rule.  No match
-    can be made without being counted, and since no lookup matches more
-    candidates than it hands out, a pop whose two totals are equal has
-    every lookup matching each candidate it hands out.
+    Matches are counted where the clause programs hand their firings to
+    ``ItemStore.enqueue``: every clause of ``rule_name`` makes its one
+    lookup as its last premise, so each candidate that lookup matches
+    is one firing of the rule.  No match can be made without being
+    counted, and since no lookup matches more candidates than it hands
+    out, a pop whose two totals are equal has every lookup matching
+    each candidate it hands out.
     """
     pops = []
-    plain_lookup = ItemStore.lookup
-    plain_consequences = engine_module.consequences
+    plain_lookup, plain_enqueue, plain_pop = ItemStore.lookup, ItemStore.enqueue, ItemStore.pop
 
     def counting_lookup(self, mode, key, below=None):
         out = plain_lookup(self, mode, key, below)
         pops[-1][0].append(len(out))
         return out
 
-    def counting_consequences(*args):
-        pops.append([[], 0])
-        for firing in plain_consequences(*args):
-            pops[-1][1] += firing[0].rule_name == rule_name
-            yield firing
+    def counting_enqueue(self, item, history):
+        if pops:
+            pops[-1][1] += history.rule_name == rule_name
+        return plain_enqueue(self, item, history)
+
+    def counting_pop(self):
+        index = plain_pop(self)
+        if index is not None:
+            pops.append([[], 0])
+        return index
 
     monkeypatch.setattr(ItemStore, "lookup", counting_lookup)
-    monkeypatch.setattr(engine_module, "consequences", counting_consequences)
+    monkeypatch.setattr(ItemStore, "enqueue", counting_enqueue)
+    monkeypatch.setattr(ItemStore, "pop", counting_pop)
     return pops
 
 

@@ -92,13 +92,49 @@ def test_a_repeated_history_in_one_stage_is_recorded_once():
     # the same justification on another item is that item's own.
     s = ItemStore()
     s.enqueue(t("i(1)"), h(INITIAL))
-    assert s.enqueue(t("i(2)"), h("pair", 1, 1), stage=3) == (2, True)
-    assert s.enqueue(t("i(2)"), h("pair", 1, 1), stage=3) == (2, False)
-    s.enqueue(t("i(1)"), h("pair", 1, 1), stage=3)
-    s.enqueue(t("i(3)"), h("pair", 1, 2), stage=3)
-    s.enqueue(t("i(1)"), h("pair", 1, 1), stage=3)
+    assert s.pop() == 1
+    assert s.enqueue(t("i(2)"), h("pair", 1, 1)) == (2, True)
+    assert s.enqueue(t("i(2)"), h("pair", 1, 1)) == (2, False)
+    s.enqueue(t("i(1)"), h("pair", 1, 1))
+    s.enqueue(t("i(3)"), h("pair", 1, 2))
+    s.enqueue(t("i(1)"), h("pair", 1, 1))
     assert [x.render() for x in s.get(1).histories] == ["initial()", "pair(1;1)"]
     assert [x.render() for x in s.get(2).histories] == ["pair(1;1)"]
+    assert [s.get(i).stage for i in (1, 2, 3)] == [0, 1, 1]
+    assert s.duplicates == 3
+
+
+def test_a_justification_is_forgotten_at_the_next_pop():
+    # Within one pop a repeat is recorded once; after the next pop the
+    # store no longer remembers it, so it is recorded again.
+    s = ItemStore()
+    s.enqueue(t("i(1)"), h(INITIAL))
+    s.enqueue(t("i(2)"), h(INITIAL))
+    s.pop()
+    s.enqueue(t("i(2)"), h("scan", 1))
+    s.enqueue(t("i(2)"), h("scan", 1))
+    assert [x.render() for x in s.get(2).histories] == ["initial()", "scan(1)"]
+    s.pop()
+    s.enqueue(t("i(2)"), h("scan", 1))
+    s.enqueue(t("i(2)"), h("scan", 1))
+    assert [x.render() for x in s.get(2).histories] == ["initial()", "scan(1)", "scan(1)"]
+    assert s.duplicates == 4
+
+
+def test_a_history_is_an_immutable_pair():
+    x = History("complete", (3, 4))
+    assert (x.rule_name, x.antecedents) == ("complete", (3, 4))
+    assert x.render() == "complete(3;4)"
+    assert History(INITIAL, ()).render() == "initial()"
+    assert x == History("complete", (3, 4)) and hash(x) == hash(History("complete", (3, 4)))
+    assert x != History("complete", (4, 3)) and x != History("predict", (3, 4))
+    assert repr(x) == "History('complete', (3, 4))"
+    # Built as the clause programs build it, with no Python-level code.
+    assert tuple.__new__(History, ("complete", (3, 4))) == x
+    with pytest.raises(AttributeError):
+        x.rule_name = "scan"
+    with pytest.raises(AttributeError):
+        x.note = "extra"
 
 
 def test_every_distinct_justification_is_kept():
@@ -182,7 +218,8 @@ def test_goal_items_ignore_the_agenda_suffix():
 def test_dump_is_tab_separated_with_all_histories():
     s = ItemStore()
     s.enqueue(t("i(1)"), h(INITIAL))
-    s.enqueue(t("i(2)"), h("scan", 1), stage=1)
+    s.pop()
+    s.enqueue(t("i(2)"), h("scan", 1))
     s.enqueue(t("i(2)"), h("predict", 1))
     text = s.dump()
     lines = text.splitlines()
