@@ -18,21 +18,23 @@ from .store import History, INITIAL, ItemStore
 from .systems import (
     DeductionSystem,
     EvalContext,
-    REGISTRY,
+    ItemPremise,
     SideCondition,
     SideConditionError,
-    answer_substitutions,
+    UnknownBuiltinError,
     builtin_answers,
     item_renderer,
 )
 from .terms import (
     Term,
     VarSource,
+    bind,
     canonical,
     rename_with,
+    resolve,
     space_source,
     subsumes,
-    unify,
+    undo,
 )
 
 
@@ -188,6 +190,52 @@ def parse(
     )
 
 
+def _consequents(clause, candidates, answers, source, state=None):
+    """Each consequent of a firing of ``clause``, depth first: the one
+    interpreted premise walker, which both oracles run.
+
+    It binds into ``clause.compiled`` over one environment with a trail
+    (``bind``, ``undo``, ``resolve``), the trigger first and then the
+    premises left to right, and yields each consequent resolved and
+    transformed; it may hold clause variables left unbound.  A chart
+    premise, the trigger included, binds each term of the (term, state)
+    pairs ``candidates(slot, state)`` gives, renamed apart, and hands
+    the pair's state to the next chart premise's call.  A side condition
+    binds each answer of ``answers(premise, args)``, for its resolved
+    arguments, position by position, as the clause programs do.  The
+    callers decide what the candidates and answers are: there is no
+    agenda, index, subsumption or generated program here.
+    """
+    trigger, premises, consequent = clause.compiled
+    premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
+    env: dict = {}
+    trail: list = []
+
+    def walk(k, state):
+        if k == len(premises):
+            out = resolve(consequent, env)
+            yield out if clause.transform is None else clause.transform(out, source)
+            return
+        p = premises[k]
+        mark = len(trail)
+        if isinstance(p, SideCondition):
+            args = tuple(resolve(a, env) for a in p.args)
+            for answer in answers(p, args):
+                for x, u in zip(args, answer):
+                    if u is not x and not bind(x, u, env, trail):
+                        break
+                else:
+                    yield from walk(k + 1, state)
+                undo(env, trail, mark)
+        else:
+            for t, after in candidates(p.slot, state):
+                if bind(p.pattern, t, env, trail):
+                    yield from walk(k + 1, after)
+                undo(env, trail, mark)
+
+    return walk(0, state)
+
+
 def naive_closure(system, grammar, input_string, bound: int = 20_000):
     """Deductive closure by semi-naive fixpoint iteration.
 
@@ -198,8 +246,10 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
     round (Bancilhon & Ramakrishnan 1986): the antecedents before the
     first such item were known before that round, the ones after it may
     be anything known when the round starts.  Items a round adds wait
-    for the next.  The result is the set of canonical forms; ``bound``
-    caps the item count since recursive rule sets need not terminate.
+    for the next.  The clauses are interpreted by ``_consequents``, over
+    the engine's binder, not run through their generated programs.  The
+    result is the set of canonical forms; ``bound`` caps the item count
+    since recursive rule sets need not terminate.
     """
     seen: set = set()
     known: list = []
@@ -216,59 +266,40 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
         add(axiom)
     source = space_source("closure")
     ctx = EvalContext(grammar, input_string, source)
-    clauses = [(c, c.instantiate(source)) for c in (r.clauses[0] for r in system.rules)]
+    clauses = [r.clauses[0] for r in system.rules]
     # copies[k][i] is known[i] renamed apart for antecedent position k.
     # Each position has its own copy, so the antecedents of one firing
     # never share variables; stored items only ever fire through their
     # copies, so one copy per position serves every round.
-    copies = [[] for _ in range(max((c.n_antecedents for c, _ in clauses), default=0))]
+    copies = [[] for _ in range(max((c.n_antecedents for c in clauses), default=0))]
 
     # Side conditions are functions of their arguments, so each premise
     # is evaluated once per argument tuple.  The key names the premise:
     # two premises of one firing never share an answer's fresh variables.
-    answers: dict = {}
+    memo: dict = {}
+
+    def answers(p, args):
+        found = memo.get((id(p), args))
+        if found is None:
+            found = memo[id(p), args] = builtin_answers(p.builtin, args, ctx)
+        return found
+
     lo = 0
     while lo < len(known):
         hi = len(known)
         for row in copies:
             row.extend(t if t.ground else rename_with(t, {}, source) for t in known[len(row):hi])
-        for clause, (trig, premises, consequent) in clauses:
+        for clause in clauses:
             last = clause.n_antecedents - 1
-            # A partial is (bindings, whether an antecedent is new).
-            partials = []
-            for i in range(lo if last == 0 else 0, hi):
-                s0 = unify(trig, copies[0][i])
-                if s0 is not None:
-                    partials.append((s0, i >= lo))
-            pos = 0
-            for p in premises:
-                if not partials:
-                    break
-                nexts = []
-                if isinstance(p, SideCondition):
-                    for s, new in partials:
-                        args = tuple(s.apply(a) for a in p.args)
-                        found = answers.get((id(p), args))
-                        if found is None:
-                            found = answers[id(p), args] = answer_substitutions(
-                                args, builtin_answers(p.builtin, args, ctx)
-                            )
-                        for s2 in found:
-                            nexts.append((s.compose(s2), new))
-                else:
-                    pos += 1
-                    row = copies[pos]
-                    for s, new in partials:
-                        pat = s.apply(p.pattern)
-                        for i in range(0 if new or pos < last else lo, hi):
-                            mgu = unify(pat, row[i])
-                            if mgu is not None:
-                                nexts.append((s.compose(mgu), new or i >= lo))
-                partials = nexts
-            for s, _new in partials:
-                item_out = s.apply(consequent)
-                if clause.transform is not None:
-                    item_out = clause.transform(item_out, source)
+
+            # The state is whether an antecedent so far is new; the last
+            # position takes only new items unless an earlier one was.
+            def candidates(slot, new, last=last):
+                row = copies[slot]
+                return [(row[i], new or i >= lo)
+                        for i in range(0 if new or slot < last else lo, hi)]
+
+            for item_out in _consequents(clause, candidates, answers, source, False):
                 if add(item_out) and len(seen) > bound:
                     raise EngineError(f"naive closure exceeded {bound} items")
         lo = hi
@@ -282,69 +313,47 @@ def check_soundness(result: ParseResult) -> list:
     recorded antecedents (or, for an axiom entry, some actual axiom) is
     covered by the stored item.  Subsumption collapse makes this the
     right direction: extra histories on a general item justify
-    instances of it.
+    instances of it.  The rule's slot-0 clause is interpreted by
+    ``_consequents`` over the recorded antecedents, not run through its
+    generated program; a side condition that raises, or names no
+    registered builtin, has no answers, so its justification fails
+    without raising.
     """
     system, g, w, store = result.system, result.grammar, result.input, result.store
-    axioms = system.axioms(g, w)
     source = space_source("replay")
+    ctx = EvalContext(g, w, source)
+    clauses = {r.name: r.clauses[0] for r in system.rules}
+    axioms = [a if a.ground else rename_with(a, {}, source) for a in system.axioms(g, w)]
+
+    def answers(p, args):
+        try:
+            return builtin_answers(p.builtin, args, ctx)
+        except (SideConditionError, UnknownBuiltinError):
+            return ()
+
     violations = []
     for stored in store.items():
+        item = stored.item if stored.item.ground else rename_with(stored.item, {}, source)
         for hist in stored.histories:
-            if not _replay_ok(system, store, stored, hist, axioms, g, w, source):
+            if hist.rule_name == INITIAL:
+                ok = not hist.antecedents and any(subsumes(item, a) for a in axioms)
+            else:
+                ok = _replays(clauses.get(hist.rule_name), hist.antecedents, item, store,
+                              answers, source)
+            if not ok:
                 violations.append(
                     f"item {stored.index} has an unreplayable justification {hist.render()}"
                 )
     return violations
 
 
-def _replay_ok(system, store, stored, hist, axioms, g, w, source):
-    item = stored.item if stored.item.ground else rename_with(stored.item, {}, source)
-    if hist.rule_name == INITIAL:
-        if hist.antecedents:
-            return False
-        for ax in axioms:
-            a = ax if ax.ground else rename_with(ax, {}, source)
-            if subsumes(item, a):
-                return True
+def _replays(clause, antecedents, item, store, answers, source) -> bool:
+    """Whether ``clause``, fired on the stored ``antecedents``, has a
+    consequent that ``item`` subsumes."""
+    if clause is None or clause.n_antecedents != len(antecedents):
         return False
-    rule = next((r for r in system.rules if r.name == hist.rule_name), None)
-    if rule is None:
+    if any(not 1 <= i <= len(store) for i in antecedents):
         return False
-    clause = rule.clauses[0]
-    if clause.n_antecedents != len(hist.antecedents):
-        return False
-    if any(not 1 <= i <= len(store) for i in hist.antecedents):
-        return False
-    antes = [store.renamed(i, source) for i in hist.antecedents]
-    trig, premises, consequent = clause.instantiate(source)
-    s0 = unify(trig, antes[0])
-    if s0 is None:
-        return False
-    ctx = EvalContext(g, w, source)
-    partials = [s0]
-    for p in premises:
-        nexts = []
-        for s in partials:
-            if isinstance(p, SideCondition):
-                if p.builtin not in REGISTRY:
-                    return False
-                args = tuple(s.apply(a) for a in p.args)
-                try:
-                    for s2 in answer_substitutions(args, builtin_answers(p.builtin, args, ctx)):
-                        nexts.append(s.compose(s2))
-                except SideConditionError:
-                    continue
-            else:
-                s2 = unify(s.apply(p.pattern), antes[p.slot], init=s)
-                if s2 is not None:
-                    nexts.append(s2)
-        partials = nexts
-        if not partials:
-            return False
-    for s in partials:
-        out = s.apply(consequent)
-        if clause.transform is not None:
-            out = clause.transform(out, source)
-        if subsumes(item, out):
-            return True
-    return False
+    antes = [store.renamed(i, source) for i in antecedents]
+    consequents = _consequents(clause, lambda slot, state: ((antes[slot], state),), answers, source)
+    return any(subsumes(item, out) for out in consequents)

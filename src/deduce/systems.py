@@ -110,9 +110,10 @@ class RuleClause:
 
     ``compiled`` is the clause's (trigger, premises, consequent), renamed
     once, at construction, into the reserved "clause" variable space.
-    The engine binds into it in place instead of copying the clause per
-    firing: one run of the clause's program holds one instance of it at
-    a time, and no item or grammar term carries a clause-space variable.
+    The engine, and the oracles' premise walker, bind into it in place
+    instead of copying the clause per firing: each run holds one
+    instance of it at a time, in its own environment, and no item or
+    grammar term carries a clause-space variable.
 
     ``program()`` generates, on first use, the code that fires the
     clause (``program_source``): the trigger match, then one nested loop
@@ -441,19 +442,6 @@ def builtin_answers(builtin: str, args: tuple, ctx) -> list:
     return answers
 
 
-def answer_substitutions(args: tuple, answers) -> list:
-    """The answers that unify with ``args``, each as the substitution
-    that does: the most general unifier of ``p(args)`` and
-    ``p(answer)``."""
-    probe = Compound("p", args)
-    out = []
-    for answer in answers:
-        s = unify(probe, Compound("p", tuple(answer)))
-        if s is not None:
-            out.append(s)
-    return out
-
-
 def _need_cf(ctx, name):
     if not isinstance(ctx.grammar, CfGrammar):
         raise SideConditionError(f"{name} needs a context-free grammar")
@@ -684,12 +672,15 @@ def register_builtin(name: str, evaluator):
 
 
 def eval_side_condition(builtin: str, args, grammar, input_string, source=None):
-    """Evaluate one side condition to a list of substitutions: one per
-    answer of the builtin that unifies with ``args``, binding the
-    variables of ``args`` (``answer_substitutions``)."""
+    """Evaluate one side condition to a list of substitutions, one per
+    answer of the builtin that unifies with ``args``: the most general
+    unifier of ``p(args)`` and ``p(answer)``, binding the variables of
+    ``args``."""
     ctx = EvalContext(grammar, input_string, source or space_source("side_conditions"))
-    args = tuple(args)
-    return answer_substitutions(args, builtin_answers(builtin, args, ctx))
+    probe = Compound("p", tuple(args))
+    answers = builtin_answers(builtin, probe.args, ctx)
+    unifiers = (unify(probe, Compound("p", tuple(answer))) for answer in answers)
+    return [s for s in unifiers if s is not None]
 
 
 # ---- the six systems ----

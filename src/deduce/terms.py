@@ -247,9 +247,6 @@ class Substitution:
         return Substitution(out)
 
 
-EMPTY_SUBST = Substitution({})
-
-
 def _walk(t: Term, env: dict) -> Term:
     while type(t) is Var:
         nxt = env.get(t.id)
@@ -512,14 +509,13 @@ def compile_builder(term: Term):
     return _generate(*builder_source(term))
 
 
-def unify(t1: Term, t2: Term, init: "Substitution | None" = None) -> "Substitution | None":
+def unify(t1: Term, t2: Term) -> "Substitution | None":
     """Most general unifier of t1 and t2, or None.
 
     The occurs check is on: unify(X, f(X)) fails rather than building a
-    cyclic binding.  When ``init`` is given, unification proceeds under
-    those bindings and the result extends them.
+    cyclic binding.
     """
-    env = dict(init.bindings) if init is not None else {}
+    env: dict = {}
     if not bind(t1, t2, env, []):
         return None
     return Substitution({v: resolve(t, env) for v, t in env.items()})

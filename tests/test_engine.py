@@ -23,6 +23,7 @@ from deduce.systems import (
     GrammarNotCnf,
     Rule,
     RuleClause,
+    SideCondition,
     make_bottomup,
     make_ccg,
     make_cyk,
@@ -128,13 +129,22 @@ def test_counters_reconcile(toy_grammar, ccg_lexicon):
         assert r.duplicates >= 0
 
 
-def test_naive_closure_agrees_with_the_chart(toy_grammar, cnf_ab_grammar, abn_grammar):
+def test_naive_closure_agrees_with_the_chart(toy_grammar, cnf_ab_grammar, abn_grammar,
+                                             ccg_lexicon, trip_grammar, counting_grammar):
+    # The CCG and TAG cases run the closure through the side conditions
+    # the context-free systems never call: index_union, adjoinable,
+    # child_undefined and foot_of.
     cases = [
         (make_cyk(), cnf_ab_grammar, "a b"),
         (make_earley(), toy_grammar, "a program halts"),
         (make_topdown(), toy_grammar, "a program halts"),
         (make_earley(restriction_depth=2), abn_grammar, "a b b"),
         (make_bottomup(), abn_grammar, "a b b"),
+        (make_ccg(), ccg_lexicon, "John really likes bananas"),
+        (make_tag(foot_mode="complete_foot"), trip_grammar, "Trip rumbas nimbly"),
+        (make_tag(foot_mode="foot_axiom"), trip_grammar, "Trip rumbas nimbly"),
+        (make_tag(foot_mode="complete_foot"), counting_grammar, "a a b b c c d d"),
+        (make_tag(foot_mode="foot_axiom"), counting_grammar, "a b c d"),
     ]
     for system, grammar, sentence in cases:
         w = tokenize(sentence)
@@ -445,24 +455,62 @@ def test_soundness_passes_on_fixture_parses(toy_grammar, ccg_lexicon, trip_gramm
         assert check_soundness(r) == []
 
 
-def test_soundness_flags_a_mutated_history(toy_grammar):
+def _forge_earley(rule_name, edit):
+    """A forgery: the first history of the first toy Earley item first
+    justified by ``rule_name``, rewritten by ``edit(result, history)``."""
+    def forge(toy_grammar, monkeypatch):
+        r = parse(make_earley(), toy_grammar, tokenize("a program halts"))
+        victim = next(s for s in r.store.items() if s.histories[0].rule_name == rule_name)
+        victim.histories[0] = edit(r, victim.histories[0])
+        return r, victim.index
+
+    return forge
+
+
+def _unregister_production(toy_grammar, monkeypatch):
     r = parse(make_earley(), toy_grammar, tokenize("a program halts"))
-    victim = next(
-        stored for stored in r.store.items()
-        if stored.histories[0].rule_name == "complete"
+    monkeypatch.delitem(REGISTRY, "production")
+    return r, next(s.index for s in r.store.items() if s.histories[0].rule_name == "predict")
+
+
+def _succ_of_an_open_item(toy_grammar, monkeypatch):
+    # One pop fires next on p(1) alone; q(2)'s history is then pointed
+    # at the unpopped p(V), whose replay calls succ with no bound integer.
+    t = parse_term
+    system = DeductionSystem(
+        name="successor",
+        grammar_class=object,
+        rules=(Rule("next", [t("p(X)"), SideCondition("succ", (t("X"), t("Y")))], t("q(Y)")),),
+        axioms=lambda grammar, w: [t("p(1)"), t("p(V)")],
+        goal_patterns=lambda grammar, w: [],
     )
-    good = victim.histories[0]
-    victim.histories[0] = History(good.rule_name, (1, 1))
+    r = parse(system, None, tokenize(""), ParseOptions(step_limit=1))
+    victim = next(s for s in r.store.items() if s.item == t("q(2)"))
+    opened = next(s.index for s in r.store.items() if not s.item.ground)
+    victim.histories[0] = History("next", (opened,))
+    return r, victim.index
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_earley("complete", lambda r, h: History(h.rule_name, (1, 1))),
+    _forge_earley("complete", lambda r, h: History("oracle", ())),
+    _forge_earley("complete", lambda r, h: History(h.rule_name, (0,) + h.antecedents[1:])),
+    _forge_earley("complete",
+                  lambda r, h: History(h.rule_name, h.antecedents[:1] + (len(r.store) + 1,))),
+    _forge_earley("complete", lambda r, h: History(h.rule_name, h.antecedents[:1])),
+    _forge_earley(INITIAL, lambda r, h: History(INITIAL, (1,))),
+    _forge_earley("complete", lambda r, h: History(INITIAL, ())),
+    _unregister_production,
+    _succ_of_an_open_item,
+], ids=[
+    "unreplayable-antecedents", "unknown-rule", "antecedent-zero", "antecedent-past-the-store",
+    "antecedent-count", "initial-with-antecedents", "initial-on-a-derived-item",
+    "unregistered-builtin", "side-condition-raises",
+])
+def test_soundness_flags_a_malformed_justification(toy_grammar, monkeypatch, forge):
+    r, victim = forge(toy_grammar, monkeypatch)
     violations = check_soundness(r)
-    assert violations
-    assert f"item {victim.index}" in violations[0]
-
-
-def test_soundness_flags_a_forged_rule_name(toy_grammar):
-    r = parse(make_earley(), toy_grammar, tokenize("a program halts"))
-    stored = r.store.get(2)
-    stored.histories[0] = History("oracle", ())
-    assert check_soundness(r)
+    assert any(v.startswith(f"item {victim} ") for v in violations), violations
 
 
 def test_parse_options_are_validated():
