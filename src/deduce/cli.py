@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the input is accepted, 1 rejected, 2 usage or grammar
-error, 3 the step limit halted the search before any goal was proved.
+error, 3 the step limit halted the search before any goal was proved;
+``check`` exits 0 or 1 by its replay alone, halted or not.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def run_parse(args):
     return result
 
 
+def report_halt(result) -> None:
+    if result.halted_by_limit:
+        print(f"search halted at the {result.pops}-pop step limit", file=sys.stderr)
+
+
 def exit_code_for(result) -> int:
     if result.accepted:
         return EXIT_ACCEPT
@@ -109,6 +115,7 @@ def cmd_parse(args) -> int:
 
 def cmd_chart(args) -> int:
     result = run_parse(args)
+    report_halt(result)
     if args.format == "lines":
         sys.stdout.write(result.dump())
     else:
@@ -130,6 +137,7 @@ def _render_derivation(result, d, fmt: str) -> str:
 
 def cmd_derive(args) -> int:
     result = run_parse(args)
+    report_halt(result)
     try:
         lines = [
             _render_derivation(result, d, args.format)
@@ -146,6 +154,7 @@ def cmd_derive(args) -> int:
 
 def cmd_check(args) -> int:
     result = run_parse(args)
+    report_halt(result)
     violations = check_soundness(result)
     if violations:
         for line in violations:

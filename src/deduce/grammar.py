@@ -20,6 +20,7 @@ from .terms import (
     TermSyntaxError,
     _TermParser,
     mklist,
+    rename_with,
     render_term,
     tokenize_terms,
 )
@@ -65,6 +66,38 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+class FactTable:
+    """The rows of the grammar relation ``name``, in a fixed order, each
+    the term ``name(Arg, ...)`` of one tuple of arguments in ``rows``.
+
+    ``answers(args, source)`` gives the arguments of the rows that may
+    unify with ``args``, in row order: the ground rows holding the first
+    ground argument at its position, and every non-ground row, renamed
+    from ``source`` on each answer; with no ground argument, every row.
+    """
+
+    __slots__ = ("rows", "_open", "_by_arg")
+
+    def __init__(self, name: str, rows):
+        self.rows = tuple(Compound(name, tuple(args)) for args in rows)
+        self._open = tuple(r for r in self.rows if not r.ground)
+        self._by_arg = []  # per position: term -> rows that may unify there
+        for pos in range(len(self.rows[0].args) if self.rows else 0):
+            index = {r.args[pos]: [] for r in self.rows if r.ground}
+            for row in self.rows:
+                for a in (row.args[pos],) if row.ground else index:
+                    index[a].append(row)
+            self._by_arg.append(index)
+
+    def answers(self, args, source):
+        rows = self.rows
+        for index, a in zip(self._by_arg, args):
+            if a.ground:
+                rows = index.get(a, self._open)
+                break
+        return (row.args if row.ground else rename_with(row, {}, source).args for row in rows)
+
+
 # ---- context-free / DCG ----
 
 @dataclass(frozen=True)
@@ -86,17 +119,20 @@ class CfGrammar:
         return name in self.terminals
 
     @cached_property
-    def production_terms(self) -> tuple:
-        """``p(Lhs, Rhs)`` for every production, then for every lexical
-        entry as a one-word production, with ``Rhs`` a list; built once
-        per grammar.  A word is the one ``Const`` of its name that the
-        productions use, if they use one."""
-        pairs = list(self.productions)
-        words = {s.name: s for _, rhs in pairs for s in rhs if type(s) is Const}
-        pairs += [
-            (preterm, [words.setdefault(word, Const(word))]) for word, preterm in self.lexicon
-        ]
-        return tuple(Compound("p", (lhs, mklist(rhs))) for lhs, rhs in pairs)
+    def relations(self) -> dict:
+        """The fact tables (``FactTable``) of ``production(Lhs, Rhs)``,
+        with ``Rhs`` a list, for every production and then every lexical
+        entry as a one-word production; of ``lex(Word, Preterminal)``;
+        and of ``is_start(S)``.  A word is the one ``Const`` of its name
+        that the productions use, if they use one."""
+        words = {s.name: s for _, rhs in self.productions for s in rhs if type(s) is Const}
+        lexicon = [(words.setdefault(w, Const(w)), p) for w, p in self.lexicon]
+        pairs = list(self.productions) + [(p, [w]) for w, p in lexicon]
+        return {
+            "production": FactTable("production", [(a, mklist(b)) for a, b in pairs]),
+            "lex": FactTable("lex", lexicon),
+            "is_start": FactTable("is_start", [(s,) for s in self.starts]),
+        }
 
 
 def _quoted_preterminal(word: str) -> Const:
@@ -269,6 +305,11 @@ class CcgLexicon:
     def categories(self, word: str) -> list[Term]:
         return [cat for w, cat in self.entries if w == word]
 
+    @cached_property
+    def relations(self) -> dict:
+        """The fact table (``FactTable``) of ``is_start(S)``."""
+        return {"is_start": FactTable("is_start", [(self.start,)])}
+
 
 _CCG_PUNCT = set("/\\()")
 
@@ -437,6 +478,34 @@ class TagGrammar:
     def adjoinable(self, label: str) -> list[TagTree]:
         """Auxiliary trees whose root (and foot) label equals label, file order."""
         return [t for t in self.auxiliaries if t.root_label == label]
+
+    @cached_property
+    def relations(self) -> dict:
+        """The fact tables (``FactTable``) of ``is_start(S)``; of
+        ``adjoinable(Node, Aux)`` by auxiliary tree, then tree, then each
+        node of it labelled as the auxiliary tree's root; of
+        ``node_label(Node, Label)`` by tree, then node; and of
+        ``foot_of(Aux, Foot)``.  A node is ``node_ref(tree, address)``."""
+        nodes = [(node_ref(t.name, addr), t.label(addr)) for t in self.trees for addr in t.nodes]
+        return {
+            "is_start": FactTable("is_start", [(Const(self.start),)]),
+            "adjoinable": FactTable("adjoinable", [
+                (node, Const(aux.name))
+                for aux in self.auxiliaries for node, label in nodes if label == aux.root_label
+            ]),
+            "node_label": FactTable("node_label", [
+                (node, Const("eps" if label == EPSILON else label)) for node, label in nodes
+            ]),
+            "foot_of": FactTable("foot_of", [
+                (Const(t.name), node_ref(t.name, t.foot)) for t in self.auxiliaries
+            ]),
+        }
+
+
+def node_ref(tree_name: str, address: tuple) -> Compound:
+    """``node(Tree, AddrRev)``: a tree node, its address reversed into a list."""
+    addr_rev = mklist([Const(k) for k in reversed(address)])
+    return Compound("node", (Const(tree_name), addr_rev))
 
 
 def _tokenize_sexp(text: str) -> list[tuple[str, int]]:

@@ -169,6 +169,9 @@ class ItemStore:
         return len(self._items) - (self._head - 1)
 
     def get(self, index: int) -> StoredItem:
+        """The item at ``index``, which runs from 1 to ``len(self)``."""
+        if not 1 <= index <= len(self._items):
+            raise IndexError(f"no item {index} in a store of {len(self._items)}")
         return self._items[index - 1]
 
     def items(self):
@@ -177,7 +180,7 @@ class ItemStore:
     def renamed(self, index: int, source: VarSource) -> Term:
         """A fresh-variable copy of the stored item; renaming happens on
         retrieval, never in place."""
-        item = self._items[index - 1].item
+        item = self.get(index).item
         if item.ground:
             return item
         return rename_with(item, {}, source)
@@ -279,8 +282,12 @@ class ItemStore:
         """(index, item renamed from ``source``) for each index that
         ``lookup(mode, key)`` gives, drawn in that order: the clause
         programs' chart premises."""
-        renamed = self.renamed
-        return [(i, renamed(i, source)) for i in self.lookup(mode, key)]
+        items = self._items
+        out = []
+        for i in self.lookup(mode, key):
+            item = items[i - 1].item
+            out.append((i, item if item.ground else rename_with(item, {}, source)))
+        return out
 
     def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
         """``lookup`` for ``pattern``: its key under ``mode``, one of the

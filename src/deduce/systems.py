@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .grammar import (
@@ -38,6 +39,7 @@ from .grammar import (
     FORWARD,
     InputString,
     TagGrammar,
+    node_ref,
     validate_cnf,
 )
 from .store import INITIAL, History
@@ -442,18 +444,6 @@ def builtin_answers(builtin: str, args: tuple, ctx) -> list:
     return answers
 
 
-def _need_cf(ctx, name):
-    if not isinstance(ctx.grammar, CfGrammar):
-        raise SideConditionError(f"{name} needs a context-free grammar")
-    return ctx.grammar
-
-
-def _need_tag(ctx, name):
-    if not isinstance(ctx.grammar, TagGrammar):
-        raise SideConditionError(f"{name} needs a TAG grammar")
-    return ctx.grammar
-
-
 def _int_of(t: Term):
     if isinstance(t, Const) and isinstance(t.name, int):
         return t.name
@@ -470,25 +460,6 @@ def _eval_word_at(args, ctx):
         return
     for i, tok in enumerate(tokens):
         yield (Const(i + 1), Const(tok))
-
-
-def _eval_production(args, ctx):
-    g = _need_cf(ctx, "production")
-    lhs = args[0]
-    for pair in g.production_terms:
-        if not pair.ground:
-            pair = rename_with(pair, {}, ctx.source)
-        elif lhs.ground and pair.args[0] != lhs:
-            continue
-        yield pair.args
-
-
-def _eval_lex(args, ctx):
-    g = _need_cf(ctx, "lex")
-    word = args[0]
-    for w, p in g.lexicon:
-        if type(word) is not Const or word.name == w:
-            yield (Const(w), p if p.ground else rename_with(p, {}, ctx.source))
 
 
 def _eval_succ(args, ctx):
@@ -538,59 +509,10 @@ def _decode_node(t: Term):
     return tree.name, tuple(reversed(steps))
 
 
-def node_ref(tree_name: str, address: tuple) -> Compound:
-    addr_rev = mklist([Const(k) for k in reversed(address)])
-    return Compound("node", (Const(tree_name), addr_rev))
-
-
-def _label_term(label: str) -> Const:
-    return Const("eps" if label == EPSILON else label)
-
-
-def _eval_adjoinable(args, ctx):
-    g = _need_tag(ctx, "adjoinable")
-    node_arg, aux_arg = args
-    auxes = g.auxiliaries
-    if isinstance(aux_arg, Const):
-        auxes = [t for t in auxes if t.name == aux_arg.name]
-    decoded = _decode_node(node_arg)
-    for aux in auxes:
-        want = aux.root_label
-        if decoded is not None:
-            tree_name, addr = decoded
-            try:
-                tree = g.tree(tree_name)
-            except KeyError:
-                continue
-            if tree.has_node(addr) and tree.label(addr) == want:
-                yield (node_arg, Const(aux.name))
-            continue
-        for tree in g.trees:
-            for addr in tree.addresses():
-                if tree.label(addr) == want:
-                    yield (node_ref(tree.name, addr), Const(aux.name))
-
-
-def _eval_node_label(args, ctx):
-    g = _need_tag(ctx, "node_label")
-    node_arg, _label = args
-    decoded = _decode_node(node_arg)
-    if decoded is not None:
-        tree_name, addr = decoded
-        try:
-            tree = g.tree(tree_name)
-        except KeyError:
-            return
-        if tree.has_node(addr):
-            yield (node_arg, _label_term(tree.label(addr)))
-        return
-    for t in g.trees:
-        for addr in t.addresses():
-            yield (node_ref(t.name, addr), _label_term(t.label(addr)))
-
-
 def _eval_child_undefined(args, ctx):
-    g = _need_tag(ctx, "child_undefined")
+    g = ctx.grammar
+    if not isinstance(g, TagGrammar):
+        raise SideConditionError("child_undefined needs a TAG grammar")
     decoded = _decode_node(args[0])
     if decoded is None:
         raise SideConditionError("child_undefined needs a ground node reference")
@@ -601,31 +523,6 @@ def _eval_child_undefined(args, ctx):
         return
     if not tree.has_node(addr):
         yield args
-
-
-def _eval_foot_of(args, ctx):
-    g = _need_tag(ctx, "foot_of")
-    aux_arg, _foot = args
-    auxes = g.auxiliaries
-    if isinstance(aux_arg, Const):
-        auxes = [t for t in auxes if t.name == aux_arg.name]
-    for t in auxes:
-        if t.foot is not None:
-            yield (Const(t.name), node_ref(t.name, t.foot))
-
-
-def _eval_is_start(args, ctx):
-    g = ctx.grammar
-    if isinstance(g, CfGrammar):
-        starts = [rename_with(s, {}, ctx.source) for s in g.starts]
-    elif isinstance(g, CcgLexicon):
-        starts = [g.start]
-    elif isinstance(g, TagGrammar):
-        starts = [Const(g.start)]
-    else:
-        raise SideConditionError("is_start: unsupported grammar")
-    for s in starts:
-        yield (s,)
 
 
 def _eval_append(args, ctx):
@@ -644,19 +541,27 @@ def _eval_split_stack(args, ctx):
     yield (gamma, mklist(list(reversed(elems)), tail=rest), rest)
 
 
+def _relation(name: str, args, ctx):
+    """The answers of the grammar relation ``name`` from the grammar's
+    fact table (``FactTable``), which the grammar builds once."""
+    try:
+        table = ctx.grammar.relations[name]
+    except (AttributeError, KeyError):
+        raise SideConditionError(f"the grammar has no {name} relation") from None
+    return table.answers(args, ctx.source)
+
+
 REGISTRY: dict = {
     "word_at": _eval_word_at,
-    "production": _eval_production,
-    "lex": _eval_lex,
     "succ": _eval_succ,
     "index_union": _eval_index_union,
-    "adjoinable": _eval_adjoinable,
-    "node_label": _eval_node_label,
     "child_undefined": _eval_child_undefined,
-    "foot_of": _eval_foot_of,
-    "is_start": _eval_is_start,
     "append": _eval_append,
     "split_stack": _eval_split_stack,
+    **{
+        name: partial(_relation, name)
+        for name in ("production", "lex", "is_start", "adjoinable", "node_label", "foot_of")
+    },
 }
 
 

@@ -270,7 +270,7 @@ def _occurs(vid, t: Term, env: dict) -> bool:
 
 def resolve(t: Term, env: dict) -> Term:
     """``t`` with every variable bound in ``env`` replaced, through
-    chains of bindings, by its value."""
+    chains of bindings, by its value; walked on an explicit stack."""
     if t.ground:
         return t
     while type(t) is Var:
@@ -280,7 +280,23 @@ def resolve(t: Term, env: dict) -> Term:
         t = nxt
     if t.ground:
         return t
-    return Compound(t.functor, tuple([a if a.ground else resolve(a, env) for a in t.args]))
+    stack = []
+    node, done = t, []
+    while True:
+        for a in node.args[len(done):]:
+            while type(a) is Var and a.id in env:
+                a = env[a.id]
+            if type(a) is Compound and not a.ground:
+                stack.append((node, done))
+                node, done = a, []
+                break
+            done.append(a)
+        else:
+            built = Compound(node.functor, tuple(done))
+            if not stack:
+                return built
+            node, done = stack.pop()
+            done.append(built)
 
 
 def bind(t1: Term, t2: Term, env: dict, trail: list) -> bool:
@@ -521,50 +537,36 @@ def unify(t1: Term, t2: Term) -> "Substitution | None":
     return Substitution({v: resolve(t, env) for v, t in env.items()})
 
 
-def match(general: Term, specific: Term) -> "Substitution | None":
-    """One-sided unification: bindings over general's variables only.
+def subsumes(general: Term, specific: Term) -> bool:
+    """True when every instance of specific is an instance of general:
+    some binding of general's variables alone makes it equal specific.
 
     Variables in ``specific`` are treated as distinct constants, which
     is the standard reading when the caller has renamed the two terms
-    apart.
+    apart.  On ground terms this degrades to structural equality via
+    the ground flags.  The walk keeps its own stack of pairs and takes
+    arguments left to right, a list's head before its tail.
     """
+    if general.ground:
+        return general == specific
     env: dict = {}
     stack = [(general, specific)]
     while stack:
         g, s = stack.pop()
-        if isinstance(g, Var):
+        if type(g) is Var:
             bound = env.get(g.id)
             if bound is None:
                 env[g.id] = s
-            elif bound != s:
-                return None
-        elif isinstance(g, Const):
-            if not (isinstance(s, Const) and g.name == s.name):
-                return None
+            elif bound is not s and bound != s:
+                return False
+        elif g.ground:
+            if g != s:
+                return False
+        elif type(s) is not Compound or g.functor != s.functor or len(g.args) != len(s.args):
+            return False
         else:
-            if (
-                not isinstance(s, Compound)
-                or g.functor != s.functor
-                or len(g.args) != len(s.args)
-            ):
-                return None
-            if g.ground and s.ground:
-                if g != s:
-                    return None
-                continue
-            stack.extend(zip(g.args, s.args))
-    return Substitution(env)
-
-
-def subsumes(general: Term, specific: Term) -> bool:
-    """True when every instance of specific is an instance of general.
-
-    Callers are expected to hand in terms renamed apart.  On ground
-    terms this degrades to structural equality via the ground flags.
-    """
-    if general.ground:
-        return general == specific
-    return match(general, specific) is not None
+            stack.extend(zip(reversed(g.args), reversed(s.args)))
+    return True
 
 
 def variant(t1: Term, t2: Term) -> bool:

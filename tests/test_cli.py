@@ -57,6 +57,20 @@ def test_step_limit_halt_without_goal_exits_three(capsys):
     assert "halted" in out
 
 
+@pytest.mark.parametrize("command, code", [("chart", 3), ("derive", 3), ("check", 0)])
+def test_a_halted_parse_is_reported_on_stderr(capsys, command, code):
+    argv = (command, "--system", "earley", "--grammar", str(DATA / "ambiguous.cf"),
+            "--sentence", "a a a a a a", "--step-limit", "30")
+    full = run(*argv[:-2])
+    complete = capsys.readouterr()
+    assert full in (0, 1) and complete.err == ""
+    assert run(*argv) == code
+    halted = capsys.readouterr()
+    assert halted.err == "search halted at the 30-pop step limit\n"
+    if command == "check":
+        assert halted.out == "sound: 35 items, every justification replayed\n"
+
+
 def test_halt_after_the_goal_still_accepts(capsys):
     code = run("parse", "--system", "earley", "--grammar", ABN,
                "--sentence", "a b b", "--step-limit", "500")

@@ -1,9 +1,14 @@
-"""Loader behaviour for the three grammar formats."""
+"""Loader behaviour for the three grammar formats, and the fact tables
+that answer the grammar relations."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deduce.grammar import (
     CcgLexicon,
+    FactTable,
     GrammarError,
     backward,
     forward,
@@ -18,7 +23,17 @@ from deduce.grammar import (
     tokenize,
     validate_cnf,
 )
-from deduce.terms import Const, parse_term
+from deduce.terms import (
+    Compound,
+    Const,
+    Var,
+    VarSource,
+    canonical,
+    parse_term,
+    rename_with,
+    term_vars,
+    unify,
+)
 
 from conftest import read
 
@@ -190,3 +205,51 @@ def test_tag_errors():
 def test_grammar_fixture_files_give_expected_types(ccg_lexicon):
     assert isinstance(ccg_lexicon, CcgLexicon)
     assert "John" in read("lexicon.ccg")
+
+
+# ---- fact tables ----
+
+_fact_terms = st.recursive(
+    st.sampled_from([Const("a"), Const("b"), Var("X"), Var("Y")]),
+    lambda sub: st.builds(lambda *a: Compound("f", a), sub)
+    | st.builds(lambda *a: Compound("g", a), sub, sub),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_fact_terms, _fact_terms), max_size=8), st.data())
+def test_indexed_answers_equal_a_linear_scan(rows, data):
+    # Oracle: every row, renamed apart, in row order.  The answers the
+    # index gives that unify with the arguments must be the same, up to
+    # renaming, in the same order.  An argument is often one of the
+    # rows' own, so that lookups hit.
+    held = [a for row in rows for a in row]
+    arg = st.one_of(_fact_terms, st.sampled_from(held)) if held else _fact_terms
+    args = data.draw(st.tuples(arg, arg))
+    table = FactTable("r", rows)
+    probe = Compound("r", args)
+    answers = list(table.answers(args, VarSource(1000)))
+    source = VarSource(5000)
+    scanned = [rename_with(Compound("r", row), {}, source).args for row in rows]
+
+    def unifying(found):
+        return [canonical(Compound("r", a)) for a in found
+                if unify(probe, Compound("r", a)) is not None]
+
+    assert unifying(answers) == unifying(scanned)
+    # A ground row answers only when it holds the first ground argument.
+    first = next((k for k, a in enumerate(args) if a.ground), None)
+    for a in answers:
+        if first is not None and Compound("r", a).ground:
+            assert a[first] == args[first]
+    # Non-ground rows are renamed per answer: no two answers, and no
+    # answer and the arguments, share a variable.
+    seen = [set(term_vars(probe))] + [set(term_vars(Compound("r", a))) for a in answers]
+    for one, other in itertools.combinations(seen, 2):
+        assert not one & other
+
+
+def test_a_grammar_builds_its_relations_once(toy_grammar):
+    assert toy_grammar.relations is toy_grammar.relations
+    assert sorted(toy_grammar.relations) == ["is_start", "lex", "production"]

@@ -156,6 +156,19 @@ def test_renamed_retrieval_never_mutates_the_store():
     assert s.get(1).item == t("f(X, X, b)")
 
 
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_an_index_outside_the_store_raises(index):
+    # Index 0 once read as the last item, and -1 as the one before it.
+    s = ItemStore()
+    s.enqueue(t("f(a)"), h(INITIAL))
+    s.enqueue(t("f(X)"), h(INITIAL))
+    with pytest.raises(IndexError):
+        s.get(index)
+    with pytest.raises(IndexError):
+        s.renamed(index, VarSource())
+    assert [s.get(i).index for i in (1, 2)] == [1, 2]
+
+
 def test_key_reads_the_principal_symbol_at_each_path():
     # Constants give their name, compounds their functor and arity, so
     # a DCG symbol with open arguments is still keyed on r/2.

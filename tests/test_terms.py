@@ -20,7 +20,6 @@ from deduce.terms import (
     bind,
     canonical,
     is_ground,
-    match,
     mklist,
     parse_term,
     parse_term_seq,
@@ -295,11 +294,12 @@ def _ground_instances(term, universe):
 @given(_terms(2), _terms(2))
 def test_subsumes_agrees_with_instance_set_inclusion(g, s):
     # Oracle: g subsumes s iff every ground instance of s (over a small
-    # universe) matches g.  Renaming apart mirrors the caller contract.
+    # universe) is an instance of g, that is, unifies with it.  Renaming
+    # apart mirrors the caller contract.
     s = rename_apart(s, set(term_vars(g)))
     claimed = subsumes(g, s)
     oracle = all(
-        match(g, inst) is not None
+        unify(g, inst) is not None
         for inst in _ground_instances(s, _UNIVERSE_SMALL)
     )
     assert claimed == oracle
@@ -457,6 +457,12 @@ def test_a_deep_term_renames_compares_abstracts_and_parses():
     assert chain != _deep_chain(n, Var("Y"))
     assert parse_term(render_term(chain)) == chain
     assert parse_term_seq(render_term(chain) + " b") == [chain, Const("b")]
+    assert unify(chain, Var("Y")).apply(Var("Y")) == chain
+    assert unify(chain, _deep_chain(n, Const(0))).apply(Var("X")) == Const(0)
+    assert resolve(chain, {}) == chain
+    assert resolve(chain, {"X": Var("Y")}) == _deep_chain(n, Var("Y"))
+    assert resolve(chain, {"X": Const(0)}) == _deep_chain(n, Const(0))
+    assert resolve(Var("Y"), {"Y": chain, "X": Var("Z")}) == _deep_chain(n, Var("Z"))
 
 
 # The recursive definitions the iterative ones replaced, as references.
