@@ -150,8 +150,8 @@ class ItemStore:
         # Enqueues that met a subsuming item: duplicate justifications,
         # recorded or not.
         self.duplicates = 0
-        # The hash-consing table of the clause programs' consequent
-        # builders (``compile_builder``): a consequent built again from
+        # The hash-consing table in which the clause programs build
+        # their consequents (``program_source``): a consequent built again from
         # the same argument objects is the stored item itself, so its
         # ``_ground`` probe hits by identity.  It lives and dies with
         # the store, so no parse's terms outlive its chart.

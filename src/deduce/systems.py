@@ -11,7 +11,7 @@ string.  A mode analysis of each clause gives the lookup mode of each
 chart premise, which the item store indexes.  On first use each clause
 generates one program (``program_source``): its trigger match, which
 alone decides whether a popped item fires the clause, then its premises
-as nested loops and its consequent builder in the innermost one.
+as nested loops and the building of its consequent in the innermost one.
 
 Items are plain terms.  The encodings:
 
@@ -27,6 +27,7 @@ Items are plain terms.  The encodings:
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -43,7 +44,7 @@ from .grammar import (
     validate_cnf,
 )
 from .store import INITIAL, History
-# bind, resolve, rename_with, principal, Var and Const are also the
+# bind, resolve, rename_with, principal, Compound and Var are also the
 # helpers the generated clause programs call (``program_source``).
 from .terms import (
     Compound,
@@ -56,8 +57,6 @@ from .terms import (
     _wrap,
     abstract_depth,
     bind,
-    compile_builder,
-    compile_matcher,
     cons,
     list_parts,
     mklist,
@@ -112,16 +111,18 @@ class RuleClause:
 
     ``compiled`` is the clause's (trigger, premises, consequent), renamed
     once, at construction, into the reserved "clause" variable space.
-    The engine, and the oracles' premise walker, bind into it in place
-    instead of copying the clause per firing: each run holds one
-    instance of it at a time, in its own environment, and no item or
-    grammar term carries a clause-space variable.
+    The oracles' premise walker binds into it in place instead of
+    copying the clause per firing, and the clause program binds its
+    variables where they escape into a term's binding: each run holds
+    one instance of it at a time, in its own environment, and no item
+    or grammar term carries a clause-space variable.
 
     ``program()`` generates, on first use, the code that fires the
     clause (``program_source``): the trigger match, then one nested loop
-    per premise, and the consequent built in the innermost one.  The
-    engine offers every popped item to every clause; the trigger match
-    is what turns the clauses it cannot fire away.
+    per premise, and the consequent built in the innermost one, with
+    the clause's variables in Python locals.  The engine offers every
+    popped item to every clause; the trigger match is what turns the
+    clauses it cannot fire away.
     """
 
     rule_name: str
@@ -134,7 +135,6 @@ class RuleClause:
     # Derived in __post_init__.
     modes: tuple = field(init=False, repr=False, compare=False)
     compiled: tuple = field(init=False, repr=False, compare=False)
-    bound: tuple = field(init=False, repr=False, compare=False)
     _program: "Callable | None" = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -142,23 +142,19 @@ class RuleClause:
         the chart lookup it makes: the pattern's principal symbol and the
         argument paths whose symbol is known when it runs (constants,
         compounds, and variables of the trigger or of an earlier premise),
-        or None for a side condition or a bare-variable pattern.
-        ``bound`` holds, per chart premise, the ids in ``compiled`` of the
-        variables bound before it, or None for a side condition.  At the
+        or None for a side condition or a bare-variable pattern.  At the
         end of the walk every consequent variable must be bound."""
         bound = set(term_vars(self.trigger))
-        modes, bound_before = [], []
+        modes = []
         for p in self.premises:
             if isinstance(p, SideCondition):
                 modes.append(None)
-                bound_before.append(None)
                 for a in p.args:
                     bound.update(term_vars(a))
             else:
                 symbol = principal(p.pattern)
                 paths = tuple(_known_paths(p.pattern, bound))
                 modes.append(None if symbol is None else (symbol, paths))
-                bound_before.append(frozenset(bound))
                 bound.update(term_vars(p.pattern))
         free = [v for v in term_vars(self.consequent) if v not in bound]
         if free:
@@ -166,11 +162,7 @@ class RuleClause:
                 f"rule {self.rule_name}: consequent variables {free} are never bound"
             )
         object.__setattr__(self, "modes", tuple(modes))
-        mapping: dict = {}
-        object.__setattr__(self, "compiled", self.instantiate(space_source("clause"), mapping))
-        object.__setattr__(self, "bound", tuple(
-            None if b is None else frozenset(mapping[v].id for v in b) for b in bound_before
-        ))
+        object.__setattr__(self, "compiled", self.instantiate(space_source("clause")))
 
     def program(self):
         """The clause's generated program, made on the first call:
@@ -181,24 +173,22 @@ class RuleClause:
         The engine passes the item store's ``enqueue`` (or a tracing
         wrapper of it), ``consequences`` a collecting callable.
         ``fetch`` is the store's method that gives a lookup's candidates
-        renamed, and ``table`` its intern table
-        (``ItemStore.interned``), which the consequent builder
-        hash-conses ground terms in; ``source`` and ``ctx`` are the
-        parse's fresh variables and side-condition context.  The
-        program binds each answer tuple a builtin yields to the
-        condition's arguments itself, on its own trail
-        (``program_source``)."""
+        renamed, and ``table`` its intern table (``ItemStore.interned``),
+        in which the program hash-conses the ground terms of the
+        consequents it builds; ``source`` and ``ctx`` are the parse's
+        fresh variables and side-condition context.  The program keeps
+        each clause variable in a local and matches each item and answer
+        tuple inline when it is ground; it binds one that is not on its
+        own environment and trail (``program_source``)."""
         program = self._program
         if program is None:
             program = _generate(*program_source(self), scope=globals())
             object.__setattr__(self, "_program", program)
         return program
 
-    def instantiate(self, source: VarSource, mapping: "dict | None" = None):
-        """Fresh-variable copy: (trigger, premises, consequent).  The
-        copy's variables are recorded in ``mapping``, when given."""
-        if mapping is None:
-            mapping = {}
+    def instantiate(self, source: VarSource):
+        """Fresh-variable copy: (trigger, premises, consequent)."""
+        mapping: dict = {}
         trigger = rename_with(self.trigger, mapping, source)
         premises = []
         for p in self.premises:
@@ -230,22 +220,43 @@ def _known_paths(t: Term, bound: set, path: tuple = ()) -> list:
 def program_source(clause: RuleClause) -> tuple:
     """(source, values) of ``clause.program()``.
 
-    The program binds into ``clause.compiled`` over one environment with
-    a trail, as a Prolog engine does.  A ground trigger or candidate goes
-    through its pattern's generated matcher (``compile_matcher``, told
-    which variables the mode analysis found bound before the premise), a
-    non-ground one through ``bind``.  The premises become nested loops in
-    the written order:
+    Each variable of ``clause.compiled`` is a local of the program,
+    ``v0``, ``v1``, ... in the order of its first occurrence, as a
+    compiled Prolog clause keeps its variables in registers (Warren
+    1983).  A local holds the variable's value when that is ground, and
+    otherwise the compiled ``Var`` itself, whose binding, if any, is in
+    ``env``.  So ``env`` and its trail hold only bindings of term
+    variables: of renamed non-ground items and answers, and of clause
+    variables that escape into such a binding.  A ground parse never
+    writes ``env``.
+
+    Wherever a pattern meets a value (the trigger, a lookup's candidate,
+    one position of a side condition's answer), one emitter generates
+    the code:
+
+    - a ground value is matched inline: functor, arity and constants
+      are checked, a variable's first occurrence stores into its local
+      and a later one compares with it, by ``is`` or ``==`` when the
+      local is ground and through ``bind`` when it is not;
+    - a non-ground value is bound to the pattern built from the locals,
+      with the compiled ``Var`` for each variable not yet assigned, by
+      one ``bind`` call; those locals then hold their ``Var``.  When no
+      local of the pattern is ground, each holds its ``Var``, so the
+      compiled pattern itself is bound.
+
+    The premises become nested loops in the written order:
 
     - a side condition calls its builtin, looked up in ``REGISTRY`` at
-      each call, on its resolved arguments.  Each answer is a tuple of
-      terms, one per argument, that the program binds to the arguments
-      position by position on its own trail: a position whose answer
-      term is the very argument passed in is skipped, and every other
-      goes through ``bind``, occurs check included.  An answer of the
-      wrong length raises ``SideConditionError``;
-    - a chart lookup reads the symbols at its mode's paths straight from
-      ``env`` (a constant or compound of the pattern gives its symbol
+      each call, on its arguments built from the locals (resolved only
+      when a local is not ground).  Each answer is a tuple of terms, one
+      per argument; a position whose answer term is the very argument
+      passed in is skipped.  When every other term is ground, no answer
+      term can mention a clause variable, and each position is matched
+      inline; otherwise each goes through ``bind`` against the argument
+      passed in, occurs check included, as the interpreted walker does.
+      An answer of the wrong length raises ``SideConditionError``;
+    - a chart lookup reads the symbols at its mode's paths from the
+      locals (a constant or compound of the pattern gives its symbol
       when the source is generated) and hands the key to ``fetch``
       (``ItemStore.fetch``), which renames the candidates before the
       program goes deeper, so their fresh variables are drawn before a
@@ -253,58 +264,150 @@ def program_source(clause: RuleClause) -> tuple:
 
     Each loop undoes the trail to its own mark before each choice, so a
     failed binding just moves on to the next.  The innermost body builds
-    the consequent (``compile_builder``) through ``table``, the store's
-    intern table, which the program gets as an argument and never keeps,
-    so a duplicate consequent is the stored item itself; it renames the
-    consequent from ``source`` when it is not ground, so no stored item
-    keeps a clause variable, and runs the transform, if any.  It then
-    hands the consequent and its ``History`` to ``enqueue`` at once;
-    the history is built by ``tuple.__new__``, so no Python code runs
-    for it.
+    the consequent from the locals through ``table``, the store's
+    intern table, which the program gets as an argument and never keeps:
+    each compound node of the consequent that holds a variable is looked
+    up under ``(functor, id(arg), ...)``, so one built from the same
+    argument objects is the object built first, and a new ground one is
+    stored there.  A duplicate consequent is thus the stored item
+    itself.  The program renames the consequent from ``source`` when it
+    is not ground, so no stored item keeps a clause variable, and runs
+    the transform, if any.  It then hands the consequent and its
+    ``History`` to ``enqueue`` at once; the history is built by
+    ``tuple.__new__``, so no Python code runs for it.
 
     The source depends only on the clause's shape: every constant,
-    variable id, rule name, pattern, mode, matcher and builder is a
-    value, and the helpers are globals of this module, looked up at each
-    call.
+    variable, rule name and mode is a value, and the helpers are globals
+    of this module, looked up at each call.
     """
     trigger, premises, consequent = clause.compiled
     values: list = []
+    names: dict = {}  # clause variable id -> its local
+    temps = itertools.count()
+    body: list = []
 
     def value(x) -> str:
         values.append(x)
         return f"k{len(values) - 1}"
 
-    body = [
-        "env = {}",
-        "trail = []",
-        f"if not ({value(compile_matcher(trigger))}(t0, env, trail) if t0.ground"
-        f" else bind({value(trigger)}, t0, env, trail)): return",
-    ]
+    def held(t: Term) -> list:
+        """The locals of ``t``'s named variables."""
+        return [names[v] for v in term_vars(t) if v in names]
+
+    def build(t: Term) -> str:
+        """An expression for ``t`` over the locals: a named variable is
+        its local, any other its compiled ``Var``."""
+        if not held(t):
+            return value(t)
+        if type(t) is Var:
+            return names[t.id]
+        return f"Compound({value(t.functor)}, ({''.join(build(a) + ', ' for a in t.args)}))"
+
+    def pattern(t: Term) -> str:
+        """``build(t)``, or ``t`` itself when no local of it is ground:
+        each local then holds its own compiled ``Var``."""
+        built, locals_ = build(t), held(t)
+        if type(t) is Var or not locals_:
+            return built
+        return f"({built} if {' or '.join(v + '.ground' for v in locals_)} else {value(t)})"
+
+    def name(t: Term) -> list:
+        """The ids of ``t``'s variables that have no local yet, each
+        given one now."""
+        new = [v for v in term_vars(t) if v not in names]
+        for v in new:
+            names[v] = f"v{len(names)}"
+        return new
+
+    def match(p: Term, t: str, pad: str, fail: str, fresh: set) -> None:
+        """Inline code matching ``p`` against the ground value in ``t``;
+        a variable in ``fresh`` is stored at its first occurrence."""
+        if p.ground:
+            k = value(p)
+            body.append(f"{pad}if {t} is not {k} and {t} != {k}: {fail}")
+        elif type(p) is Var:
+            v = names[p.id]
+            if p.id in fresh:
+                fresh.discard(p.id)
+                body.append(f"{pad}{v} = {t}")
+            else:
+                body.append(f"{pad}if {t} is not {v} and not ({t} == {v} if {v}.ground"
+                            f" else bind({v}, {t}, env, trail)): {fail}")
+        else:
+            body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
+                        f"{value(p.functor)} or len({t}.args) != {len(p.args)}: {fail}")
+            subs = []
+            for a in p.args:
+                if type(a) is Var and a.id in fresh:
+                    fresh.discard(a.id)
+                    subs.append((None, names[a.id]))
+                else:
+                    subs.append((a, f"g{next(temps)}"))
+            body.append(f"{pad}{''.join(s + ', ' for _, s in subs)}= {t}.args")
+            for a, s in subs:
+                if a is not None:
+                    match(a, s, pad, fail, fresh)
+
+    def unify(p: Term, t: str, pad: str, fail: str, then=()) -> None:
+        """Code making the value in ``t`` equal ``p``, ground or not; the
+        lines ``then`` run in either branch before any binding."""
+        built = pattern(p)
+        fresh = name(p)
+        body.append(f"{pad}if {t}.ground:")
+        match(p, t, pad + "    ", fail, set(fresh))
+        body.extend(f"{pad}    {line}" for line in then)
+        body.append(f"{pad}else:")
+        body.extend(f"{pad}    {line}" for line in then)
+        body.append(f"{pad}    if not bind({built}, {t}, env, trail): {fail}")
+        body.extend(f"{pad}    {names[v]} = {value(Var(v))}" for v in fresh)
+
+    unify(trigger, "t0", "", "return", then=("env = {}", "trail = []"))
     slots = {clause.trigger_slot: "index"}
     pad = ""
-    for k, (p, mode, bound) in enumerate(zip(premises, clause.modes, clause.bound), 1):
+    for k, (p, mode) in enumerate(zip(premises, clause.modes), 1):
         undo = f"{pad}    while len(trail) > m{k}: del env[trail.pop()]"
         if isinstance(p, SideCondition):
-            name = value(p.builtin)
-            passed, answers, binds = [], [], []
+            passed = []
             for n, a in enumerate(p.args):
-                u = f"u{k}_{n}"
-                answers.append(u)
-                if a.ground:
-                    x = value(a)
-                else:
-                    x = f"r{k}_{n}"
-                    body.append(f"{pad}{x} = resolve({value(a)}, env)")
+                locals_ = held(a)
+                if not locals_:
+                    passed.append(value(a))
+                    continue
+                x = f"a{k}_{n}"
+                body += [
+                    f"{pad}{x} = {pattern(a)}",
+                    f"{pad}if not ({' and '.join(v + '.ground' for v in locals_)}):"
+                    f" {x} = resolve({x}, env)",
+                ]
                 passed.append(x)
-                binds.append(f"if {u} is not {x} and not bind({x}, {u}, env, trail): continue")
+            answers = [f"u{k}_{n}" for n in range(len(p.args))]
+            inner = pad + "    "
             body += [
                 f"{pad}m{k} = len(trail)",
                 f"{pad}for {''.join(u + ', ' for u in answers)}in builtin_answers("
-                f"{name}, ({''.join(x + ', ' for x in passed)}), ctx):",
+                f"{value(p.builtin)}, ({''.join(x + ', ' for x in passed)}), ctx):",
                 undo,
+                f"{inner}if {' and '.join(f'({u} is {x} or {u}.ground)' for u, x in zip(answers, passed))}:",
             ]
-            body += [f"{pad}    {line}" for line in binds]
-            pad += "    "
+            introduced = []
+            for a, u, x in zip(p.args, answers, passed):
+                here = name(a)
+                introduced += here
+                if a.ground or (type(a) is Var and not here):
+                    match(a, u, inner + "    ", "continue", set())
+                    continue
+                if here:
+                    body.append(f"{inner}    if {u} is {x}: "
+                                + "; ".join(f"{names[v]} = {value(Var(v))}" for v in here))
+                    body.append(f"{inner}    else:")
+                else:
+                    body.append(f"{inner}    if {u} is not {x}:")
+                match(a, u, inner + "        ", "continue", set(here))
+            body.append(f"{inner}else:")
+            body += [f"{inner}    if {u} is not {x} and not bind({x}, {u}, env, trail): continue"
+                     for u, x in zip(answers, passed)]
+            body += [f"{inner}    {names[v]} = {value(Var(v))}" for v in introduced]
+            pad = inner
             continue
         parts, known = [], []
         for path in (() if mode is None else mode[1]):
@@ -314,7 +417,7 @@ def program_source(clause: RuleClause) -> tuple:
             if type(sub) is Var:
                 x = f"s{len(known)}"
                 body += [
-                    f"{pad}{x} = env.get({value(sub.id)})",
+                    f"{pad}{x} = {names[sub.id]}",
                     f"{pad}while type({x}) is Var: {x} = env.get({x}.id)",
                 ]
                 known.append(f"{x} is not None")
@@ -328,15 +431,41 @@ def program_source(clause: RuleClause) -> tuple:
             f"{pad}m{k} = len(trail)",
             f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source):",
             undo,
-            f"{pad}    if not ({value(compile_matcher(p.pattern, bound))}(t{k}, env, trail)"
-            f" if t{k}.ground else bind({value(p.pattern)}, t{k}, env, trail)): continue",
         ]
+        unify(p.pattern, f"t{k}", pad + "    ", "continue")
         slots[p.slot] = f"i{k}"
         pad += "    "
+
+    built: dict = {}  # clause variable id -> the local holding its resolved value
+    nodes = itertools.count()
+
+    def expr(t: Term) -> str:
+        """An expression for the consequent's subterm ``t``, built from
+        the locals through ``table``."""
+        if t.ground:
+            return value(t)
+        if type(t) is Var:
+            x = built.get(t.id)
+            if x is None:
+                x = built[t.id] = f"x{len(built)}"
+                v = names[t.id]
+                body.append(f"{pad}{x} = {v} if {v}.ground else resolve({v}, env)")
+            return x
+        subs = [expr(a) for a in t.args]
+        f, y = value(t.functor), f"y{next(nodes)}"
+        body.extend([
+            f"{pad}key = ({f}, {''.join(f'id({s}), ' for s in subs)})",
+            f"{pad}{y} = table.get(key)",
+            f"{pad}if {y} is None:",
+            f"{pad}    {y} = Compound({f}, ({''.join(s + ', ' for s in subs)}))",
+            f"{pad}    if {y}.ground: table[key] = {y}",
+        ])
+        return y
+
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     transform = value(clause.transform)
     body += [
-        f"{pad}out = {value(compile_builder(consequent))}(env, table)",
+        f"{pad}out = {expr(consequent)}",
         f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
         f"{pad}if {transform} is not None: out = {transform}(out, source)",
         f"{pad}enqueue(out, {value(tuple.__new__)}({value(History)},"

@@ -10,7 +10,6 @@ collides with user symbols.
 
 from __future__ import annotations
 
-import itertools
 import re
 import types
 from typing import Iterable, Iterator
@@ -223,16 +222,11 @@ class Substitution:
         return isinstance(other, Substitution) and self.bindings == other.bindings
 
     def apply(self, t: Term) -> Term:
-        if t.ground or not self.bindings:
-            return t
-        if isinstance(t, Var):
-            return self.bindings.get(t.id, t)
-        if isinstance(t, Compound):
-            args = tuple(self.apply(a) for a in t.args)
-            if args == t.args:
-                return t
-            return Compound(t.functor, args)
-        return t
+        """``t`` with each bound variable replaced by its value.  It is
+        ``resolve``, which walks an explicit stack, so a term of any
+        depth applies; the bindings are fully resolved, so no chain of
+        them is followed."""
+        return resolve(t, self.bindings)
 
     def compose(self, later: "Substitution") -> "Substitution":
         """The substitution applying self first, then later."""
@@ -364,16 +358,14 @@ def undo(env: dict, trail: list, mark: int) -> None:
         del env[trail.pop()]
 
 
-# ---- generated matchers and builders ----
+# ---- generated code ----
 #
-# A rule clause's patterns are fixed, so matching an item against one
-# need not walk the pattern: as in compiled head unification (Warren
-# 1983), a variable's first occurrence becomes a plain store and only a
-# later one a comparison.  The generated source depends only on a
-# term's shape.  Every functor, constant, variable id and helper reaches
-# it as an argument of an outer ``make`` function, whose closure cells
-# the generated function reads; so no term text is ever compiled, and
-# terms of one shape share one code object.
+# The rule clauses' programs (``systems.program_source``) are generated
+# from the clauses' shapes.  Every functor, constant, variable and
+# helper reaches the source as an argument of an outer ``make``
+# function, whose closure cells the generated function reads; so no
+# term text is ever compiled, and clauses of one shape share one code
+# object.
 
 _MAKERS: dict = {}  # generated source -> its compiled ``make``
 
@@ -399,130 +391,6 @@ def _wrap(name: str, params: list, body: list, values: list) -> str:
     args = ", ".join([f"k{n}" for n in range(len(values))])
     inner = "".join(f"        {line}\n" for line in body)
     return f"def make({args}):\n    def {name}({', '.join(params)}):\n{inner}    return {name}\n"
-
-
-def matcher_source(pattern: Term, bound) -> tuple:
-    """(source, values) of ``compile_matcher(pattern, bound)``."""
-    values: list = [Compound, bind]  # k0 and k1 in the source
-    body: list = []
-    seen: dict = {}  # variable id -> the local holding its ground value
-    locals_ = itertools.count(1)
-
-    def value(x) -> str:
-        values.append(x)
-        return f"k{len(values) - 1}"
-
-    def emit(p: Term, t: str) -> None:
-        if p.ground:
-            k = value(p)
-            body.append(f"if {t} is not {k} and {t} != {k}: return False")
-        elif type(p) is Var:
-            if p.id in seen:
-                s = seen[p.id]
-                body.append(f"if {t} is not {s} and {t} != {s}: return False")
-            elif p.id in bound:
-                body.extend([
-                    f"x = env.get({value(p.id)})",
-                    f"if x is not {t}:",
-                    "    if x is not None and x.ground:",
-                    f"        if x != {t}: return False",
-                    f"    elif not k1({value(p)}, {t}, env, trail): return False",
-                ])
-            else:
-                k = value(p.id)
-                body.extend([f"env[{k}] = {t}", f"trail.append({k})"])
-            # Once matched, the variable's value equals the ground ``t``.
-            seen[p.id] = t
-        else:
-            f = value(p.functor)
-            body.append(
-                f"if type({t}) is not k0 or {t}.functor != {f} "
-                f"or len({t}.args) != {len(p.args)}: return False"
-            )
-            subs = [f"t{next(locals_)}" for _ in p.args]
-            body.append(f"{', '.join(subs)}, = {t}.args")
-            for a, s in zip(p.args, subs):
-                emit(a, s)
-
-    emit(pattern, "t0")
-    body.append("return True")
-    return _wrap("match", ["t0", "env", "trail"], body, values), values
-
-
-def compile_matcher(pattern: Term, bound=()):
-    """A function ``match(t, env, trail)`` that, for a ground ``t``,
-    does what ``bind(pattern, t, env, trail)`` does: it returns whether
-    they unify and leaves the same bindings in ``env``, each pushed on
-    ``trail`` (a failure may leave some behind).
-
-    ``bound`` names the variables of ``pattern`` that may already be
-    bound in ``env``; the others must not be.  A variable in ``bound``
-    is compared with its value by identity or equality, falling back to
-    ``bind`` only when it has no value or a non-ground one.
-    """
-    return _generate(*matcher_source(pattern, frozenset(bound)))
-
-
-def builder_source(term: Term) -> tuple:
-    """(source, values) of ``compile_builder(term)``.
-
-    Each compound node of ``term`` that is not ground in the pattern
-    becomes a local: one probe of ``table`` under ``(functor, id(arg),
-    ...)`` takes the stored term, or the node is built and, when ground,
-    stored.  A node with a non-ground argument always misses, since
-    every live key holds the ids of ground terms that are alive."""
-    values: list = [Compound, resolve]  # k0 and k1 in the source
-    body: list = []
-    seen: dict = {}
-    nodes = itertools.count()
-
-    def value(x) -> str:
-        values.append(x)
-        return f"k{len(values) - 1}"
-
-    def expr(t: Term) -> str:
-        if t.ground:
-            return value(t)
-        if type(t) is Var:
-            x = seen.get(t.id)
-            if x is None:
-                x = seen[t.id] = f"x{len(seen)}"
-                body.extend([
-                    f"{x} = env.get({value(t.id)})",
-                    f"if {x} is None or not {x}.ground: {x} = k1({value(t)}, env)",
-                ])
-            return x
-        subs = [expr(a) for a in t.args]
-        f, y = value(t.functor), f"y{next(nodes)}"
-        args = "".join(f"{s}, " for s in subs)
-        ids = "".join(f"id({s}), " for s in subs)
-        body.extend([
-            f"key = ({f}, {ids})",
-            f"{y} = table.get(key)",
-            f"if {y} is None:",
-            f"    {y} = k0({f}, ({args}))",
-            f"    if {y}.ground: table[key] = {y}",
-        ])
-        return y
-
-    body.append(f"return {expr(term)}")
-    return _wrap("build", ["env", "table"], body, values), values
-
-
-def compile_builder(term: Term):
-    """A function ``build(env, table)`` returning a term equal to
-    ``resolve(term, env)``.
-
-    ``table`` is a dict that hash-conses the ground compounds the
-    builders make: each compound is looked up under ``(functor,
-    id(arg), ...)``, so one built from the same argument objects is the
-    very object built first, and a new ground one is stored there.  A
-    stored term holds its arguments, so no id in a live key is reused.
-    A non-ground compound never enters the table.
-    Terms made elsewhere are not in it, so an equal term may still be
-    another object: equality stays structural, and the table only lets
-    equal builds be found by identity."""
-    return _generate(*builder_source(term))
 
 
 def unify(t1: Term, t2: Term) -> "Substitution | None":

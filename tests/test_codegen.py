@@ -1,14 +1,17 @@
-"""The generated matchers, builders and clause programs against
-``bind``, ``resolve`` and an interpreted walk of each clause."""
+"""The generated clause programs against ``bind``, ``resolve`` and an
+interpreted walk of each clause."""
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deduce.systems
 from deduce import terms
-from deduce.engine import check_soundness, parse
+from deduce.engine import _consequents, check_soundness, parse
 from deduce.grammar import CfGrammar, tokenize
-from deduce.store import ItemStore
+from deduce.store import INITIAL, History, ItemStore
 from deduce.systems import (
     REGISTRY,
     SYSTEM_NAMES,
@@ -19,6 +22,7 @@ from deduce.systems import (
     SideCondition,
     SideConditionError,
     UnknownBuiltinError,
+    builtin_answers,
     eval_side_condition,
     make_earley,
     make_tag,
@@ -31,10 +35,8 @@ from deduce.terms import (
     Var,
     VarSource,
     bind,
-    builder_source,
-    compile_builder,
-    compile_matcher,
-    matcher_source,
+    canonical,
+    parse_term,
     rename_with,
     resolve,
     term_vars,
@@ -42,25 +44,9 @@ from deduce.terms import (
 )
 
 
-def _agree(pattern, bound, t, env):
-    """The generated matcher and ``bind`` on copies of ``env``: the same
-    verdict, the same bindings on success, and a trail that undoes
-    exactly what was bound either way."""
-    env1, env2, trail1, trail2 = dict(env), dict(env), [], []
-    ok = compile_matcher(pattern, bound)(t, env1, trail1)
-    assert ok == bind(pattern, t, env2, trail2)
-    if ok:
-        assert env1.keys() == env2.keys()
-        for v in env1:
-            assert resolve(Var(v), env1) == resolve(Var(v), env2)
-    undo(env1, trail1, 0)
-    assert env1 == env
-    return ok
-
-
 # ---- the interpreted walk: the reference for the clause programs ----
 
-def reference_firings(clause, store, index, ctx, envs=None) -> list:
+def reference_firings(clause, store, index, ctx) -> list:
     """The firings of ``clause`` triggered by the item at ``index``, as
     (rule, slot, consequent, antecedent indices), by interpreting the
     clause: the premises run left to right, depth first, through
@@ -69,9 +55,7 @@ def reference_firings(clause, store, index, ctx, envs=None) -> list:
     against ``p(arguments)``.
     The trigger and each lookup's candidates are renamed from
     ``ctx.source`` before they are bound, and a non-ground consequent
-    after it is built, in the order the engine draws them.  When
-    ``envs`` is given, ``envs[(clause, k)]`` collects the first eight
-    environments met by chart premise ``k``.
+    after it is built, in the order the engine draws them.
     """
     source = ctx.source
     trigger, premises, consequent = clause.compiled
@@ -104,10 +88,6 @@ def reference_firings(clause, store, index, ctx, envs=None) -> list:
                     walk(k + 1, antes)
                 undo(env, trail, mark)
             return
-        if envs is not None:
-            met = envs.setdefault((clause, k), [])
-            if len(met) < 8:
-                met.append(dict(env))
         pattern = resolve(p.pattern, env)
         found = [(i, store.renamed(i, source))
                  for i in store.candidates(pattern, clause.modes[k])]
@@ -166,13 +146,11 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
     clause through the program and the reference, each from its own
     fresh-variable source starting at one id, as soon as ``ItemStore.pop``
     hands the index out: (runs, results, the counts of pops replayed, of
-    firings compared and of firings the parse enqueued, the environments
-    met per chart premise)."""
+    firings compared and of firings the parse enqueued)."""
     runs = _fixture_runs(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar,
                          ccg_lexicon, trip_grammar, counting_grammar)
     plain_pop, plain_enqueue = ItemStore.pop, ItemStore.enqueue
     counts = {"pops": 0, "compared": 0, "made": 0}
-    envs: dict = {}
     run = []  # the (system, grammar, input) being parsed
 
     def replaying_pop(store):
@@ -185,7 +163,7 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
             ctx1 = EvalContext(grammar, input_string, VarSource(1_000_000))
             ctx2 = EvalContext(grammar, input_string, VarSource(1_000_000))
             got = _program_firings(clause, store, index, ctx1)
-            want = reference_firings(clause, store, index, ctx2, envs)
+            want = reference_firings(clause, store, index, ctx2)
             assert got == want, (clause.rule_name, clause.trigger_slot, index)
             assert ctx1.source.fresh() == ctx2.source.fresh()
             counts["compared"] += len(got)
@@ -205,14 +183,14 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
             r = parse(*run[-1])
             assert r.accepted and not check_soundness(r)
             results.append(r)
-    return runs, results, counts, envs
+    return runs, results, counts
 
 
 def test_every_clause_program_fires_as_the_interpreted_walk_does(replayed):
     # Every pop of every fixture run was replayed through each clause of
     # its system, and among them every rule fired that the fixture
     # lexicon can use: it has no backward-slash argument to compose.
-    runs, results, counts, _ = replayed
+    runs, results, counts = replayed
     assert counts["pops"] == sum(r.pops for r in results)
     assert counts["compared"] == counts["made"] > 0
     rules, fired = set(), set()
@@ -223,48 +201,32 @@ def test_every_clause_program_fires_as_the_interpreted_walk_does(replayed):
         ("ccg", "forward_compose2"), ("ccg", "backward_compose1"), ("ccg", "backward_compose2")}
 
 
-def test_generated_programs_agree_with_bind_and_resolve(replayed):
-    # The environments a chart premise met in the replay are kept, and
-    # every ground item of the chart is matched under each of them by
-    # the premise's generated matcher and by bind; so is every item
-    # against every trigger, under the empty environment.
-    runs, results, _, seen_envs = replayed
-    tried = set()
-    for (system, _, _), r in zip(runs, results):
-        items = [s.item for s in r.store.items() if s.item.ground]
-        for clause in system.clauses:
-            trig, premises, _ = clause.compiled
-            for item in items:
-                _agree(trig, (), item, {})
-            for k, bound in enumerate(clause.bound):
-                if bound is None:
-                    continue
-                envs = seen_envs.get((clause, k), []) + _envs(clause, k, items)
-                for env in envs:
-                    for item in items:
-                        _agree(premises[k].pattern, bound, item, env)
-                if envs:
-                    tried.add((clause, k))
-    for system, _, _ in runs:
-        for clause in system.clauses:
-            for k, bound in enumerate(clause.bound):
-                assert bound is None or (clause, k) in tried, (clause.rule_name, k)
+def test_the_dcg_replays_take_the_non_ground_path(replayed, abn_grammar):
+    # Bottom-up and restricted Earley on abn.dcg store non-ground items,
+    # so their replays ran triggers and candidates through ``bind``.
+    runs, results, _ = replayed
+    dcg = [r for r in results if r.grammar is abn_grammar]
+    assert [r.system.name for r in dcg] == ["earley", "bottomup"]
+    for r in dcg:
+        assert any(not s.item.ground for s in r.store.items())
 
 
-def _envs(clause, k, items, most=20):
-    """Environments reaching premise ``k``: the trigger and each chart
-    premise before it bound to chart items; side conditions skipped."""
-    trig, premises, _ = clause.compiled
-    envs = [{}]
-    for pattern in [trig] + [p.pattern for p in premises[:k] if isinstance(p, ItemPremise)]:
-        grown = []
-        for env in envs:
-            for item in items:
-                env2 = dict(env)
-                if bind(pattern, item, env2, []):
-                    grown.append(env2)
-        envs = grown[:most]
-    return envs
+def test_every_item_fires_every_clause_as_the_walk_does_on_the_whole_chart(replayed):
+    # After each fixture parse every item is a candidate of every
+    # lookup, so each item, offered to each clause, meets its premises
+    # under many more bindings than during the parse.
+    runs, results, _ = replayed
+    fired = 0
+    for (system, grammar, sentence), r in zip(runs, results):
+        for clause in system.clauses:
+            for index in range(1, len(r.store) + 1):
+                ctx1 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
+                ctx2 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
+                got = _program_firings(clause, r.store, index, ctx1)
+                assert got == reference_firings(clause, r.store, index, ctx2)
+                assert ctx1.source.fresh() == ctx2.source.fresh()
+                fired += len(got)
+    assert fired > sum(len(r.store) for r in results)
 
 
 # ---- random terms ----
@@ -312,11 +274,74 @@ def _cases(draw):
     return pattern, bound, t, env
 
 
+def _chart(premises, consequent, items):
+    """The slot-0 clause of a rule of ``premises`` and ``consequent``,
+    and a store holding ``items``, all popped, so that every one is a
+    candidate of every lookup."""
+    clause = Rule("r", premises, consequent).clauses[0]
+    store = ItemStore(tuple(m for m in clause.modes if m is not None))
+    for item in items:
+        store.enqueue(item, History(INITIAL, ()))
+    while store.pop() is not None:
+        pass
+    return clause, store
+
+
+def _fired(clause, store) -> tuple:
+    """(the program's firings, the reference's) with each item of the
+    store as the trigger, each side from its own fresh-variable source
+    starting at one id."""
+    got, want = [], []
+    for index in range(1, len(store) + 1):
+        ctx1 = EvalContext(None, tokenize(""), VarSource(1_000_000))
+        ctx2 = EvalContext(None, tokenize(""), VarSource(1_000_000))
+        got += _program_firings(clause, store, index, ctx1)
+        want += reference_firings(clause, store, index, ctx2)
+        assert ctx1.source.fresh() == ctx2.source.fresh()
+    return got, want
+
+
+def _bound_before(names, env):
+    """Premises and items that bind the clause variables ``names`` to
+    their values in ``env`` before a later premise: a trigger
+    ``pre(names...)`` on ``pre(values...)``, a value missing from
+    ``env`` being a variable of its own.  When ``env`` binds U, the
+    trigger gets one more argument, Q, on U, and a premise ``q(Q)`` on
+    ``q(env["U"])`` binds U through Q."""
+    args, values = [Var(v) for v in names], [env.get(v, Var(f"_{v}")) for v in names]
+    premises, items = [], []
+    if "U" in env:
+        args.append(Var("Q"))
+        values.append(Var("U"))
+        premises.append(Compound("q", (Var("Q"),)))
+        items.append(Compound("q", (env["U"],)))
+    return [Compound("pre", tuple(args))] + premises, [Compound("pre", tuple(values))] + items
+
+
 @settings(max_examples=500, deadline=None)
-@given(_cases())
-def test_a_generated_matcher_binds_as_bind_does(case):
+@given(_cases(), _terms(_consts | _value_vars, 3), st.data())
+def test_a_pattern_matches_as_bind_does(case, other, data):
+    # ``pattern`` is a chart premise after the variables in ``bound``
+    # got their values, and then a trigger.  Its candidates are ``t``,
+    # ``other``, which may hold variables, and an instance of the
+    # pattern over U and W, so that a variable of a candidate often
+    # meets a bound one of the pattern; each loop moves on from a
+    # choice, failed or not, to the next.  The consequent holds every
+    # variable of the pattern.
     pattern, bound, t, env = case
-    _agree(pattern, bound, t, env)
+    names = term_vars(pattern)
+    values = {v: data.draw(_terms(_consts | _value_vars, 1)) for v in names}
+    instance = resolve(pattern, values)
+    out = Compound("out", tuple(Var(v) for v in names))
+    # The bound variables' values come from ``env``, and then from a
+    # ground trigger, whose values live only in the program's locals.
+    ground = {v: data.draw(_ground) for v in bound}
+    for given in (env, ground):
+        premises, items = _bound_before(sorted(bound), given)
+        got, want = _fired(*_chart(premises + [pattern], out, items + [t, other, instance]))
+        assert got == want
+    got, want = _fired(*_chart([pattern], out, [t, other, instance]))
+    assert got == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,46 +350,171 @@ def test_a_generated_matcher_binds_as_bind_does(case):
     st.dictionaries(st.sampled_from(["X", "Y", "Z"]), _terms(_consts | _value_vars, 2)),
     st.one_of(st.none(), _ground),
 )
-def test_a_generated_builder_builds_what_resolve_does(term, env, u):
-    # Built twice through one table: both builds equal ``resolve``'s
-    # term, and the table holds only ground compounds.
+def test_a_consequent_is_built_as_resolve_builds_it(term, env, u):
+    # Built twice through the store's one table: both builds equal the
+    # reference's, which resolves ``term``, and the table holds only
+    # ground compounds.
     if u is not None:
         env["U"] = u
-    build, table = compile_builder(term), {}
-    assert build(env, table) == resolve(term, env)
-    assert build(env, table) == resolve(term, env)
-    assert all(type(t) is Compound and t.ground for t in table.values())
+    premises, items = _bound_before("XYZ", env)
+    clause, store = _chart(premises, term, items)
+    got, want = _fired(clause, store)
+    assert len(want) == 1
+    assert got == want
+    assert _fired(clause, store) == (want, want)
+    assert all(type(t) is Compound and t.ground for t in store.interned.values())
+
+
+def _built(consequent, item, table):
+    """The consequent of the one-premise rule ``pre(X, Y, Z) =>
+    consequent``, built by its program on ``item`` through ``table``."""
+    clause = Rule("r", [Compound("pre", tuple(Var(v) for v in "XYZ"))], consequent).clauses[0]
+    made = []
+    clause.program()(item, 1, lambda t, history: made.append(t), None, VarSource(), None, table)
+    [t] = made
+    return t
+
+
+def _pre(x, y, z):
+    return Compound("pre", (x, y, z))
 
 
 def test_equal_ground_builds_through_one_table_are_one_object():
-    a, x, y, z = Const("a"), Var("X"), Var("Y"), Var("Z")
-    env = {"X": a, "Y": Compound("h", (Const("b"),))}
-    pattern = Compound("f", (x, Compound("g", (y, a))))
+    a, b, x, y, z = Const("a"), Const("b"), Var("X"), Var("Y"), Var("Z")
+    h = Compound("h", (b,))
+    consequent = Compound("f", (x, Compound("g", (y, a))))
     table = {}
-    first = compile_builder(pattern)(env, table)
-    assert compile_builder(pattern)(env, table) is first
-    # Another builder making an equal term from the same argument
+    first = _built(consequent, _pre(a, h, b), table)
+    assert _built(consequent, _pre(a, h, b), table) is first
+    # Another program making an equal term from the same argument
     # objects finds it too, at every node.
-    inner = compile_builder(Compound("g", (y, a)))(env, table)
+    inner = _built(Compound("g", (y, a)), _pre(a, h, b), table)
     assert inner is first.args[1]
-    assert compile_builder(Compound("f", (x, z)))({"X": a, "Z": inner}, table) is first
+    assert _built(Compound("f", (x, z)), _pre(a, b, inner), table) is first
     assert len(table) == 2
     # Another table holds its own objects.
-    other = compile_builder(pattern)(env, {})
+    other = _built(consequent, _pre(a, h, b), {})
     assert other == first and other is not first
 
 
 def test_a_non_ground_build_never_enters_the_table():
-    x, y, w = Var("X"), Var("Y"), Var("W")
-    pattern = Compound("f", (Compound("g", (x,)), y))
-    for env in ({"X": Const("a")}, {"X": Const("a"), "Y": Compound("h", (w,))}):
+    a, x, y, w = Const("a"), Var("X"), Var("Y"), Var("W")
+    consequent = Compound("f", (Compound("g", (x,)), y))
+    for item in (_pre(a, w, a), _pre(a, Compound("h", (w,)), a)):
         table = {}
-        built = compile_builder(pattern)(env, table)
+        built = _built(consequent, item, table)
         assert not built.ground
         assert list(table.values()) == [built.args[0]]
     table = {}
-    assert not compile_builder(pattern)({}, table).ground
+    assert not _built(consequent, _pre(Var("U"), y, w), table).ground
     assert table == {}
+
+
+# ---- env only for term variables ----
+
+def _both_ways(premises, consequent, items) -> tuple:
+    """The consequents of the slot-0 clause of a rule of ``premises``
+    and ``consequent``, fired on the first of ``items`` with all of them
+    in the chart, by its program and by the interpreted walker
+    ``engine._consequents``, each in canonical form."""
+    clause, store = _chart([parse_term(p) if isinstance(p, str) else p for p in premises],
+                           parse_term(consequent), [parse_term(i) for i in items])
+    ctx = EvalContext(None, tokenize(""), VarSource(1_000_000))
+    got = [canonical(t) for _, _, t, _ in _program_firings(clause, store, 1, ctx)]
+    source = VarSource(2_000_000)
+
+    def candidates(slot, state):
+        indices = [1] if slot == clause.trigger_slot else range(1, len(store) + 1)
+        return [(store.renamed(i, source), state) for i in indices]
+
+    def answers(p, args):
+        return builtin_answers(p.builtin, args, ctx)
+
+    want = [canonical(t) for t in _consequents(clause, candidates, answers, source)]
+    return got, want
+
+
+def test_a_term_variable_meets_structure_holding_a_new_clause_variable():
+    # The item's W is bound to g(X) while X has no value, so X escapes
+    # into W's binding; X = a then reaches the consequent through it,
+    # with the pattern as trigger and as candidate.
+    out_a = [parse_term("out(a)")]
+    assert _both_ways(["f(g(X), X)"], "out(X)", ["f(W, a)"]) == (out_a, out_a)
+    assert _both_ways(["go", "f(g(X), X)"], "out(X)", ["go", "f(W, a)"]) == (out_a, out_a)
+    # A later occurrence meets the term variable: X = a first, then
+    # W = g(X).
+    assert _both_ways(["f(X, g(X))"], "out(X)", ["f(a, W)"]) == (
+        out_a, out_a)
+    # W = g(X) and X = W fail the occurs check, in either order.
+    assert _both_ways(["f(g(X), X)"], "out(X)", ["f(W, W)"]) == ([], [])
+    assert _both_ways(["f(X, g(X))"], "out(X)", ["f(W, W)"]) == ([], [])
+
+
+def test_a_candidate_may_repeat_a_variable():
+    got, want = _both_ways(["go", "f(X, Y)"], "out(X, Y)", ["go", "f(W, W)"])
+    assert got == want == [canonical(parse_term("out(W, W)"))]
+    got, want = _both_ways(["go", "f(X, g(Y))"], "out(X, Y)", ["go", "f(W, W)"])
+    assert got == want == [canonical(parse_term("out(g(W), W)"))]
+    # A ground trigger gives X = a; the candidate's W then meets X's
+    # value, not X, and Y = W reads a.
+    got, want = _both_ways(["p(X)", "f(X, Y)"], "out(X, Y)", ["p(a)", "f(W, W)"])
+    assert got == want == [parse_term("out(a, a)")]
+    # a meets W, so the second W is a; the second candidate gives X
+    # two values.
+    got, want = _both_ways(["go", "f(a, X, X)"], "out(X)", ["go", "f(W, W, a)", "f(V, b, V)"])
+    assert got == want == [parse_term("out(a)")]
+
+
+@pytest.mark.parametrize("answer, consequent", [
+    # The first position's answer holds W, which the second binds: the
+    # binding goes through the clause variable Y, bound to W.
+    (lambda args: (Compound("f", (Var("W"),)), Const("a")), "out(a)"),
+    # The first position's answer is the argument itself, so Y keeps
+    # no value until the second position's ground answer binds it.
+    (lambda args: (args[0], Const("a")), "out(a)"),
+])
+def test_an_answer_position_binds_a_variable_an_earlier_one_introduced(
+        monkeypatch, answer, consequent):
+    monkeypatch.setitem(REGISTRY, "pair", lambda args, ctx: iter([answer(args)]))
+    rule = ["go", SideCondition("pair", (parse_term("f(Y)"), Var("Y")))]
+    got, want = _both_ways(rule, "out(Y)", ["go"])
+    assert got == want == [parse_term(consequent)]
+
+
+def test_a_later_answer_may_hold_a_variable_an_earlier_one_bound(monkeypatch):
+    # The first answer term is ground and gives Y = b; the second holds
+    # the clause variable Y passed in, so it must be read as b.
+    monkeypatch.setitem(REGISTRY, "pair", lambda args, ctx: iter(
+        [(parse_term("f(b)"), Compound("g", (args[0].args[0],)))]))
+    rule = ["go", SideCondition("pair", (parse_term("f(Y)"), Var("Z")))]
+    got, want = _both_ways(rule, "out(Y, Z)", ["go"])
+    assert got == want == [parse_term("out(b, g(b))")]
+
+
+def test_ground_parses_never_bind_or_resolve(monkeypatch, ambiguous_grammar, toy_grammar,
+                                             ccg_lexicon, counting_grammar, abn_grammar):
+    # The programs read ``bind`` and ``resolve`` as globals of
+    # ``deduce.systems``, so counting wrappers there see every call.
+    calls = Counter()
+    for name in ("bind", "resolve"):
+        def counted(*args, name=name, fn=getattr(deduce.systems, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(deduce.systems, name, counted)
+    a20 = " ".join(["a"] * 20)
+    for system, grammar, sentence in [
+        (system_for("earley"), ambiguous_grammar, a20),
+        (system_for("cyk"), ambiguous_grammar, a20),
+        (system_for("earley"), toy_grammar, "Terry halts"),
+        (system_for("ccg"), ccg_lexicon, "John really likes bananas"),
+        (system_for("tag"), counting_grammar, "a a b b c c d d"),
+    ]:
+        assert parse(system, grammar, tokenize(sentence)).accepted
+        assert calls == {}, (system.name, sentence)
+    # A DCG's items hold variables, so its programs bind and resolve.
+    assert parse(make_earley(restriction_depth=2), abn_grammar, tokenize("a b b b")).accepted
+    assert calls["bind"] > 0 and calls["resolve"] > 0
 
 
 # ---- names never reach the generated source ----
@@ -401,13 +551,8 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
     assert r.accepted
     assert [render for render in r.dump().splitlines() if HOSTILE[3] in render]
     for clause in system.clauses:
-        trig, premises, consequent = clause.compiled
-        sources = [matcher_source(trig, ())[0], builder_source(consequent)[0],
-                   program_source(clause)[0]]
-        sources += [matcher_source(p.pattern, clause.bound[k])[0]
-                    for k, p in enumerate(premises) if clause.bound[k] is not None]
-        for source in sources:
-            assert not any(name in source for name in HOSTILE)
+        source = program_source(clause)[0]
+        assert not any(name in source for name in HOSTILE)
     for source in terms._MAKERS:
         assert not any(name in source for name in HOSTILE)
 
@@ -456,29 +601,19 @@ def _clause(system, rule_name, slot):
 
 
 def test_clauses_of_one_shape_share_code():
+    # Whole clauses: forward composition into a forward and into a
+    # backward category differ only in functors, which are values.
     ccg = system_for("ccg")
-    forward = _clause(ccg, "forward_apply", 0)
-    backward = _clause(ccg, "backward_apply", 1)
-    assert forward.trigger != backward.trigger
-    assert (compile_matcher(forward.compiled[0]).__code__
-            is compile_matcher(backward.compiled[0]).__code__)
+    one, two = _clause(ccg, "forward_compose1", 1), _clause(ccg, "forward_compose2", 1)
+    assert one.trigger != two.trigger
+    assert one.program() is not two.program()
+    assert one.program().__code__ is two.program().__code__
+    # Each program inlines its clause's patterns, so clauses share code
+    # only when their trigger, premises and consequent have one shape:
+    # the four CCG composition rules pair up, the rest differ.
     clauses = [c for name in SYSTEM_NAMES for c in system_for(name).clauses]
-    pieces = [compile_builder(c.compiled[2]) for c in clauses]
-    for c in clauses:
-        trig, premises, _ = c.compiled
-        pieces.append(compile_matcher(trig))
-        pieces += [compile_matcher(p.pattern, b) for p, b in zip(premises, c.bound)
-                   if b is not None]
-    assert len(pieces) == 78
-    assert len({p.__code__ for p in pieces}) == 30
-    # Whole clauses: backward application and forward composition look
-    # up their partner by the same kind of key.
-    apply_, compose = _clause(ccg, "backward_apply", 0), _clause(ccg, "forward_compose1", 0)
-    assert apply_.trigger != compose.trigger
-    assert apply_.program() is not compose.program()
-    assert apply_.program().__code__ is compose.program().__code__
     assert len(clauses) == 29
-    assert len({c.program().__code__ for c in clauses}) == 16
+    assert len({c.program().__code__ for c in clauses}) == 25
 
 
 def test_a_system_variant_generates_no_new_code():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import deduce.systems
 from deduce.cli import build_arg_parser, build_system
 from deduce.engine import check_soundness, parse
 from deduce.grammar import CfGrammar, load_ccg, load_cf, load_tag, parse_category, tokenize
@@ -32,8 +33,6 @@ from deduce.terms import (
     NIL,
     Var,
     VarSource,
-    bind,
-    compile_matcher,
     cons,
     mklist,
     parse_term,
@@ -550,32 +549,43 @@ def test_mode_analysis_binds_the_lookup_paths():
     assert sibling[1] == ((0,), (0, 0), (0, 1), (0, 1, 0), (0, 1, 1), (1,), (5,))
 
 
-def _matching_clauses(system, item):
-    """(rule, slot) of every clause whose trigger matcher, the one its
-    program runs first, takes the ground ``item``, each tried on a fresh
-    environment."""
-    return [
-        (c.rule_name, c.trigger_slot) for c in system.clauses
-        if compile_matcher(c.compiled[0])(item, {}, [])
-    ]
+def _matching_clauses(system, item, monkeypatch):
+    """(rule, slot) of every clause whose program takes ``item`` past
+    its trigger match: it then reaches its first premise, a chart lookup
+    or a side condition, each stubbed here to find nothing, or, with no
+    premise, enqueues its consequent."""
+    reached = []
+
+    def reach(*args):
+        reached.append(args)
+        return ()
+
+    monkeypatch.setattr(deduce.systems, "builtin_answers", reach)
+    out = []
+    for c in system.clauses:
+        reached.clear()
+        c.program()(item, 1, reach, reach, VarSource(), None, {})
+        if reached:
+            out.append((c.rule_name, c.trigger_slot))
+    return out
 
 
-def test_trigger_matcher_dispatch():
+def test_trigger_matcher_dispatch(monkeypatch):
     earley = make_earley()
     complete = er(0, Const("s"), syms("np"), NIL, 2)
     incomplete = er(0, Const("s"), NIL, syms("np", "vp"), 0)
-    assert _matching_clauses(earley, complete) == [("complete", 1)]
-    assert _matching_clauses(earley, incomplete) == [
+    assert _matching_clauses(earley, complete, monkeypatch) == [("complete", 1)]
+    assert _matching_clauses(earley, incomplete, monkeypatch) == [
         ("scan", 0), ("predict", 0), ("complete", 0)]
     # A non-ground item goes through ``bind``: an open after-list unifies
     # with every Earley trigger.
     open_item = er(0, Const("s"), NIL, Var("After"), 0)
-    assert len([c for c in earley.clauses if bind(c.compiled[0], open_item, {}, [])]) == 4
+    assert len(_matching_clauses(earley, open_item, monkeypatch)) == 4
 
     tag = make_tag()
     def fires(node, dot):
         item = Compound("tg", (node, Const(dot), Const(1), BOTTOM, BOTTOM, Const(2)))
-        return _matching_clauses(tag, item)
+        return _matching_clauses(tag, item, monkeypatch)
     assert fires(node_ref("alpha", (2,)), "above") == [("complete_binary", 1)]
     assert fires(node_ref("alpha", (1,)), "above") == [
         ("complete_unary", 0), ("complete_binary", 0)]

@@ -444,6 +444,15 @@ def _deep_chain(n, base):
     return out
 
 
+def test_a_substitution_applies_to_a_deep_term():
+    chain = _deep_chain(3000, Var("X"))
+    assert unify(Var("X"), Const(0)).apply(chain) == _deep_chain(3000, Const(0))
+    assert unify(chain, Var("Y")).apply(chain) == chain
+    deep = _deep_chain(10_000, Var("X"))
+    assert unify(Var("X"), Var("Z")).apply(deep) == _deep_chain(10_000, Var("Z"))
+    assert unify(Var("W"), Const(0)).apply(deep) == deep
+
+
 def test_a_deep_term_renames_compares_abstracts_and_parses():
     n = 10_000
     chain = _deep_chain(n, Var("X"))
