@@ -84,10 +84,11 @@ def consequences(system, store, index, grammar, input_string, source):
     generated program (``RuleClause.program``), whose trigger match
     alone decides whether the clause fires; a failed one draws no
     variable.  A program runs the premises left to right, depth first,
-    as nested loops, keeping the clause's variables in Python locals and
-    binding into an environment with a trail only where a term holds a
-    variable, so only a consequent is ever built, from the locals, and a
-    ground one through the store's intern table (``program_source``).
+    as nested loops, carrying the clause's variables as registers that
+    its generated steps match into, and binding into an environment
+    with a trail only where a term holds a variable, so only a
+    consequent is ever built, by the last step, and a ground one through
+    the store's intern table (``program_source``).
     A premise draws all its choices (a side
     condition's answers, a lookup's renamed candidates) before the
     program goes deeper, so a consequent's renaming and transform draw

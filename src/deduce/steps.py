@@ -1,0 +1,247 @@
+"""The generated steps of the clause programs (``systems.program_source``).
+
+A clause program carries the clause's variables as a tuple of registers,
+numbered in the order of their first occurrence, and hands each choice
+to a step: a function generated from one pattern (of the trigger, of a
+chart premise or of a side condition's arguments) that loads the
+registers it needs into Python locals, matches one value and returns the
+registers extended by the variables it met first, or None.  The last
+step of a clause builds its consequent instead and returns it.  Steps
+read the helpers below as globals of this module.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .terms import Compound, Term, Var, _generate, _wrap, bind, principal, resolve, term_vars
+
+
+class _Step:
+    """The source of one step of a clause program.
+
+    ``names`` maps each clause variable that has a register to its
+    index; the step gives the variables it introduces the next indices.
+    In the step's code each variable is a local, ``v0``, ``v1``, ... in
+    the order the step meets them: ``load`` reads the registers it needs
+    from the tuple ``r`` by indices that are values, so the source
+    depends only on the step's pattern shape and on which of its
+    variables it is given.  Wherever a pattern meets a value, ``unify``
+    or ``match`` generates the code:
+
+    - a ground value is matched inline: functor, arity and constants
+      are checked, a variable's first occurrence stores into its local
+      and a later one compares with it, by ``is`` or ``==`` when the
+      local is ground and through ``bind`` when it is not;
+    - a non-ground value is bound to the pattern built from the locals,
+      with the compiled ``Var`` for each variable not yet assigned, by
+      one ``bind`` call; those locals then hold their ``Var``.
+    """
+
+    def __init__(self, names: dict):
+        self.names = names
+        self.given = len(names)  # the registers in ``r``
+        self.values: list = []
+        self.body: list = []
+        self.local: dict = {}  # clause variable id -> its local in the step
+        self.temps = itertools.count()
+        self.built: dict = {}  # clause variable id -> the local holding its resolved value
+
+    def value(self, x) -> str:
+        self.values.append(x)
+        return f"k{len(self.values) - 1}"
+
+    def held(self, t: Term) -> list:
+        """The locals of ``t``'s variables that have one."""
+        return [self.local[v] for v in term_vars(t) if v in self.local]
+
+    def load(self, *ts) -> None:
+        """Code loading the registers of ``ts``'s variables into locals."""
+        for v in dict.fromkeys(v for t in ts if t is not None for v in term_vars(t)):
+            if v in self.names:
+                self.local[v] = x = f"v{len(self.local)}"
+                self.body.append(f"{x} = r[{self.value(self.names[v])}]")
+
+    def name(self, t: Term) -> list:
+        """The ids of ``t``'s variables that have no register yet, each
+        given one, and a local, now."""
+        new = [v for v in term_vars(t) if v not in self.names]
+        for v in new:
+            self.names[v] = len(self.names)
+            self.local[v] = f"v{len(self.local)}"
+        return new
+
+    def build(self, t: Term) -> str:
+        """An expression for ``t`` over the locals: a variable with a
+        register is its local, any other its compiled ``Var``."""
+        if not self.held(t):
+            return self.value(t)
+        if type(t) is Var:
+            return self.local[t.id]
+        return f"Compound({self.value(t.functor)}, ({''.join(self.build(a) + ', ' for a in t.args)}))"
+
+    def match(self, p: Term, t: str, pad: str, fail: str, fresh: set) -> None:
+        """Inline code matching ``p`` against the ground value in ``t``;
+        a variable in ``fresh`` is stored at its first occurrence."""
+        if p.ground:
+            k = self.value(p)
+            self.body.append(f"{pad}if {t} is not {k} and {t} != {k}: {fail}")
+        elif type(p) is Var:
+            v = self.local[p.id]
+            if p.id in fresh:
+                fresh.discard(p.id)
+                self.body.append(f"{pad}{v} = {t}")
+            else:
+                self.body.append(f"{pad}if {t} is not {v} and not ({t} == {v} if {v}.ground"
+                                 f" else bind({v}, {t}, env, trail)): {fail}")
+        else:
+            self.body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
+                             f"{self.value(p.functor)} or len({t}.args) != {len(p.args)}: {fail}")
+            subs = []
+            for a in p.args:
+                if type(a) is Var and a.id in fresh:
+                    fresh.discard(a.id)
+                    subs.append((None, self.local[a.id]))
+                else:
+                    subs.append((a, f"g{next(self.temps)}"))
+            self.body.append(f"{pad}{''.join(s + ', ' for _, s in subs)}= {t}.args")
+            for a, s in subs:
+                if a is not None:
+                    self.match(a, s, pad, fail, fresh)
+
+    def unify(self, p: Term, t: str) -> None:
+        """Code making the value in ``t`` equal ``p``, ground or not."""
+        built = self.build(p)
+        fresh = self.name(p)
+        self.body.append(f"if {t}.ground:")
+        self.match(p, t, "    ", "return", set(fresh))
+        self.body += [
+            "else:",
+            f"    if not bind({built}, {t}, env, trail): return",
+            *(f"    {self.local[v]} = {self.value(Var(v))}" for v in fresh),
+        ]
+
+    def expr(self, t: Term) -> str:
+        """An expression for the consequent's subterm ``t``, built from
+        the locals through ``table``."""
+        if t.ground:
+            return self.value(t)
+        if type(t) is Var:
+            x = self.built.get(t.id)
+            if x is None:
+                x = self.built[t.id] = f"x{len(self.built)}"
+                v = self.local[t.id]
+                self.body.append(f"{x} = {v} if {v}.ground else resolve({v}, env)")
+            return x
+        subs = [self.expr(a) for a in t.args]
+        f, y = self.value(t.functor), f"y{next(self.temps)}"
+        self.body += [
+            f"key = ({f}, {''.join(f'id({s}), ' for s in subs)})",
+            f"{y} = table.get(key)",
+            f"if {y} is None:",
+            f"    {y} = Compound({f}, ({''.join(s + ', ' for s in subs)}))",
+            f"    if {y}.ground: table[key] = {y}",
+        ]
+        return y
+
+    def finish(self, params: list, consequent: "Term | None") -> tuple:
+        """(source, values) of the step, returning the registers
+        extended by its new variables, or the built ``consequent``."""
+        if consequent is not None:
+            self.body.append(f"return {self.expr(consequent)}")
+        else:
+            new = "".join(self.local[v] + ", " for v in list(self.names)[self.given:])
+            self.body.append(f"return r + ({new})" if self.given else f"return ({new})")
+        return _wrap("step", params, self.body, self.values), self.values
+
+
+def match_step(pattern: Term, names: dict, consequent: "Term | None" = None):
+    """``step(t, r, env, trail, table)``: the trigger or a candidate
+    ``t`` matched against ``pattern``; with a ``consequent``, the last
+    step, which returns it built."""
+    s = _Step(names)
+    s.load(pattern, consequent)
+    s.unify(pattern, "t")
+    return _generate(*s.finish(["t", "r", "env", "trail", "table"], consequent), scope=globals())
+
+
+def key_step(pattern: Term, mode: tuple, names: dict):
+    """``key(r, env)``: the lookup key of ``pattern`` under ``mode``, or
+    None when a variable at one of its paths has no value yet."""
+    s = _Step(names)
+    parts, known = [], []
+    for path in mode[1]:
+        sub = pattern
+        for step in path:
+            sub = sub.args[step]
+        if type(sub) is Var:
+            x = f"s{len(known)}"
+            s.body += [
+                f"{x} = r[{s.value(names[sub.id])}]",
+                f"while type({x}) is Var: {x} = env.get({x}.id)",
+            ]
+            known.append(f"{x} is not None")
+            parts.append(f"principal({x})")
+        else:
+            parts.append(s.value(principal(sub)))
+    key = f"({''.join(x + ', ' for x in parts)})"
+    if known:
+        key += f" if {' and '.join(known)} else None"
+    s.body.append(f"return {key}")
+    return _generate(_wrap("key", ["r", "env"], s.body, s.values), s.values, scope=globals())
+
+
+def args_step(args: tuple, names: dict):
+    """``arguments(r, env)``: a side condition's arguments, built from
+    the registers and resolved when one is not ground."""
+    s = _Step(names)
+    s.load(*args)
+    passed = []
+    for n, a in enumerate(args):
+        locals_ = s.held(a)
+        if not locals_:
+            passed.append(s.value(a))
+            continue
+        x = f"a{n}"
+        s.body += [
+            f"{x} = {s.build(a)}",
+            f"if not ({' and '.join(v + '.ground' for v in locals_)}): {x} = resolve({x}, env)",
+        ]
+        passed.append(x)
+    s.body.append(f"return ({''.join(x + ', ' for x in passed)})")
+    return _generate(_wrap("arguments", ["r", "env"], s.body, s.values), s.values, scope=globals())
+
+
+def answer_step(args: tuple, names: dict, consequent: "Term | None" = None):
+    """``step(u, a, r, env, trail, table)``: the answer ``u`` to the
+    arguments ``a`` matched position by position.  When each answer
+    term is ground or the argument itself, no answer term can mention a
+    clause variable, and each position is matched inline; otherwise each
+    goes through ``bind`` against the argument passed in, occurs check
+    included, as the interpreted walker does."""
+    s = _Step(names)
+    s.load(*args, consequent)
+    us = [f"u{n}" for n in range(len(args))]
+    xs = [f"x{n}" for n in range(len(args))]
+    s.body += [
+        f"{''.join(u + ', ' for u in us)}= u",
+        f"{''.join(x + ', ' for x in xs)}= a",
+        f"if {' and '.join(f'({u} is {x} or {u}.ground)' for u, x in zip(us, xs))}:",
+    ]
+    introduced = []
+    for a, u, x in zip(args, us, xs):
+        here = s.name(a)
+        introduced += here
+        if here:
+            s.body.append(f"    if {u} is {x}: "
+                          + "; ".join(f"{s.local[v]} = {s.value(Var(v))}" for v in here))
+            s.body.append("    else:")
+        else:
+            s.body.append(f"    if {u} is not {x}:")
+        s.match(a, u, "        ", "return", set(here))
+    s.body.append("else:")
+    s.body += [f"    if {u} is not {x} and not bind({x}, {u}, env, trail): return"
+               for u, x in zip(us, xs)]
+    s.body += [f"    {s.local[v]} = {s.value(Var(v))}" for v in introduced]
+    return _generate(*s.finish(["u", "a", "r", "env", "trail", "table"], consequent),
+                     scope=globals())

@@ -9,9 +9,10 @@ antecedents as chart lookups.  Side conditions are names resolved
 through a registry of pure evaluators over the grammar and the input
 string.  A mode analysis of each clause gives the lookup mode of each
 chart premise, which the item store indexes.  On first use each clause
-generates one program (``program_source``): its trigger match, which
+generates one program (``program_source``): its trigger step, which
 alone decides whether a popped item fires the clause, then its premises
-as nested loops and the building of its consequent in the innermost one.
+as nested loops, each choice matched by a generated step and the
+consequent built by the last one.
 
 Items are plain terms.  The encodings:
 
@@ -27,7 +28,6 @@ Items are plain terms.  The encodings:
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -43,9 +43,8 @@ from .grammar import (
     node_ref,
     validate_cnf,
 )
+from .steps import answer_step, args_step, key_step, match_step
 from .store import INITIAL, History
-# bind, resolve, rename_with, principal, Compound and Var are also the
-# helpers the generated clause programs call (``program_source``).
 from .terms import (
     Compound,
     Const,
@@ -56,14 +55,12 @@ from .terms import (
     _generate,
     _wrap,
     abstract_depth,
-    bind,
     cons,
     list_parts,
     mklist,
     principal,
     render_term,
     rename_with,
-    resolve,
     space_source,
     term_vars,
     unify,
@@ -118,11 +115,11 @@ class RuleClause:
     or grammar term carries a clause-space variable.
 
     ``program()`` generates, on first use, the code that fires the
-    clause (``program_source``): the trigger match, then one nested loop
-    per premise, and the consequent built in the innermost one, with
-    the clause's variables in Python locals.  The engine offers every
-    popped item to every clause; the trigger match is what turns the
-    clauses it cannot fire away.
+    clause (``program_source``): the trigger step, then one nested loop
+    per premise, with the clause's variables carried as registers and
+    each step's in Python locals; the last step builds the consequent.
+    The engine offers every popped item to every clause; the trigger
+    step is what turns the clauses it cannot fire away.
     """
 
     rule_name: str
@@ -176,10 +173,11 @@ class RuleClause:
         renamed, and ``table`` its intern table (``ItemStore.interned``),
         in which the program hash-conses the ground terms of the
         consequents it builds; ``source`` and ``ctx`` are the parse's
-        fresh variables and side-condition context.  The program keeps
-        each clause variable in a local and matches each item and answer
-        tuple inline when it is ground; it binds one that is not on its
-        own environment and trail (``program_source``)."""
+        fresh variables and side-condition context.  The program carries
+        the clause's variables as registers, which each step loads into
+        locals; a step matches a ground item or answer tuple inline and
+        binds one that is not on the program's environment and trail
+        (``program_source``)."""
         program = self._program
         if program is None:
             program = _generate(*program_source(self), scope=globals())
@@ -220,252 +218,98 @@ def _known_paths(t: Term, bound: set, path: tuple = ()) -> list:
 def program_source(clause: RuleClause) -> tuple:
     """(source, values) of ``clause.program()``.
 
-    Each variable of ``clause.compiled`` is a local of the program,
-    ``v0``, ``v1``, ... in the order of its first occurrence, as a
-    compiled Prolog clause keeps its variables in registers (Warren
-    1983).  A local holds the variable's value when that is ground, and
-    otherwise the compiled ``Var`` itself, whose binding, if any, is in
-    ``env``.  So ``env`` and its trail hold only bindings of term
-    variables: of renamed non-ground items and answers, and of clause
-    variables that escape into such a binding.  A ground parse never
-    writes ``env``.
+    The variables of ``clause.compiled`` are numbered in the order of
+    their first occurrence, and the program carries their values as a
+    tuple of registers, as a compiled Prolog clause keeps its variables
+    in registers (Warren 1983).  A register holds the variable's value
+    when that is ground, and otherwise the compiled ``Var`` itself,
+    whose binding, if any, is in ``env``.  So ``env`` and its trail hold
+    only bindings of term variables: of renamed non-ground items and
+    answers, and of clause variables that escape into such a binding.
+    A ground parse never writes ``env``.
 
-    Wherever a pattern meets a value (the trigger, a lookup's candidate,
-    one position of a side condition's answer), one emitter generates
-    the code:
+    The program is the clause's skeleton: the trigger step, then one
+    nested loop per premise in the written order, each choice handed to
+    a step generated from the premise (``deduce.steps``), which matches
+    it and returns the registers extended, or None.  The last step
+    builds the consequent instead, so a firing costs one call.
 
-    - a ground value is matched inline: functor, arity and constants
-      are checked, a variable's first occurrence stores into its local
-      and a later one compares with it, by ``is`` or ``==`` when the
-      local is ground and through ``bind`` when it is not;
-    - a non-ground value is bound to the pattern built from the locals,
-      with the compiled ``Var`` for each variable not yet assigned, by
-      one ``bind`` call; those locals then hold their ``Var``.  When no
-      local of the pattern is ground, each holds its ``Var``, so the
-      compiled pattern itself is bound.
-
-    The premises become nested loops in the written order:
-
-    - a side condition calls its builtin, looked up in ``REGISTRY`` at
-      each call, on its arguments built from the locals (resolved only
-      when a local is not ground).  Each answer is a tuple of terms, one
-      per argument; a position whose answer term is the very argument
-      passed in is skipped.  When every other term is ground, no answer
-      term can mention a clause variable, and each position is matched
-      inline; otherwise each goes through ``bind`` against the argument
-      passed in, occurs check included, as the interpreted walker does.
-      An answer of the wrong length raises ``SideConditionError``;
-    - a chart lookup reads the symbols at its mode's paths from the
-      locals (a constant or compound of the pattern gives its symbol
-      when the source is generated) and hands the key to ``fetch``
-      (``ItemStore.fetch``), which renames the candidates before the
-      program goes deeper, so their fresh variables are drawn before a
-      deeper choice draws any.
+    - A chart lookup takes its key from a key step and hands it to
+      ``fetch`` (``ItemStore.fetch``), which renames the candidates
+      before the program goes deeper, so their fresh variables are drawn
+      before a deeper choice draws any.
+    - A side condition takes its arguments from an argument step and
+      calls its builtin, looked up in ``REGISTRY`` at each call.  Each
+      answer is a tuple of terms, one per argument, for the answer step;
+      one of the wrong length raises ``SideConditionError``.
 
     Each loop undoes the trail to its own mark before each choice, so a
-    failed binding just moves on to the next.  The innermost body builds
-    the consequent from the locals through ``table``, the store's
-    intern table, which the program gets as an argument and never keeps:
-    each compound node of the consequent that holds a variable is looked
-    up under ``(functor, id(arg), ...)``, so one built from the same
-    argument objects is the object built first, and a new ground one is
-    stored there.  A duplicate consequent is thus the stored item
-    itself.  The program renames the consequent from ``source`` when it
-    is not ground, so no stored item keeps a clause variable, and runs
-    the transform, if any.  It then hands the consequent and its
-    ``History`` to ``enqueue`` at once; the history is built by
-    ``tuple.__new__``, so no Python code runs for it.
+    failed binding just moves on to the next.  The last step builds the
+    consequent through ``table``, the store's intern table, which the
+    program gets as an argument and never keeps: a compound node holding
+    a variable is looked up under ``(functor, id(arg), ...)``, so one
+    built from the same argument objects is the object built first, and
+    a new ground one is stored there.  A duplicate consequent is thus
+    the stored item itself.  The program renames the consequent from
+    ``source`` when it is not ground, so no stored item keeps a clause
+    variable, and runs the transform, if any.  It then hands the
+    consequent and its ``History`` to ``enqueue`` at once; the history
+    is built by ``tuple.__new__``, so no Python code runs for it.
 
-    The source depends only on the clause's shape: every constant,
-    variable, rule name and mode is a value, and the helpers are globals
-    of this module, looked up at each call.
+    The source depends only on the kinds of the premises and the slots
+    of the antecedents: every step, constant, rule name and mode is a
+    value, and the helpers are globals of this module, looked up at each
+    call.  A step's source depends only on its pattern's shape and on
+    which of its variables it is given, so steps share code too.
     """
     trigger, premises, consequent = clause.compiled
+    names: dict = {}  # clause variable id -> its register
     values: list = []
-    names: dict = {}  # clause variable id -> its local
-    temps = itertools.count()
-    body: list = []
 
     def value(x) -> str:
         values.append(x)
         return f"k{len(values) - 1}"
 
-    def held(t: Term) -> list:
-        """The locals of ``t``'s named variables."""
-        return [names[v] for v in term_vars(t) if v in names]
+    def result(k: int) -> tuple:
+        """The last step's result is the consequent ``out``."""
+        return ("out", consequent) if k == len(premises) else (f"r{k}", None)
 
-    def build(t: Term) -> str:
-        """An expression for ``t`` over the locals: a named variable is
-        its local, any other its compiled ``Var``."""
-        if not held(t):
-            return value(t)
-        if type(t) is Var:
-            return names[t.id]
-        return f"Compound({value(t.functor)}, ({''.join(build(a) + ', ' for a in t.args)}))"
-
-    def pattern(t: Term) -> str:
-        """``build(t)``, or ``t`` itself when no local of it is ground:
-        each local then holds its own compiled ``Var``."""
-        built, locals_ = build(t), held(t)
-        if type(t) is Var or not locals_:
-            return built
-        return f"({built} if {' or '.join(v + '.ground' for v in locals_)} else {value(t)})"
-
-    def name(t: Term) -> list:
-        """The ids of ``t``'s variables that have no local yet, each
-        given one now."""
-        new = [v for v in term_vars(t) if v not in names]
-        for v in new:
-            names[v] = f"v{len(names)}"
-        return new
-
-    def match(p: Term, t: str, pad: str, fail: str, fresh: set) -> None:
-        """Inline code matching ``p`` against the ground value in ``t``;
-        a variable in ``fresh`` is stored at its first occurrence."""
-        if p.ground:
-            k = value(p)
-            body.append(f"{pad}if {t} is not {k} and {t} != {k}: {fail}")
-        elif type(p) is Var:
-            v = names[p.id]
-            if p.id in fresh:
-                fresh.discard(p.id)
-                body.append(f"{pad}{v} = {t}")
-            else:
-                body.append(f"{pad}if {t} is not {v} and not ({t} == {v} if {v}.ground"
-                            f" else bind({v}, {t}, env, trail)): {fail}")
-        else:
-            body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
-                        f"{value(p.functor)} or len({t}.args) != {len(p.args)}: {fail}")
-            subs = []
-            for a in p.args:
-                if type(a) is Var and a.id in fresh:
-                    fresh.discard(a.id)
-                    subs.append((None, names[a.id]))
-                else:
-                    subs.append((a, f"g{next(temps)}"))
-            body.append(f"{pad}{''.join(s + ', ' for _, s in subs)}= {t}.args")
-            for a, s in subs:
-                if a is not None:
-                    match(a, s, pad, fail, fresh)
-
-    def unify(p: Term, t: str, pad: str, fail: str, then=()) -> None:
-        """Code making the value in ``t`` equal ``p``, ground or not; the
-        lines ``then`` run in either branch before any binding."""
-        built = pattern(p)
-        fresh = name(p)
-        body.append(f"{pad}if {t}.ground:")
-        match(p, t, pad + "    ", fail, set(fresh))
-        body.extend(f"{pad}    {line}" for line in then)
-        body.append(f"{pad}else:")
-        body.extend(f"{pad}    {line}" for line in then)
-        body.append(f"{pad}    if not bind({built}, {t}, env, trail): {fail}")
-        body.extend(f"{pad}    {names[v]} = {value(Var(v))}" for v in fresh)
-
-    unify(trigger, "t0", "", "return", then=("env = {}", "trail = []"))
+    got, final = result(0)
+    body = [
+        "env = {}",
+        "trail = []",
+        f"{got} = {value(match_step(trigger, names, final))}(t0, (), env, trail, table)",
+        f"if {got} is None: return",
+    ]
     slots = {clause.trigger_slot: "index"}
     pad = ""
     for k, (p, mode) in enumerate(zip(premises, clause.modes), 1):
-        undo = f"{pad}    while len(trail) > m{k}: del env[trail.pop()]"
+        got, final = result(k)
         if isinstance(p, SideCondition):
-            passed = []
-            for n, a in enumerate(p.args):
-                locals_ = held(a)
-                if not locals_:
-                    passed.append(value(a))
-                    continue
-                x = f"a{k}_{n}"
-                body += [
-                    f"{pad}{x} = {pattern(a)}",
-                    f"{pad}if not ({' and '.join(v + '.ground' for v in locals_)}):"
-                    f" {x} = resolve({x}, env)",
-                ]
-                passed.append(x)
-            answers = [f"u{k}_{n}" for n in range(len(p.args))]
-            inner = pad + "    "
+            args = value(args_step(p.args, names))
+            body += [
+                f"{pad}a{k} = {args}(r{k - 1}, env)",
+                f"{pad}m{k} = len(trail)",
+                f"{pad}for u{k} in builtin_answers({value(p.builtin)}, a{k}, ctx):",
+                f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
+                f"{pad}    {got} = {value(answer_step(p.args, names, final))}"
+                f"(u{k}, a{k}, r{k - 1}, env, trail, table)",
+            ]
+        else:
+            key = "None" if mode is None else f"{value(key_step(p.pattern, mode, names))}(r{k - 1}, env)"
             body += [
                 f"{pad}m{k} = len(trail)",
-                f"{pad}for {''.join(u + ', ' for u in answers)}in builtin_answers("
-                f"{value(p.builtin)}, ({''.join(x + ', ' for x in passed)}), ctx):",
-                undo,
-                f"{inner}if {' and '.join(f'({u} is {x} or {u}.ground)' for u, x in zip(answers, passed))}:",
+                f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source):",
+                f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
+                f"{pad}    {got} = {value(match_step(p.pattern, names, final))}"
+                f"(t{k}, r{k - 1}, env, trail, table)",
             ]
-            introduced = []
-            for a, u, x in zip(p.args, answers, passed):
-                here = name(a)
-                introduced += here
-                if a.ground or (type(a) is Var and not here):
-                    match(a, u, inner + "    ", "continue", set())
-                    continue
-                if here:
-                    body.append(f"{inner}    if {u} is {x}: "
-                                + "; ".join(f"{names[v]} = {value(Var(v))}" for v in here))
-                    body.append(f"{inner}    else:")
-                else:
-                    body.append(f"{inner}    if {u} is not {x}:")
-                match(a, u, inner + "        ", "continue", set(here))
-            body.append(f"{inner}else:")
-            body += [f"{inner}    if {u} is not {x} and not bind({x}, {u}, env, trail): continue"
-                     for u, x in zip(answers, passed)]
-            body += [f"{inner}    {names[v]} = {value(Var(v))}" for v in introduced]
-            pad = inner
-            continue
-        parts, known = [], []
-        for path in (() if mode is None else mode[1]):
-            sub = p.pattern
-            for step in path:
-                sub = sub.args[step]
-            if type(sub) is Var:
-                x = f"s{len(known)}"
-                body += [
-                    f"{pad}{x} = {names[sub.id]}",
-                    f"{pad}while type({x}) is Var: {x} = env.get({x}.id)",
-                ]
-                known.append(f"{x} is not None")
-                parts.append(f"principal({x})")
-            else:
-                parts.append(value(principal(sub)))
-        key = "None" if mode is None else f"({''.join(x + ', ' for x in parts)})"
-        if known:
-            key += f" if {' and '.join(known)} else None"
-        body += [
-            f"{pad}m{k} = len(trail)",
-            f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source):",
-            undo,
-        ]
-        unify(p.pattern, f"t{k}", pad + "    ", "continue")
-        slots[p.slot] = f"i{k}"
+            slots[p.slot] = f"i{k}"
+        body.append(f"{pad}    if {got} is None: continue")
         pad += "    "
-
-    built: dict = {}  # clause variable id -> the local holding its resolved value
-    nodes = itertools.count()
-
-    def expr(t: Term) -> str:
-        """An expression for the consequent's subterm ``t``, built from
-        the locals through ``table``."""
-        if t.ground:
-            return value(t)
-        if type(t) is Var:
-            x = built.get(t.id)
-            if x is None:
-                x = built[t.id] = f"x{len(built)}"
-                v = names[t.id]
-                body.append(f"{pad}{x} = {v} if {v}.ground else resolve({v}, env)")
-            return x
-        subs = [expr(a) for a in t.args]
-        f, y = value(t.functor), f"y{next(nodes)}"
-        body.extend([
-            f"{pad}key = ({f}, {''.join(f'id({s}), ' for s in subs)})",
-            f"{pad}{y} = table.get(key)",
-            f"{pad}if {y} is None:",
-            f"{pad}    {y} = Compound({f}, ({''.join(s + ', ' for s in subs)}))",
-            f"{pad}    if {y}.ground: table[key] = {y}",
-        ])
-        return y
-
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     transform = value(clause.transform)
     body += [
-        f"{pad}out = {expr(consequent)}",
         f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
         f"{pad}if {transform} is not None: out = {transform}(out, source)",
         f"{pad}enqueue(out, {value(tuple.__new__)}({value(History)},"

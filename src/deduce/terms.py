@@ -364,8 +364,8 @@ def undo(env: dict, trail: list, mark: int) -> None:
 # from the clauses' shapes.  Every functor, constant, variable and
 # helper reaches the source as an argument of an outer ``make``
 # function, whose closure cells the generated function reads; so no
-# term text is ever compiled, and clauses of one shape share one code
-# object.
+# term text is ever compiled, and programs or steps of one shape share
+# one code object.
 
 _MAKERS: dict = {}  # generated source -> its compiled ``make``
 

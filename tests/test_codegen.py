@@ -1,16 +1,17 @@
 """The generated clause programs against ``bind``, ``resolve`` and an
 interpreted walk of each clause."""
 
+import types
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import deduce.systems
+import deduce.steps
 from deduce import terms
 from deduce.engine import _consequents, check_soundness, parse
-from deduce.grammar import CfGrammar, tokenize
+from deduce.grammar import CfGrammar, load_ccg, tokenize
 from deduce.store import INITIAL, History, ItemStore
 from deduce.systems import (
     REGISTRY,
@@ -46,7 +47,7 @@ from deduce.terms import (
 
 # ---- the interpreted walk: the reference for the clause programs ----
 
-def reference_firings(clause, store, index, ctx) -> list:
+def reference_firings(clause, store, index, ctx, reached=None) -> list:
     """The firings of ``clause`` triggered by the item at ``index``, as
     (rule, slot, consequent, antecedent indices), by interpreting the
     clause: the premises run left to right, depth first, through
@@ -55,7 +56,9 @@ def reference_firings(clause, store, index, ctx) -> list:
     against ``p(arguments)``.
     The trigger and each lookup's candidates are renamed from
     ``ctx.source`` before they are bound, and a non-ground consequent
-    after it is built, in the order the engine draws them.
+    after it is built, in the order the engine draws them.  When
+    ``reached`` is given, ``(clause, k)`` is added to it once chart
+    premise ``k`` has a candidate.
     """
     source = ctx.source
     trigger, premises, consequent = clause.compiled
@@ -91,6 +94,8 @@ def reference_firings(clause, store, index, ctx) -> list:
         pattern = resolve(p.pattern, env)
         found = [(i, store.renamed(i, source))
                  for i in store.candidates(pattern, clause.modes[k])]
+        if found and reached is not None:
+            reached.add((clause, k))
         for i, t in found:
             if bind(pattern, t, env, trail):
                 antes[p.slot] = i
@@ -119,6 +124,19 @@ def _program_firings(clause, store, index, ctx) -> list:
 
 # ---- every clause of the built-in systems, on their fixture charts ----
 
+# Each of "y" and "z" has a backward-slash category that composes with
+# its left neighbour's: x y by forward_compose2, x y (as S\S) by
+# backward_compose1, and y z by backward_compose2.
+COMPOSING = """start S
+c : C
+x : S/A
+y : A\\C
+y : S\\S
+z : S\\S
+z : S\\A
+"""
+
+
 def _fixture_runs(toy, cnf, amb, abn, lexicon, trip, counting):
     return [
         (system_for("earley"), amb, "a a a a"),
@@ -132,6 +150,7 @@ def _fixture_runs(toy, cnf, amb, abn, lexicon, trip, counting):
         (system_for("bottomup"), abn, "a b b b"),
         (system_for("cyk"), cnf, "a b"),
         (system_for("ccg"), lexicon, "John really likes bananas"),
+        (system_for("ccg"), load_ccg(COMPOSING), "c x y z"),
         (system_for("tag"), trip, "Trip rumbas nimbly"),
         (make_tag(foot_mode="foot_axiom"), trip, "Trip rumbas nimbly"),
         (system_for("tag"), counting, "a a b b c c d d"),
@@ -188,8 +207,7 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
 
 def test_every_clause_program_fires_as_the_interpreted_walk_does(replayed):
     # Every pop of every fixture run was replayed through each clause of
-    # its system, and among them every rule fired that the fixture
-    # lexicon can use: it has no backward-slash argument to compose.
+    # its system, and among them every rule fired.
     runs, results, counts = replayed
     assert counts["pops"] == sum(r.pops for r in results)
     assert counts["compared"] == counts["made"] > 0
@@ -197,8 +215,7 @@ def test_every_clause_program_fires_as_the_interpreted_walk_does(replayed):
     for (system, _, _), r in zip(runs, results):
         rules |= {(system.name, rule.name) for rule in system.rules}
         fired |= {(system.name, h.rule_name) for s in r.store.items() for h in s.histories}
-    assert rules - fired == {
-        ("ccg", "forward_compose2"), ("ccg", "backward_compose1"), ("ccg", "backward_compose2")}
+    assert rules <= fired
 
 
 def test_the_dcg_replays_take_the_non_ground_path(replayed, abn_grammar):
@@ -215,18 +232,24 @@ def test_every_item_fires_every_clause_as_the_walk_does_on_the_whole_chart(repla
     # After each fixture parse every item is a candidate of every
     # lookup, so each item, offered to each clause, meets its premises
     # under many more bindings than during the parse.
+    # Every chart premise of every clause met candidates there.
     runs, results, _ = replayed
-    fired = 0
+    fired, reached = 0, set()
     for (system, grammar, sentence), r in zip(runs, results):
         for clause in system.clauses:
             for index in range(1, len(r.store) + 1):
                 ctx1 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
                 ctx2 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
                 got = _program_firings(clause, r.store, index, ctx1)
-                assert got == reference_firings(clause, r.store, index, ctx2)
+                assert got == reference_firings(clause, r.store, index, ctx2, reached)
                 assert ctx1.source.fresh() == ctx2.source.fresh()
                 fired += len(got)
     assert fired > sum(len(r.store) for r in results)
+    for system, _, _ in runs:
+        for clause in system.clauses:
+            for k, p in enumerate(clause.premises):
+                assert isinstance(p, SideCondition) or (clause, k) in reached, (
+                    system.name, clause.rule_name, clause.trigger_slot, k)
 
 
 # ---- random terms ----
@@ -493,15 +516,15 @@ def test_a_later_answer_may_hold_a_variable_an_earlier_one_bound(monkeypatch):
 
 def test_ground_parses_never_bind_or_resolve(monkeypatch, ambiguous_grammar, toy_grammar,
                                              ccg_lexicon, counting_grammar, abn_grammar):
-    # The programs read ``bind`` and ``resolve`` as globals of
-    # ``deduce.systems``, so counting wrappers there see every call.
+    # The programs' steps read ``bind`` and ``resolve`` as globals of
+    # ``deduce.steps``, so counting wrappers there see every call.
     calls = Counter()
     for name in ("bind", "resolve"):
-        def counted(*args, name=name, fn=getattr(deduce.systems, name)):
+        def counted(*args, name=name, fn=getattr(deduce.steps, name)):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(deduce.systems, name, counted)
+        monkeypatch.setattr(deduce.steps, name, counted)
     a20 = " ".join(["a"] * 20)
     for system, grammar, sentence in [
         (system_for("earley"), ambiguous_grammar, a20),
@@ -600,20 +623,34 @@ def _clause(system, rule_name, slot):
     return next(c for c in system.clauses if c.rule_name == rule_name and c.trigger_slot == slot)
 
 
+def _steps(clause) -> list:
+    """The generated steps that ``clause``'s program calls: the
+    functions among its closure values."""
+    return [cell.cell_contents for cell in clause.program().__closure__
+            if isinstance(cell.cell_contents, types.FunctionType)]
+
+
 def test_clauses_of_one_shape_share_code():
-    # Whole clauses: forward composition into a forward and into a
-    # backward category differ only in functors, which are values.
+    # Whole clauses: backward application and forward composition look
+    # up their partner by the same kind of key, so their programs share
+    # code although their patterns differ.
     ccg = system_for("ccg")
+    apply_, compose = _clause(ccg, "backward_apply", 0), _clause(ccg, "forward_compose1", 0)
+    assert apply_.trigger != compose.trigger
+    assert apply_.program() is not compose.program()
+    assert apply_.program().__code__ is compose.program().__code__
+    # Steps: forward composition into a forward and into a backward
+    # category differ only in functors, which are values.
     one, two = _clause(ccg, "forward_compose1", 1), _clause(ccg, "forward_compose2", 1)
     assert one.trigger != two.trigger
-    assert one.program() is not two.program()
-    assert one.program().__code__ is two.program().__code__
-    # Each program inlines its clause's patterns, so clauses share code
-    # only when their trigger, premises and consequent have one shape:
-    # the four CCG composition rules pair up, the rest differ.
+    pairs = list(zip(_steps(one), _steps(two)))
+    assert pairs and all(f is not g and f.__code__ is g.__code__ for f, g in pairs)
     clauses = [c for name in SYSTEM_NAMES for c in system_for(name).clauses]
     assert len(clauses) == 29
-    assert len({c.program().__code__ for c in clauses}) == 25
+    assert len({c.program().__code__ for c in clauses}) <= 16
+    steps = [f for c in clauses for f in _steps(c)]
+    assert len(steps) == 113
+    assert len({f.__code__ for f in steps}) == 53
 
 
 def test_a_system_variant_generates_no_new_code():
