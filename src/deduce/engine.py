@@ -27,6 +27,7 @@ from .systems import (
 )
 from .terms import (
     Term,
+    Var,
     VarSource,
     bind,
     canonical,
@@ -34,6 +35,7 @@ from .terms import (
     resolve,
     space_source,
     subsumes,
+    term_vars,
     undo,
 )
 
@@ -78,25 +80,14 @@ def consequences(system, store, index, grammar, input_string, source):
     """Every firing triggered by the item at ``index``, recorded nowhere.
 
     Yields (clause, consequent, antecedent indices), clause by clause in
-    the system's order.  It runs the programs that ``parse`` runs, each
-    handed a callable that collects its firings where ``parse`` hands
-    the store's ``enqueue``.  The item is offered to every clause's
-    generated program (``RuleClause.program``), whose trigger match
-    alone decides whether the clause fires; a failed one draws no
-    variable.  A program runs the premises left to right, depth first,
-    as nested loops, carrying the clause's variables as registers that
-    its generated steps match into, and binding into an environment
-    with a trail only where a term holds a variable, so only a
-    consequent is ever built, by the last step, and a ground one through
-    the store's intern table (``program_source``).
-    A premise draws all its choices (a side
-    condition's answers, a lookup's renamed candidates) before the
-    program goes deeper, so a consequent's renaming and transform draw
-    their fresh variables from ``source`` after theirs.  Chart lookups
-    see all indices below the agenda head, which includes the trigger
-    itself, so a rule may pair the trigger with its own chart entry.
+    the system's order.  It runs every clause's program
+    (``program_source``) on the stored item itself, as ``parse`` does,
+    each handed a callable that collects its firings where ``parse``
+    hands the store's ``enqueue``.  Chart lookups see all indices below
+    the agenda head, the trigger's included, so a rule may pair the
+    trigger with its own chart entry.
     """
-    trigger_item = store.renamed(index, source)
+    trigger_item = store.get(index).item
     ctx = EvalContext(grammar, input_string, source)
     firings: list = []
     for clause in system.clauses:
@@ -128,9 +119,10 @@ def parse(
     """Run ``system`` over ``input_string`` to its closure or its step
     limit.
 
-    Each pop renames the trigger and runs every clause program on it;
-    a program hands each firing to the store's ``enqueue`` as it makes
-    it, so the engine's loop runs once per pop, not once per firing.
+    A non-ground axiom is renamed as it is enqueued.  Each pop runs every
+    clause program on the stored item itself; a program hands each
+    firing to the store's ``enqueue`` as it makes it, so the engine's
+    loop runs once per pop, not once per firing.
     """
     opts = options or ParseOptions()
     if not isinstance(grammar, system.grammar_class):
@@ -152,6 +144,7 @@ def parse(
     source = VarSource()
 
     for axiom in system.axioms(grammar, input_string):
+        axiom = axiom if axiom.ground else rename_with(axiom, {}, source)
         idx, added = store.enqueue(axiom, History(INITIAL, ()))
         if added and rule_tracing:
             print(f"FIRE {idx} {render(axiom)} {INITIAL}()", file=out)
@@ -166,14 +159,14 @@ def parse(
         if index is None:
             break
         pops += 1
+        trigger_item = store.get(index).item
         if tracing:
-            print(f"POP {index} {render(store.get(index).item)}", file=out)
-        trigger_item = store.renamed(index, source)
+            print(f"POP {index} {render(trigger_item)}", file=out)
         for program in programs:
             program(trigger_item, index, enqueue, fetch, source, ctx, table)
 
     halted = store.agenda_size > 0
-    goal_indices = store.goal_items(system.goal_patterns(grammar, input_string), source=source)
+    goal_indices = store.goal_items(system.goal_patterns(grammar, input_string))
     if tracing:
         for gi in goal_indices:
             print(f"GOAL {gi} {render(store.get(gi).item)}", file=out)
@@ -204,7 +197,8 @@ def _consequents(clause, candidates, answers, source, state=None):
     pairs ``candidates(slot, state)`` gives, renamed apart, and hands
     the pair's state to the next chart premise's call.  A side condition
     binds each answer of ``answers(premise, args)``, for its resolved
-    arguments, position by position, as the clause programs do.  The
+    arguments, position by position, as the clause programs do, after
+    renaming every variable of the answer that no argument holds.  The
     callers decide what the candidates and answers are: there is no
     agenda, index, subsumption or generated program here.
     """
@@ -223,6 +217,9 @@ def _consequents(clause, candidates, answers, source, state=None):
         if isinstance(p, SideCondition):
             args = tuple(resolve(a, env) for a in p.args)
             for answer in answers(p, args):
+                if not all(u.ground for u in answer):
+                    mapping = {v: Var(v) for a in args for v in term_vars(a)}
+                    answer = [rename_with(u, mapping, source) for u in answer]
                 for x, u in zip(args, answer):
                     if u is not x and not bind(x, u, env, trail):
                         break
@@ -276,8 +273,7 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
     copies = [[] for _ in range(max((c.n_antecedents for c in clauses), default=0))]
 
     # Side conditions are functions of their arguments, so each premise
-    # is evaluated once per argument tuple.  The key names the premise:
-    # two premises of one firing never share an answer's fresh variables.
+    # is evaluated once per argument tuple.
     memo: dict = {}
 
     def answers(p, args):

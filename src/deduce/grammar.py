@@ -22,6 +22,7 @@ from .terms import (
     mklist,
     rename_with,
     render_term,
+    space_source,
     tokenize_terms,
 )
 
@@ -69,17 +70,20 @@ def _strip_comment(line: str) -> str:
 class FactTable:
     """The rows of the grammar relation ``name``, in a fixed order, each
     the term ``name(Arg, ...)`` of one tuple of arguments in ``rows``.
+    A non-ground row is renamed apart once, so no two rows share a
+    variable.
 
-    ``answers(args, source)`` gives the arguments of the rows that may
-    unify with ``args``, in row order: the ground rows holding the first
-    ground argument at its position, and every non-ground row, renamed
-    from ``source`` on each answer; with no ground argument, every row.
+    ``answers(args)`` gives the arguments of the rows that may unify
+    with ``args``, in row order: the ground rows holding the first
+    ground argument at its position, and every non-ground row; with no
+    ground argument, every row.  An answer is the row's own tuple.
     """
 
     __slots__ = ("rows", "_open", "_by_arg")
+    _fresh = space_source("facts")  # the variables of every table's rows
 
     def __init__(self, name: str, rows):
-        self.rows = tuple(Compound(name, tuple(args)) for args in rows)
+        self.rows = tuple(rename_with(Compound(name, tuple(a)), {}, self._fresh) for a in rows)
         self._open = tuple(r for r in self.rows if not r.ground)
         self._by_arg = []  # per position: term -> rows that may unify there
         for pos in range(len(self.rows[0].args) if self.rows else 0):
@@ -89,13 +93,13 @@ class FactTable:
                     index[a].append(row)
             self._by_arg.append(index)
 
-    def answers(self, args, source):
+    def answers(self, args):
         rows = self.rows
         for index, a in zip(self._by_arg, args):
             if a.ground:
                 rows = index.get(a, self._open)
                 break
-        return (row.args if row.ground else rename_with(row, {}, source).args for row in rows)
+        return (row.args for row in rows)
 
 
 # ---- context-free / DCG ----

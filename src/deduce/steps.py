@@ -130,8 +130,11 @@ class _Step:
             x = self.built.get(t.id)
             if x is None:
                 x = self.built[t.id] = f"x{len(self.built)}"
-                v = self.local[t.id]
-                self.body.append(f"{x} = {v} if {v}.ground else resolve({v}, env)")
+                # A non-ground local holds its clause ``Var``; ``env`` may bind it.
+                self.body += [f"{x} = {self.local[t.id]}",
+                              f"if not {x}.ground:",
+                              f"    {x} = env.get({x}.id, {x})",
+                              f"    if not {x}.ground: {x} = resolve({x}, env)"]
             return x
         subs = [self.expr(a) for a in t.args]
         f, y = self.value(t.functor), f"y{next(self.temps)}"

@@ -32,7 +32,6 @@ from .terms import (
     principal,
     rename_with,
     render_term,
-    space_source,
     subsumes,
     unify,
 )
@@ -178,8 +177,8 @@ class ItemStore:
         return iter(self._items)
 
     def renamed(self, index: int, source: VarSource) -> Term:
-        """A fresh-variable copy of the stored item; renaming happens on
-        retrieval, never in place."""
+        """A fresh-variable copy of the stored item, as the oracles read
+        it; the clause programs bind stored items in place (``fetch``)."""
         item = self.get(index).item
         if item.ground:
             return item
@@ -278,16 +277,14 @@ class ItemStore:
         hits = moded.candidates(key)
         return hits[:bisect_left(hits, bound)]
 
-    def fetch(self, mode, key, source: VarSource) -> list:
-        """(index, item renamed from ``source``) for each index that
-        ``lookup(mode, key)`` gives, drawn in that order: the clause
-        programs' chart premises."""
+    def fetch(self, mode, key, source: VarSource, bound: tuple) -> list:
+        """(index, item) for each index that ``lookup(mode, key)`` gives:
+        the clause programs' chart premises.  The item is the stored term
+        itself, but renamed from ``source`` when it is not ground and its
+        index is in ``bound``, the antecedents the firing has bound."""
         items = self._items
-        out = []
-        for i in self.lookup(mode, key):
-            item = items[i - 1].item
-            out.append((i, item if item.ground else rename_with(item, {}, source)))
-        return out
+        return [(i, item if item.ground or i not in bound else rename_with(item, {}, source))
+                for i in self.lookup(mode, key) for item in (items[i - 1].item,)]
 
     def candidates(self, pattern: Term, mode: "tuple | None" = None, below: "int | None" = None):
         """``lookup`` for ``pattern``: its key under ``mode``, one of the
@@ -318,26 +315,16 @@ class ItemStore:
                 out.append((idx, s))
         return out
 
-    def goal_items(self, goal_patterns, source: "VarSource | None" = None):
+    def goal_items(self, goal_patterns):
         """Chart indices matching a goal pattern, by subsumption either way.
 
         An item more specific than the pattern is an instance of the
         goal; one more general still has the goal among its instances
-        (DCG goals with open arguments land here).
+        (DCG goals with open arguments land here).  Neither is renamed,
+        which cannot change what ``subsumes`` answers.
         """
-        src = source or space_source("goals")
-        # Each item below is renamed from the same source after these,
-        # so it shares no variable with a pattern.
-        patterns = [p if p.ground else rename_with(p, {}, src) for p in goal_patterns]
-        out = []
-        for idx in range(1, self._head):
-            item = self._items[idx - 1].item
-            it = item if item.ground else rename_with(item, {}, src)
-            for p in patterns:
-                if subsumes(p, it) or subsumes(it, p):
-                    out.append(idx)
-                    break
-        return out
+        return [s.index for s in self._items[:self._head - 1]
+                if any(subsumes(p, s.item) or subsumes(s.item, p) for p in goal_patterns)]
 
     def dump(self, render=render_term) -> str:
         """Chart dump: index, stage, rendered item, then one history per

@@ -115,11 +115,9 @@ class RuleClause:
     or grammar term carries a clause-space variable.
 
     ``program()`` generates, on first use, the code that fires the
-    clause (``program_source``): the trigger step, then one nested loop
-    per premise, with the clause's variables carried as registers and
-    each step's in Python locals; the last step builds the consequent.
-    The engine offers every popped item to every clause; the trigger
-    step is what turns the clauses it cannot fire away.
+    clause (``program_source``).  The engine offers every popped item to
+    every clause; the program's trigger step turns away the items it
+    cannot fire on.
     """
 
     rule_name: str
@@ -165,19 +163,13 @@ class RuleClause:
         """The clause's generated program, made on the first call:
         ``program(t0, index, enqueue, fetch, source, ctx, table)`` calls
         ``enqueue(consequent, History(rule name, antecedent indices))``
-        for each firing that the item ``t0``, stored at ``index``,
-        triggers, as the firing is made, and ignores what it returns.
-        The engine passes the item store's ``enqueue`` (or a tracing
-        wrapper of it), ``consequences`` a collecting callable.
-        ``fetch`` is the store's method that gives a lookup's candidates
-        renamed, and ``table`` its intern table (``ItemStore.interned``),
-        in which the program hash-conses the ground terms of the
-        consequents it builds; ``source`` and ``ctx`` are the parse's
-        fresh variables and side-condition context.  The program carries
-        the clause's variables as registers, which each step loads into
-        locals; a step matches a ground item or answer tuple inline and
-        binds one that is not on the program's environment and trail
-        (``program_source``)."""
+        for each firing that the stored item ``t0`` itself, at
+        ``index``, triggers, as the firing is made, and ignores what it
+        returns: the engine passes the item store's ``enqueue`` (or a
+        tracing wrapper of it), ``consequences`` a collecting callable.
+        ``fetch`` and ``table`` are the store's ``fetch`` and intern
+        table (``ItemStore.interned``); ``source`` and ``ctx`` are the
+        parse's fresh variables and side-condition context."""
         program = self._program
         if program is None:
             program = _generate(*program_source(self), scope=globals())
@@ -224,9 +216,20 @@ def program_source(clause: RuleClause) -> tuple:
     in registers (Warren 1983).  A register holds the variable's value
     when that is ground, and otherwise the compiled ``Var`` itself,
     whose binding, if any, is in ``env``.  So ``env`` and its trail hold
-    only bindings of term variables: of renamed non-ground items and
-    answers, and of clause variables that escape into such a binding.
-    A ground parse never writes ``env``.
+    only bindings of term variables: of non-ground items and answers,
+    and of clause variables that escape into such a binding.  A ground
+    parse never writes ``env``.
+
+    The trigger, the candidates and the answers are bound in place, not
+    copied (structure sharing; Boyer & Moore 1972), on the invariant
+    that no two terms bound in one firing share a variable unless they
+    are the same term.  Each stored item holds only the variables of its
+    own consequent rename (``parse`` renames a non-ground axiom once),
+    and a fact table renames its rows apart once (``FactTable``).  A
+    term the firing has bound already is copied: ``fetch`` renames a
+    candidate whose index is the trigger's or an earlier antecedent's,
+    and an answer tuple that is an earlier answer of the firing is
+    renamed before it is matched.
 
     The program is the clause's skeleton: the trigger step, then one
     nested loop per premise in the written order, each choice handed to
@@ -235,9 +238,8 @@ def program_source(clause: RuleClause) -> tuple:
     builds the consequent instead, so a firing costs one call.
 
     - A chart lookup takes its key from a key step and hands it to
-      ``fetch`` (``ItemStore.fetch``), which renames the candidates
-      before the program goes deeper, so their fresh variables are drawn
-      before a deeper choice draws any.
+      ``fetch`` (``ItemStore.fetch``) with the indices of the
+      antecedents bound so far.
     - A side condition takes its arguments from an argument step and
       calls its builtin, looked up in ``REGISTRY`` at each call.  Each
       answer is a tuple of terms, one per argument, for the answer step;
@@ -292,14 +294,21 @@ def program_source(clause: RuleClause) -> tuple:
                 f"{pad}m{k} = len(trail)",
                 f"{pad}for u{k} in builtin_answers({value(p.builtin)}, a{k}, ctx):",
                 f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
-                f"{pad}    {got} = {value(answer_step(p.args, names, final))}"
-                f"(u{k}, a{k}, r{k - 1}, env, trail, table)",
             ]
+            # An answer tuple that an earlier side condition got is copied.
+            earlier = [f"u{k} is u{j}" for j, q in enumerate(premises[:k - 1], 1)
+                       if isinstance(q, SideCondition)]
+            if earlier:
+                body.append(f"{pad}    if {' or '.join(earlier)}:"
+                            f" u{k} = rename_with(Compound({value('')}, u{k}), {{}}, source).args")
+            body.append(f"{pad}    {got} = {value(answer_step(p.args, names, final))}"
+                        f"(u{k}, a{k}, r{k - 1}, env, trail, table)")
         else:
             key = "None" if mode is None else f"{value(key_step(p.pattern, mode, names))}(r{k - 1}, env)"
+            bound = "".join(x + ", " for x in slots.values())
             body += [
                 f"{pad}m{k} = len(trail)",
-                f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source):",
+                f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source, ({bound})):",
                 f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
                 f"{pad}    {got} = {value(match_step(p.pattern, names, final))}"
                 f"(t{k}, r{k - 1}, env, trail, table)",
@@ -521,7 +530,7 @@ def _relation(name: str, args, ctx):
         table = ctx.grammar.relations[name]
     except (AttributeError, KeyError):
         raise SideConditionError(f"the grammar has no {name} relation") from None
-    return table.answers(args, ctx.source)
+    return table.answers(args)
 
 
 REGISTRY: dict = {

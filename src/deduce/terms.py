@@ -409,9 +409,9 @@ def subsumes(general: Term, specific: Term) -> bool:
     """True when every instance of specific is an instance of general:
     some binding of general's variables alone makes it equal specific.
 
-    Variables in ``specific`` are treated as distinct constants, which
-    is the standard reading when the caller has renamed the two terms
-    apart.  On ground terms this degrades to structural equality via
+    Variables in ``specific`` are treated as distinct constants, and
+    only ``general``'s are bound, so the answer is the same whether or
+    not the two terms were renamed apart.  On ground terms this degrades to structural equality via
     the ground flags.  The walk keeps its own stack of pairs and takes
     arguments left to right, a list's head before its tail.
     """
@@ -469,8 +469,8 @@ class VarSource:
 # n each, so no two spaces meet however many variables they draw, and
 # none meets the non-negative ids of a parse.  The "clause" space holds
 # the variables of the compiled rule clauses the engine binds in place
-# (``RuleClause.compiled``); no other term may carry one.
-FRESH_SPACES = ("goals", "side_conditions", "closure", "replay", "clause")
+# (``RuleClause.compiled``), "facts" those of grammar relations' rows.
+FRESH_SPACES = ("facts", "side_conditions", "closure", "replay", "clause")
 
 
 def space_source(name: str) -> VarSource:

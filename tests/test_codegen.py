@@ -42,6 +42,7 @@ from deduce.terms import (
     resolve,
     term_vars,
     undo,
+    variant,
 )
 
 
@@ -53,10 +54,12 @@ def reference_firings(clause, store, index, ctx, reached=None) -> list:
     clause: the premises run left to right, depth first, through
     ``bind``, ``resolve`` and ``undo`` on one environment with a trail.
     A side condition's answer is bound as one term, ``p(answer)``,
-    against ``p(arguments)``.
-    The trigger and each lookup's candidates are renamed from
-    ``ctx.source`` before they are bound, and a non-ground consequent
-    after it is built, in the order the engine draws them.  When
+    against ``p(arguments)``, with every variable that no argument holds
+    renamed apart.  The trigger and each lookup's candidates are renamed
+    from ``ctx.source`` before they are bound, and a non-ground
+    consequent after it is built.  So the reference copies every term
+    it binds, where a program binds stored items and grammar rows in
+    place: the two agree on consequents up to renaming.  When
     ``reached`` is given, ``(clause, k)`` is added to it once chart
     premise ``k`` has a candidate.
     """
@@ -87,7 +90,9 @@ def reference_firings(clause, store, index, ctx, reached=None) -> list:
             for answer in list(fn(args, ctx)):
                 if len(answer) != len(args):
                     raise SideConditionError(p.builtin)
-                if bind(Compound("p", args), Compound("p", tuple(answer)), env, trail):
+                held = {v: Var(v) for a in args for v in term_vars(a)}
+                answer = rename_with(Compound("p", tuple(answer)), held, source)
+                if bind(Compound("p", args), answer, env, trail):
                     walk(k + 1, antes)
                 undo(env, trail, mark)
             return
@@ -111,15 +116,23 @@ def reference_firings(clause, store, index, ctx, reached=None) -> list:
 
 def _program_firings(clause, store, index, ctx) -> list:
     """What the clause's program hands to ``enqueue``, collected in the
-    reference's form."""
+    reference's form.  The program gets the stored item itself, as the
+    engine hands it over."""
     firings = []
 
     def collect(t, history):
         firings.append((history.rule_name, clause.trigger_slot, t, history.antecedents))
 
-    item = store.renamed(index, ctx.source)
+    item = store.get(index).item
     clause.program()(item, index, collect, store.fetch, ctx.source, ctx, store.interned)
     return firings
+
+
+def _agree(got, want) -> bool:
+    """Whether two lists of firings are the same firings in the same
+    order: rule, slot and antecedents equal, consequents variants."""
+    return len(got) == len(want) and all(
+        g[:2] == w[:2] and g[3] == w[3] and variant(g[2], w[2]) for g, w in zip(got, want))
 
 
 # ---- every clause of the built-in systems, on their fixture charts ----
@@ -163,8 +176,8 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
              trip_grammar, counting_grammar):
     """The fixture runs, parsed with every pop also replayed clause by
     clause through the program and the reference, each from its own
-    fresh-variable source starting at one id, as soon as ``ItemStore.pop``
-    hands the index out: (runs, results, the counts of pops replayed, of
+    fresh-variable source, as soon as ``ItemStore.pop`` hands the index
+    out: (runs, results, the counts of pops replayed, of
     firings compared and of firings the parse enqueued)."""
     runs = _fixture_runs(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar,
                          ccg_lexicon, trip_grammar, counting_grammar)
@@ -183,8 +196,7 @@ def replayed(toy_grammar, cnf_ab_grammar, ambiguous_grammar, abn_grammar, ccg_le
             ctx2 = EvalContext(grammar, input_string, VarSource(1_000_000))
             got = _program_firings(clause, store, index, ctx1)
             want = reference_firings(clause, store, index, ctx2)
-            assert got == want, (clause.rule_name, clause.trigger_slot, index)
-            assert ctx1.source.fresh() == ctx2.source.fresh()
+            assert _agree(got, want), (clause.rule_name, clause.trigger_slot, index)
             counts["compared"] += len(got)
         return index
 
@@ -241,8 +253,7 @@ def test_every_item_fires_every_clause_as_the_walk_does_on_the_whole_chart(repla
                 ctx1 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
                 ctx2 = EvalContext(grammar, tokenize(sentence), VarSource(1_000_000))
                 got = _program_firings(clause, r.store, index, ctx1)
-                assert got == reference_firings(clause, r.store, index, ctx2, reached)
-                assert ctx1.source.fresh() == ctx2.source.fresh()
+                assert _agree(got, reference_firings(clause, r.store, index, ctx2, reached))
                 fired += len(got)
     assert fired > sum(len(r.store) for r in results)
     for system, _, _ in runs:
@@ -300,11 +311,14 @@ def _cases(draw):
 def _chart(premises, consequent, items):
     """The slot-0 clause of a rule of ``premises`` and ``consequent``,
     and a store holding ``items``, all popped, so that every one is a
-    candidate of every lookup."""
+    candidate of every lookup.  Each item is renamed apart as it is
+    enqueued, as ``parse`` renames an axiom, so no two share a
+    variable."""
     clause = Rule("r", premises, consequent).clauses[0]
     store = ItemStore(tuple(m for m in clause.modes if m is not None))
+    source = VarSource()
     for item in items:
-        store.enqueue(item, History(INITIAL, ()))
+        store.enqueue(rename_with(item, {}, source), History(INITIAL, ()))
     while store.pop() is not None:
         pass
     return clause, store
@@ -320,7 +334,6 @@ def _fired(clause, store) -> tuple:
         ctx2 = EvalContext(None, tokenize(""), VarSource(1_000_000))
         got += _program_firings(clause, store, index, ctx1)
         want += reference_firings(clause, store, index, ctx2)
-        assert ctx1.source.fresh() == ctx2.source.fresh()
     return got, want
 
 
@@ -362,9 +375,9 @@ def test_a_pattern_matches_as_bind_does(case, other, data):
     for given in (env, ground):
         premises, items = _bound_before(sorted(bound), given)
         got, want = _fired(*_chart(premises + [pattern], out, items + [t, other, instance]))
-        assert got == want
+        assert _agree(got, want)
     got, want = _fired(*_chart([pattern], out, [t, other, instance]))
-    assert got == want
+    assert _agree(got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,17 +387,18 @@ def test_a_pattern_matches_as_bind_does(case, other, data):
     st.one_of(st.none(), _ground),
 )
 def test_a_consequent_is_built_as_resolve_builds_it(term, env, u):
-    # Built twice through the store's one table: both builds equal the
-    # reference's, which resolves ``term``, and the table holds only
-    # ground compounds.
+    # Built twice through the store's one table: both builds are
+    # variants of the reference's, which resolves ``term``, and the
+    # table holds only ground compounds.
     if u is not None:
         env["U"] = u
     premises, items = _bound_before("XYZ", env)
     clause, store = _chart(premises, term, items)
     got, want = _fired(clause, store)
     assert len(want) == 1
-    assert got == want
-    assert _fired(clause, store) == (want, want)
+    assert _agree(got, want)
+    again, want_again = _fired(clause, store)
+    assert want_again == want and _agree(again, want)
     assert all(type(t) is Compound and t.ground for t in store.interned.values())
 
 
@@ -538,6 +552,13 @@ def test_ground_parses_never_bind_or_resolve(monkeypatch, ambiguous_grammar, toy
     # A DCG's items hold variables, so its programs bind and resolve.
     assert parse(make_earley(restriction_depth=2), abn_grammar, tokenize("a b b b")).accepted
     assert calls["bind"] > 0 and calls["resolve"] > 0
+    # A consequent reads a clause variable that ``env`` binds straight
+    # to a ground term without a ``resolve`` call: a b^40 makes 633
+    # calls, where resolving every such variable made 1,583.
+    calls.clear()
+    b40 = tokenize("a " + " ".join(["b"] * 40))
+    assert parse(make_earley(restriction_depth=2), abn_grammar, b40).accepted
+    assert 0 < calls["resolve"] <= 780
 
 
 # ---- names never reach the generated source ----

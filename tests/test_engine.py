@@ -15,7 +15,7 @@ from deduce.engine import (
     naive_closure,
     parse,
 )
-from deduce.grammar import tokenize
+from deduce.grammar import CfGrammar, load_cf, tokenize
 from deduce.store import INITIAL, History
 from deduce.systems import (
     REGISTRY,
@@ -33,7 +33,15 @@ from deduce.systems import (
     system_for,
 )
 from deduce.store import ItemStore
-from deduce.terms import NIL, VarSource, canonical, parse_term, term_vars
+from deduce.terms import (
+    NIL,
+    Compound,
+    VarSource,
+    canonical,
+    mklist,
+    parse_term,
+    term_vars,
+)
 
 from replay_rows import (
     BOTTOMUP_ROWS,
@@ -171,6 +179,84 @@ def test_naive_closure_renames_the_antecedents_of_one_firing_apart():
     assert closure == {canonical(stored.item) for stored in r.store.items()}
     assert canonical(t("q(f(X), f(Y))")) in closure
     assert canonical(t("q(f(X), f(X))")) not in closure
+
+
+# ---- binding stored items and grammar rows in place ----
+#
+# A clause program binds the trigger, its chart candidates and the
+# fact-table rows it is answered with in place, without copying them.
+# It copies one only when the firing has bound that same term already.
+# Each test below fails when the copy it names is dropped; the closure,
+# which copies every antecedent and answer, is the reference.
+
+def _closed(system, grammar=None, sentence="") -> set:
+    """The canonical chart of a parse that agrees with the closure and
+    replays soundly."""
+    w = tokenize(sentence)
+    r = parse(system, grammar, w)
+    assert not r.halted_by_limit and check_soundness(r) == []
+    chart = {canonical(stored.item) for stored in r.store.items()}
+    assert chart == naive_closure(system, grammar, w)
+    return chart
+
+
+def _depth(t) -> int:
+    return 1 + max(map(_depth, t.args)) if type(t) is Compound else 1
+
+
+def test_a_trigger_paired_with_itself_is_copied(monkeypatch):
+    # p(V, f(V)) is its own partner: binding it twice in place would
+    # need V = f(V).  The side condition keeps the closure finite.
+    t = parse_term
+    monkeypatch.setitem(REGISTRY, "shallow",
+                        lambda args, ctx: iter([args] if _depth(args[0]) <= 3 else []))
+    system = DeductionSystem(
+        name="transitive",
+        grammar_class=object,
+        rules=(Rule("chain", [t("p(X, Y)"), t("p(Y, Z)"), SideCondition("shallow", (t("Z"),))],
+                    t("p(X, Z)")),),
+        axioms=lambda grammar, w: [t("p(V, f(V))")],
+        goal_patterns=lambda grammar, w: [],
+    )
+    assert canonical(t("p(V, f(f(V)))")) in _closed(system)
+
+
+def test_axioms_that_share_a_variable_name_are_renamed_apart():
+    # Both axioms name V; read as one variable, p(f(V)) and q(V) would
+    # not unify on X.
+    t = parse_term
+    system = DeductionSystem(
+        name="two_axioms",
+        grammar_class=object,
+        rules=(Rule("join", [t("p(X)"), t("q(X)")], t("r(X)")),),
+        axioms=lambda grammar, w: [t("p(f(V))"), t("q(V)")],
+        goal_patterns=lambda grammar, w: [],
+    )
+    assert canonical(t("r(f(V))")) in _closed(system)
+
+
+def test_one_row_answering_two_conditions_is_copied():
+    # The grammar's one production row answers both conditions of a
+    # firing; bound twice in place, its X would tie the pair together.
+    t = parse_term
+    grammar = load_cf("start s\ns(X) -> t(X)\n")
+    system = DeductionSystem(
+        name="row_pairs",
+        grammar_class=CfGrammar,
+        rules=(Rule("pair", [t("go"), SideCondition("production", (t("A"), t("G"))),
+                             SideCondition("production", (t("B"), t("H")))],
+                    t("pair(A, G, B, H)")),),
+        axioms=lambda grammar, w: [t("go")],
+        goal_patterns=lambda grammar, w: [],
+    )
+    chart = _closed(system, grammar)
+
+    def pair(u, v):
+        return Compound("pair", (t(f"s({u})"), mklist([t(f"t({u})")]),
+                                 t(f"s({v})"), mklist([t(f"t({v})")])))
+
+    assert canonical(pair("X", "Y")) in chart
+    assert canonical(pair("X", "X")) not in chart
 
 
 def test_naive_closure_bound_guards_divergence(abn_grammar):

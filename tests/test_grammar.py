@@ -229,7 +229,7 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
     args = data.draw(st.tuples(arg, arg))
     table = FactTable("r", rows)
     probe = Compound("r", args)
-    answers = list(table.answers(args, VarSource(1000)))
+    answers = list(table.answers(args))
     source = VarSource(5000)
     scanned = [rename_with(Compound("r", row), {}, source).args for row in rows]
 
@@ -243,8 +243,8 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
     for a in answers:
         if first is not None and Compound("r", a).ground:
             assert a[first] == args[first]
-    # Non-ground rows are renamed per answer: no two answers, and no
-    # answer and the arguments, share a variable.
+    # Non-ground rows are renamed apart when the table is built: no two
+    # answers, and no answer and the arguments, share a variable.
     seen = [set(term_vars(probe))] + [set(term_vars(Compound("r", a))) for a in answers]
     for one, other in itertools.combinations(seen, 2):
         assert not one & other
