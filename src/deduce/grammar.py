@@ -18,6 +18,7 @@ from .terms import (
     Const,
     Term,
     TermSyntaxError,
+    VarSource,
     _TermParser,
     mklist,
     rename_with,
@@ -70,8 +71,8 @@ def _strip_comment(line: str) -> str:
 class FactTable:
     """The rows of the grammar relation ``name``, in a fixed order, each
     the term ``name(Arg, ...)`` of one tuple of arguments in ``rows``.
-    A non-ground row is renamed apart once, so no two rows share a
-    variable.
+    A non-ground row is renamed apart once, from ``fresh``, which the
+    tables of one grammar share, so no two of its rows share a variable.
 
     ``answers(args)`` gives the arguments of the rows that may unify
     with ``args``, in row order: the ground rows holding the first
@@ -80,10 +81,9 @@ class FactTable:
     """
 
     __slots__ = ("rows", "_open", "_by_arg")
-    _fresh = space_source("facts")  # the variables of every table's rows
 
-    def __init__(self, name: str, rows):
-        self.rows = tuple(rename_with(Compound(name, tuple(a)), {}, self._fresh) for a in rows)
+    def __init__(self, name: str, rows, fresh: VarSource):
+        self.rows = tuple(rename_with(Compound(name, tuple(a)), {}, fresh) for a in rows)
         self._open = tuple(r for r in self.rows if not r.ground)
         self._by_arg = []  # per position: term -> rows that may unify there
         for pos in range(len(self.rows[0].args) if self.rows else 0):
@@ -132,10 +132,11 @@ class CfGrammar:
         words = {s.name: s for _, rhs in self.productions for s in rhs if type(s) is Const}
         lexicon = [(words.setdefault(w, Const(w)), p) for w, p in self.lexicon]
         pairs = list(self.productions) + [(p, [w]) for w, p in lexicon]
+        fresh = space_source("facts")
         return {
-            "production": FactTable("production", [(a, mklist(b)) for a, b in pairs]),
-            "lex": FactTable("lex", lexicon),
-            "is_start": FactTable("is_start", [(s,) for s in self.starts]),
+            "production": FactTable("production", [(a, mklist(b)) for a, b in pairs], fresh),
+            "lex": FactTable("lex", lexicon, fresh),
+            "is_start": FactTable("is_start", [(s,) for s in self.starts], fresh),
         }
 
 
@@ -312,7 +313,7 @@ class CcgLexicon:
     @cached_property
     def relations(self) -> dict:
         """The fact table (``FactTable``) of ``is_start(S)``."""
-        return {"is_start": FactTable("is_start", [(self.start,)])}
+        return {"is_start": FactTable("is_start", [(self.start,)], space_source("facts"))}
 
 
 _CCG_PUNCT = set("/\\()")
@@ -491,18 +492,19 @@ class TagGrammar:
         ``node_label(Node, Label)`` by tree, then node; and of
         ``foot_of(Aux, Foot)``.  A node is ``node_ref(tree, address)``."""
         nodes = [(node_ref(t.name, addr), t.label(addr)) for t in self.trees for addr in t.nodes]
+        fresh = space_source("facts")
         return {
-            "is_start": FactTable("is_start", [(Const(self.start),)]),
+            "is_start": FactTable("is_start", [(Const(self.start),)], fresh),
             "adjoinable": FactTable("adjoinable", [
                 (node, Const(aux.name))
                 for aux in self.auxiliaries for node, label in nodes if label == aux.root_label
-            ]),
+            ], fresh),
             "node_label": FactTable("node_label", [
                 (node, Const("eps" if label == EPSILON else label)) for node, label in nodes
-            ]),
+            ], fresh),
             "foot_of": FactTable("foot_of", [
                 (Const(t.name), node_ref(t.name, t.foot)) for t in self.auxiliaries
-            ]),
+            ], fresh),
         }
 
 

@@ -131,8 +131,7 @@ class _Step:
             if x is None:
                 x = self.built[t.id] = f"x{len(self.built)}"
                 # A non-ground local holds its clause ``Var``; ``env`` may bind it.
-                self.body += [f"{x} = {self.local[t.id]}",
-                              f"if not {x}.ground:",
+                self.body += [f"{x} = {self.local[t.id]}", f"if not {x}.ground:",
                               f"    {x} = env.get({x}.id, {x})",
                               f"    if not {x}.ground: {x} = resolve({x}, env)"]
             return x

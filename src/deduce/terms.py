@@ -469,7 +469,7 @@ class VarSource:
 # n each, so no two spaces meet however many variables they draw, and
 # none meets the non-negative ids of a parse.  The "clause" space holds
 # the variables of the compiled rule clauses the engine binds in place
-# (``RuleClause.compiled``), "facts" those of grammar relations' rows.
+# (``RuleClause.compiled``), "facts" those of a grammar's relations.
 FRESH_SPACES = ("facts", "side_conditions", "closure", "replay", "clause")
 
 

@@ -31,6 +31,7 @@ from deduce.terms import (
     canonical,
     parse_term,
     rename_with,
+    space_source,
     term_vars,
     unify,
 )
@@ -227,7 +228,7 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
     held = [a for row in rows for a in row]
     arg = st.one_of(_fact_terms, st.sampled_from(held)) if held else _fact_terms
     args = data.draw(st.tuples(arg, arg))
-    table = FactTable("r", rows)
+    table = FactTable("r", rows, space_source("facts"))
     probe = Compound("r", args)
     answers = list(table.answers(args))
     source = VarSource(5000)
