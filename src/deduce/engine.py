@@ -26,8 +26,8 @@ from .systems import (
     item_renderer,
 )
 from .terms import (
+    Compound,
     Term,
-    Var,
     VarSource,
     bind,
     canonical,
@@ -35,7 +35,6 @@ from .terms import (
     resolve,
     space_source,
     subsumes,
-    term_vars,
     undo,
 )
 
@@ -197,8 +196,9 @@ def _consequents(clause, candidates, answers, source, state=None):
     pairs ``candidates(slot, state)`` gives, renamed apart, and hands
     the pair's state to the next chart premise's call.  A side condition
     binds each answer of ``answers(premise, args)``, for its resolved
-    arguments, position by position, as the clause programs do, after
-    renaming every variable of the answer that no argument holds.  The
+    arguments, position by position, as the clause programs do, and
+    renames one first that is the very tuple an earlier side condition
+    of the firing got (a shared fact-table row).  The
     callers decide what the candidates and answers are: there is no
     agenda, index, subsumption or generated program here.
     """
@@ -207,7 +207,7 @@ def _consequents(clause, candidates, answers, source, state=None):
     env: dict = {}
     trail: list = []
 
-    def walk(k, state):
+    def walk(k, state, got):
         if k == len(premises):
             out = resolve(consequent, env)
             yield out if clause.transform is None else clause.transform(out, source)
@@ -217,22 +217,22 @@ def _consequents(clause, candidates, answers, source, state=None):
         if isinstance(p, SideCondition):
             args = tuple(resolve(a, env) for a in p.args)
             for answer in answers(p, args):
-                if not all(u.ground for u in answer):
-                    mapping = {v: Var(v) for a in args for v in term_vars(a)}
-                    answer = [rename_with(u, mapping, source) for u in answer]
-                for x, u in zip(args, answer):
+                copy = answer
+                if any(answer is a for a in got):
+                    copy = rename_with(Compound("answer", tuple(answer)), {}, source).args
+                for x, u in zip(args, copy):
                     if u is not x and not bind(x, u, env, trail):
                         break
                 else:
-                    yield from walk(k + 1, state)
+                    yield from walk(k + 1, state, got + (answer,))
                 undo(env, trail, mark)
         else:
             for t, after in candidates(p.slot, state):
                 if bind(p.pattern, t, env, trail):
-                    yield from walk(k + 1, after)
+                    yield from walk(k + 1, after, got)
                 undo(env, trail, mark)
 
-    return walk(0, state)
+    return walk(0, state, ())
 
 
 def naive_closure(system, grammar, input_string, bound: int = 20_000):
