@@ -217,10 +217,9 @@ def _consequents(clause, candidates, answers, source, state=None):
         if isinstance(p, SideCondition):
             args = tuple(resolve(a, env) for a in p.args)
             for answer in answers(p, args):
-                copy = answer
                 if any(answer is a for a in got):
-                    copy = rename_with(Compound("answer", tuple(answer)), {}, source).args
-                for x, u in zip(args, copy):
+                    answer = rename_with(Compound("answer", tuple(answer)), {}, source).args
+                for x, u in zip(args, answer):
                     if u is not x and not bind(x, u, env, trail):
                         break
                 else:

@@ -278,10 +278,10 @@ class ItemStore:
         return hits[:bisect_left(hits, bound)]
 
     def fetch(self, mode, key, source: VarSource, bound: tuple) -> list:
-        """(index, item) for each index that ``lookup(mode, key)`` gives:
-        the clause programs' chart premises.  The item is the stored term
-        itself, but renamed from ``source`` when it is not ground and its
-        index is in ``bound``, the antecedents the firing has bound."""
+        """(index, item) for each index ``lookup(mode, key)`` gives, for a
+        clause program's chart premise: the stored term itself, or a copy
+        from ``source`` if it is not ground and ``bound``, the indices of
+        the antecedents the firing has bound, holds its index."""
         items = self._items
         return [(i, item if item.ground or i not in bound else rename_with(item, {}, source))
                 for i in self.lookup(mode, key) for item in (items[i - 1].item,)]
@@ -323,8 +323,9 @@ class ItemStore:
         (DCG goals with open arguments land here).  Neither is renamed,
         which cannot change what ``subsumes`` answers.
         """
-        return [s.index for s in self._items[:self._head - 1]
-                if any(subsumes(p, s.item) or subsumes(s.item, p) for p in goal_patterns)]
+        chart = self._items[:self._head - 1]
+        return sorted({s.index for p in goal_patterns for s in chart
+                       if subsumes(p, s.item) or subsumes(s.item, p)})
 
     def dump(self, render=render_term) -> str:
         """Chart dump: index, stage, rendered item, then one history per
