@@ -217,8 +217,9 @@ def _consequents(clause, candidates, answers, source, state=None):
         if isinstance(p, SideCondition):
             args = tuple(resolve(a, env) for a in p.args)
             for answer in answers(p, args):
-                if any(answer is a for a in got):
-                    answer = rename_with(Compound("answer", tuple(answer)), {}, source).args
+                for a in got:
+                    if a is answer:
+                        answer = rename_with(Compound("answer", tuple(answer)), {}, source).args
                 for x, u in zip(args, answer):
                     if u is not x and not bind(x, u, env, trail):
                         break

@@ -278,10 +278,9 @@ class ItemStore:
         return hits[:bisect_left(hits, bound)]
 
     def fetch(self, mode, key, source: VarSource, bound: tuple) -> list:
-        """(index, item) for each index ``lookup(mode, key)`` gives, for a
-        clause program's chart premise: the stored term itself, or a copy
-        from ``source`` if it is not ground and ``bound``, the indices of
-        the antecedents the firing has bound, holds its index."""
+        """(index, item) for each index ``lookup(mode, key)`` gives: the
+        stored term itself, or, if it is not ground and ``bound`` (the
+        indices the firing has bound) holds its index, a copy from ``source``."""
         items = self._items
         return [(i, item if item.ground or i not in bound else rename_with(item, {}, source))
                 for i in self.lookup(mode, key) for item in (items[i - 1].item,)]
