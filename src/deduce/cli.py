@@ -8,6 +8,7 @@ error, 3 the step limit halted the search before any goal was proved;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .derivations import (
@@ -218,9 +219,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The parser ``main`` reuses across requests, built on its first call
+# rather than at import.  ``parse_args`` leaves it unchanged and makes a
+# fresh namespace each time, and argparse reads ``sys.stdout`` and
+# ``sys.stderr`` only when it prints.
+_parser = functools.cache(build_arg_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    """Run one request.  May be called repeatedly in one process; the
+    grammar file is read again on every call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -320,11 +320,27 @@ class ItemStore:
         An item more specific than the pattern is an instance of the
         goal; one more general still has the goal among its instances
         (DCG goals with open arguments land here).  Neither is renamed,
-        which cannot change what ``subsumes`` answers.
+        which cannot change what ``subsumes`` answers.  A ground pattern
+        is looked up in the indexes: its only instance is itself, and
+        the items subsuming it are a bare variable and the non-ground
+        candidates ``_subsumer`` checks.  Any other pattern scans the
+        chart.
         """
-        chart = self._items[:self._head - 1]
-        return sorted({s.index for p in goal_patterns for s in chart
-                       if subsumes(p, s.item) or subsumes(s.item, p)})
+        head = self._head
+        items = self._items
+        found = set()
+        for p in goal_patterns:
+            if not p.ground:
+                found.update(s.index for s in items[:head - 1]
+                             if subsumes(p, s.item) or subsumes(s.item, p))
+                continue
+            found.add(self._ground.get(p))
+            found.add(self._variable)
+            nonground = self._nonground.get(principal(p))
+            if nonground is not None:
+                found.update(i for i in nonground.candidates(_key(p, nonground.paths))
+                             if subsumes(items[i - 1].item, p))
+        return sorted(i for i in found if i is not None and i < head)
 
     def dump(self, render=render_term) -> str:
         """Chart dump: index, stage, rendered item, then one history per

@@ -32,6 +32,7 @@ from deduce.engine import ParseOptions, check_soundness, parse
 from deduce.grammar import load_ccg, load_cf, load_tag, tokenize
 from deduce.systems import system_for
 from deduce.terms import canonical
+from test_store import scanned_goal_items
 
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = DATA / "chart_digests.txt"
@@ -165,6 +166,14 @@ def test_a_fixture_parse_keeps_its_digest(name, system, kwargs, grammar, sentenc
                          ids=[case[0] for case in RECORD_CASES])
 def test_a_fixture_parse_keeps_its_run_record(name, system, kwargs, grammar, sentence, limit):
     assert run_record(system, kwargs, grammar, sentence, limit) == _golden(RECORDS)[name]
+
+
+@pytest.mark.parametrize("name, system, kwargs, grammar, sentence, limit", RECORD_CASES,
+                         ids=[case[0] for case in RECORD_CASES])
+def test_goal_items_agree_with_a_chart_scan(name, system, kwargs, grammar, sentence, limit):
+    r = run_case(system, kwargs, grammar, sentence, limit)
+    patterns = r.system.goal_patterns(r.grammar, r.input)
+    assert r.goal_indices == scanned_goal_items(r.store, patterns)
 
 
 if __name__ == "__main__":

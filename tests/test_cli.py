@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, formats, stdin input."""
 
+import argparse
+import functools
 import io
 import os
 import pathlib
@@ -8,6 +10,7 @@ import sys
 
 import pytest
 
+from deduce import cli
 from deduce.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -277,3 +280,71 @@ def test_python_dash_m_deduce_runs_the_cli():
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         codes.append(done.returncode)
     assert codes == [0, 1, 2]
+
+
+def test_in_process_requests_leak_nothing(monkeypatch, capsys):
+    ambiguous = str(DATA / "ambiguous.cf")
+    derive = ("derive", "--system", "cyk", "--grammar", ambiguous, "--sentence", "a a a a a a")
+    assert run(*derive, "--limit", "1") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert run(*derive) == 0  # 42 readings, cut at the default of 16
+    assert len(capsys.readouterr().out.splitlines()) == 16
+
+    with pytest.raises(SystemExit) as exc:
+        run("parse", "--system", "glr", "--grammar", TOY, "--sentence", "a")
+    assert exc.value.code == 2
+    assert "argument --system: invalid choice: 'glr'" in capsys.readouterr().err
+    assert run("parse", "--system", "earley", "--grammar", TOY,
+               "--sentence", "a program halts") == 0
+    assert capsys.readouterr() == ("accept\nitems 25, pops 25, duplicates 0\n", "")
+
+    parse = ("parse", "--system", "earley", "--grammar", TOY)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a program halts\n"))
+    assert run(*parse) == 0
+    assert run(*parse, "--sentence", "halts a program") == 1
+    # Nor does the sentence given last stand in for the stdin one.
+    monkeypatch.setattr("sys.stdin", io.StringIO("a program halts\n"))
+    assert run(*parse) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "items" not in line]
+    assert verdicts == ["accept", "reject", "accept"]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_arg_parser()
+    per_build = len(built)
+    built.clear()
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_arg_parser), raising=False)
+    for sentence in ("a program halts", "halts a program") * 2 + ("a program halts",):
+        run("parse", "--system", "earley", "--grammar", TOY, "--sentence", sentence)
+    assert per_build > 1 and len(built) == per_build
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built by the first ``main`` call, so a process that
+    # imports the CLI without running a request pays nothing for it.
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    script = (
+        "import argparse, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import deduce.cli\n"
+        "print(len(built))\n"
+        "deduce.cli.build_arg_parser()\n"
+        "print(len(built) > 0)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\nTrue\n", "")

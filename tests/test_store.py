@@ -220,6 +220,34 @@ def test_goal_items_accept_subsumption_in_either_direction():
     assert general_stored.goal_items([ground_goal]) == [1]
 
 
+def scanned_goal_items(store, patterns):
+    """``goal_items`` as a scan of the whole chart, subsumption both
+    ways, for every pattern."""
+    chart = [store.get(i) for i in range(1, store.head)]
+    return sorted({s.index for p in patterns for s in chart
+                   if subsumes(p, s.item) or subsumes(s.item, p)})
+
+
+def test_a_ground_goal_finds_its_generalisers_in_the_indexes():
+    s = ItemStore()
+    goal = t("goal(s(0), 1)")
+    for item in ("goal(s(0), 1)", "goal(s(K), 2)", "goal(s(K), 1)", "goal(M, 1)"):
+        assert s.enqueue(t(item), h(INITIAL))[1]
+    for _ in range(3):
+        s.pop()
+    # The item itself and the generaliser keyed like it count; the
+    # wildcard generaliser is still on the agenda.
+    patterns = [goal, t("goal(s(0), Y)")]
+    assert s.goal_items([goal]) == [1, 3]
+    assert s.goal_items(patterns) == scanned_goal_items(s, patterns)
+    assert s.enqueue(t("X"), h(INITIAL)) == (5, True)
+    s.pop()
+    assert s.goal_items([goal]) == [1, 3, 4]
+    s.pop()
+    assert s.goal_items([goal]) == [1, 3, 4, 5]
+    assert s.goal_items(patterns) == scanned_goal_items(s, patterns)
+
+
 def test_goal_items_ignore_the_agenda_suffix():
     s = ItemStore()
     s.enqueue(t("done"), h(INITIAL))
