@@ -26,7 +26,6 @@ from .systems import (
     item_renderer,
 )
 from .terms import (
-    Compound,
     Term,
     VarSource,
     bind,
@@ -195,12 +194,12 @@ def _consequents(clause, candidates, answers, source, state=None):
     premise, the trigger included, binds each term of the (term, state)
     pairs ``candidates(slot, state)`` gives, renamed apart, and hands
     the pair's state to the next chart premise's call.  A side condition
-    binds each answer of ``answers(premise, args)``, for its resolved
-    arguments, position by position, as the clause programs do, and
-    renames one first that is the very tuple an earlier side condition
-    of the firing got (a shared fact-table row).  The
-    callers decide what the candidates and answers are: there is no
-    agenda, index, subsumption or generated program here.
+    binds the arguments of each answer of ``answers(premise, args)``,
+    for its resolved arguments, position by position, and renames one
+    first that is the very term an earlier side condition of the firing
+    got (a shared fact-table row).  The callers decide what the
+    candidates and answers are: there is no agenda, index, subsumption
+    or generated program here.
     """
     trigger, premises, consequent = clause.compiled
     premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
@@ -219,8 +218,8 @@ def _consequents(clause, candidates, answers, source, state=None):
             for answer in answers(p, args):
                 for a in got:
                     if a is answer:
-                        answer = rename_with(Compound("answer", tuple(answer)), {}, source).args
-                for x, u in zip(args, answer):
+                        answer = rename_with(answer, {}, source)
+                for x, u in zip(args, answer.args):
                     if u is not x and not bind(x, u, env, trail):
                         break
                 else:

@@ -50,6 +50,13 @@ class InputString:
         """1-based token access, matching the deduction systems' indexing."""
         return self.tokens[position - 1]
 
+    @cached_property
+    def relations(self) -> dict:
+        """The fact table (``FactTable``) of ``word(I, J, W)``: the token
+        ``W`` spans positions ``I`` to ``J``, one row per token."""
+        rows = [(Const(i), Const(i + 1), Const(w)) for i, w in enumerate(self.tokens)]
+        return {"word": FactTable("word", rows, space_source("facts"))}
+
 
 def tokenize(text: str) -> InputString:
     """Split an input sentence on whitespace; no escaping."""
@@ -69,15 +76,16 @@ def _strip_comment(line: str) -> str:
 
 
 class FactTable:
-    """The rows of the grammar relation ``name``, in a fixed order, each
-    the term ``name(Arg, ...)`` of one tuple of arguments in ``rows``.
-    A non-ground row is renamed apart once, from ``fresh``, which the
-    tables of one grammar share, so no two of its rows share a variable.
+    """The rows of the relation ``name`` of a grammar or of the input
+    string, in a fixed order, each the term ``name(Arg, ...)`` of one
+    tuple of arguments in ``rows``.  A non-ground row is renamed apart
+    once, from ``fresh``, which the tables of one grammar share, so no
+    two of its rows share a variable.
 
-    ``answers(args)`` gives the arguments of the rows that may unify
-    with ``args``, in row order: the ground rows holding the first
+    ``answers(args)`` iterates over the rows that may unify with
+    ``name(args)``, in row order: the ground rows holding the first
     ground argument at its position, and every non-ground row; with no
-    ground argument, every row.  An answer is the row's own tuple.
+    ground argument, every row.  An answer is the row itself.
     """
 
     __slots__ = ("rows", "_open", "_by_arg")
@@ -99,7 +107,7 @@ class FactTable:
             if a.ground:
                 rows = index.get(a, self._open)
                 break
-        return (row.args for row in rows)
+        return iter(rows)
 
 
 # ---- context-free / DCG ----
@@ -444,9 +452,6 @@ class TagTree:
     def root_label(self) -> str:
         return self.nodes[()]
 
-    def has_node(self, address: tuple) -> bool:
-        return address in self.nodes
-
     def label(self, address: tuple) -> str:
         return self.nodes[address]
 
@@ -489,8 +494,10 @@ class TagGrammar:
         """The fact tables (``FactTable``) of ``is_start(S)``; of
         ``adjoinable(Node, Aux)`` by auxiliary tree, then tree, then each
         node of it labelled as the auxiliary tree's root; of
-        ``node_label(Node, Label)`` by tree, then node; and of
-        ``foot_of(Aux, Foot)``.  A node is ``node_ref(tree, address)``."""
+        ``node_label(Node, Label)`` by tree, then node; of
+        ``foot_of(Aux, Foot)``; and of ``child_undefined(node(T, [2|P]))``
+        by tree, then each node ``P`` of ``T`` with no second child.  A
+        node is ``node_ref(tree, address)``."""
         nodes = [(node_ref(t.name, addr), t.label(addr)) for t in self.trees for addr in t.nodes]
         fresh = space_source("facts")
         return {
@@ -504,6 +511,10 @@ class TagGrammar:
             ], fresh),
             "foot_of": FactTable("foot_of", [
                 (Const(t.name), node_ref(t.name, t.foot)) for t in self.auxiliaries
+            ], fresh),
+            "child_undefined": FactTable("child_undefined", [
+                (node_ref(t.name, addr + (2,)),)
+                for t in self.trees for addr in t.nodes if addr + (2,) not in t.nodes
             ], fresh),
         }
 
@@ -663,6 +674,3 @@ def render_tag(g: TagGrammar) -> str:
     for t in g.auxiliaries:
         lines.append(f"auxiliary {t.name} {_render_sexp(t, ())}")
     return "\n".join(lines) + "\n"
-
-
-Grammar = "CfGrammar | CcgLexicon | TagGrammar"

@@ -2,8 +2,8 @@
 
 A clause program carries the clause's variables as a tuple of registers,
 numbered in the order of their first occurrence, and hands each choice
-to a step: a function generated from one pattern (of the trigger, of a
-chart premise or of a side condition's arguments) that loads the
+to a step: a function generated from one pattern (the trigger, a chart
+premise or a side condition) that loads the
 registers it needs into Python locals, matches one value and returns the
 registers extended by the variables it met first, or None.  The last
 step of a clause builds its consequent instead and returns it.  Steps
@@ -35,7 +35,8 @@ class _Step:
       local is ground and through ``bind`` when it is not;
     - a non-ground value is bound to the pattern built from the locals,
       with the compiled ``Var`` for each variable not yet assigned, by
-      one ``bind`` call; those locals then hold their ``Var``.
+      one ``bind`` call, or a side condition's answer by one per
+      argument; those locals then hold their ``Var``.
     """
 
     def __init__(self, names: dict):
@@ -80,9 +81,10 @@ class _Step:
             return self.local[t.id]
         return f"Compound({self.value(t.functor)}, ({''.join(self.build(a) + ', ' for a in t.args)}))"
 
-    def match(self, p: Term, t: str, pad: str, fail: str, fresh: set) -> None:
+    def match(self, p: Term, t: str, pad: str, fail: str, fresh: set, checked=False) -> None:
         """Inline code matching ``p`` against the ground value in ``t``;
-        a variable in ``fresh`` is stored at its first occurrence."""
+        a variable in ``fresh`` is stored at its first occurrence.  When
+        ``checked``, ``t`` is known to have ``p``'s functor and arity."""
         if p.ground:
             k = self.value(p)
             self.body.append(f"{pad}if {t} is not {k} and {t} != {k}: {fail}")
@@ -95,8 +97,10 @@ class _Step:
                 self.body.append(f"{pad}if {t} is not {v} and not ({t} == {v} if {v}.ground"
                                  f" else bind({v}, {t}, env, trail)): {fail}")
         else:
-            self.body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
-                             f"{self.value(p.functor)} or len({t}.args) != {len(p.args)}: {fail}")
+            if not checked:
+                self.body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
+                                 f"{self.value(p.functor)} or len({t}.args) != {len(p.args)}:"
+                                 f" {fail}")
             subs = []
             for a in p.args:
                 if type(a) is Var and a.id in fresh:
@@ -109,17 +113,29 @@ class _Step:
                 if a is not None:
                     self.match(a, s, pad, fail, fresh)
 
-    def unify(self, p: Term, t: str) -> None:
-        """Code making the value in ``t`` equal ``p``, ground or not."""
-        built = self.build(p)
+    def unify(self, p: Term, t: str, answer: bool) -> None:
+        """Code making the value in ``t`` equal ``p``, ground or not.  An
+        ``answer`` has ``p``'s functor and arity already, and a
+        non-ground one is bound argument by argument, skipping an
+        argument that is the very object the pattern's is: a builtin
+        passes its arguments through."""
+        built = [self.build(a) for a in p.args] if answer else self.build(p)
         fresh = self.name(p)
         self.body.append(f"if {t}.ground:")
-        self.match(p, t, "    ", "return", set(fresh))
-        self.body += [
-            "else:",
-            f"    if not bind({built}, {t}, env, trail): return",
-            *(f"    {self.local[v]} = {self.value(Var(v))}" for v in fresh),
-        ]
+        self.match(p, t, "    ", "return", set(fresh), answer)
+        self.body.append("else:")
+        if answer:
+            gs = [f"g{next(self.temps)}" for _ in p.args]
+            # A condition of no arguments has only ground answers.
+            self.body.append(f"    {''.join(g + ', ' for g in gs)}= {t}.args" if gs
+                             else "    return")
+            for b, g in zip(built, gs):
+                # ``b`` names the pattern's own value, unless it builds one.
+                own = "" if b.startswith("Compound(") else f"{g} is not {b} and "
+                self.body.append(f"    if {own}not bind({b}, {g}, env, trail): return")
+        else:
+            self.body.append(f"    if not bind({built}, {t}, env, trail): return")
+        self.body += [f"    {self.local[v]} = {self.value(Var(v))}" for v in fresh]
 
     def expr(self, t: Term) -> str:
         """An expression for the consequent's subterm ``t``, built from
@@ -157,13 +173,14 @@ class _Step:
         return _wrap("step", params, self.body, self.values), self.values
 
 
-def match_step(pattern: Term, names: dict, consequent: "Term | None" = None):
-    """``step(t, r, env, trail, table)``: the trigger or a candidate
-    ``t`` matched against ``pattern``; with a ``consequent``, the last
-    step, which returns it built."""
+def match_step(pattern: Term, names: dict, consequent: "Term | None" = None, answer=False):
+    """``step(t, r, env, trail, table)``: the trigger, a candidate or,
+    when ``answer``, a side condition's answer ``t`` matched against
+    ``pattern``; with a ``consequent``, the last step, which returns it
+    built."""
     s = _Step(names)
     s.load(pattern, consequent)
-    s.unify(pattern, "t")
+    s.unify(pattern, "t", answer)
     return _generate(*s.finish(["t", "r", "env", "trail", "table"], consequent), scope=globals())
 
 
@@ -213,37 +230,3 @@ def args_step(args: tuple, names: dict):
     s.body.append(f"return ({''.join(x + ', ' for x in passed)})")
     return _generate(_wrap("arguments", ["r", "env"], s.body, s.values), s.values, scope=globals())
 
-
-def answer_step(args: tuple, names: dict, consequent: "Term | None" = None):
-    """``step(u, a, r, env, trail, table)``: the answer ``u`` to the
-    arguments ``a`` matched position by position.  When each answer
-    term is ground or the argument itself, no answer term can mention a
-    clause variable, and each position is matched inline; otherwise each
-    goes through ``bind`` against the argument passed in, occurs check
-    included, as the interpreted walker does."""
-    s = _Step(names)
-    s.load(*args, consequent)
-    us = [f"u{n}" for n in range(len(args))]
-    xs = [f"x{n}" for n in range(len(args))]
-    s.body += [
-        f"{''.join(u + ', ' for u in us)}= u",
-        f"{''.join(x + ', ' for x in xs)}= a",
-        f"if {' and '.join(f'({u} is {x} or {u}.ground)' for u, x in zip(us, xs))}:",
-    ]
-    introduced = []
-    for a, u, x in zip(args, us, xs):
-        here = s.name(a)
-        introduced += here
-        if here:
-            s.body.append(f"    if {u} is {x}: "
-                          + "; ".join(f"{s.local[v]} = {s.value(Var(v))}" for v in here))
-            s.body.append("    else:")
-        else:
-            s.body.append(f"    if {u} is not {x}:")
-        s.match(a, u, "        ", "return", set(here))
-    s.body.append("else:")
-    s.body += [f"    if {u} is not {x} and not bind({x}, {u}, env, trail): return"
-               for u, x in zip(us, xs)]
-    s.body += [f"    {s.local[v]} = {s.value(Var(v))}" for v in introduced]
-    return _generate(*s.finish(["u", "a", "r", "env", "trail", "table"], consequent),
-                     scope=globals())

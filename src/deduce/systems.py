@@ -7,12 +7,14 @@ into k clauses, one per choice of trigger antecedent; each clause
 evaluates the other premises in the written order, the remaining
 antecedents as chart lookups.  Side conditions are names resolved
 through a registry of pure evaluators over the grammar and the input
-string.  A mode analysis of each clause gives the lookup mode of each
-chart premise, which the item store indexes.  On first use each clause
-generates one program (``program_source``): its trigger step, which
-alone decides whether a popped item fires the clause, then its premises
-as nested loops, each choice matched by a generated step and the
-consequent built by the last one.
+string, each answering with instances of the condition, some of them
+rows of the input's and the grammar's fact tables.  A mode analysis of
+each clause gives the lookup mode of each chart premise, which the item
+store indexes.  On first use each clause generates one program
+(``program_source``): its trigger step, which alone decides whether a
+popped item fires the clause, then its premises as nested loops, each
+choice matched by a generated step and the consequent built by the last
+one.
 
 Items are plain terms.  The encodings:
 
@@ -43,7 +45,7 @@ from .grammar import (
     node_ref,
     validate_cnf,
 )
-from .steps import answer_step, args_step, key_step, match_step
+from .steps import args_step, key_step, match_step
 from .store import INITIAL, History
 from .terms import (
     Compound,
@@ -228,22 +230,23 @@ def program_source(clause: RuleClause) -> tuple:
     and a fact table renames its rows apart once (``FactTable``).  A
     term the firing has bound already is copied: ``fetch`` renames a
     candidate whose index is the trigger's or an earlier antecedent's,
-    and an answer tuple that is an earlier answer of the firing is
-    renamed before it is matched.
+    and an answer that is an earlier answer of the firing is renamed
+    before it is matched.
 
     The program is the clause's skeleton: the trigger step, then one
     nested loop per premise in the written order, each choice handed to
-    a step generated from the premise (``deduce.steps``), which matches
-    it and returns the registers extended, or None.  The last step
-    builds the consequent instead, so a firing costs one call.
+    a step generated from the premise (``deduce.steps.match_step``),
+    which matches it and returns the registers extended, or None.  The
+    last step builds the consequent instead, so a firing costs one call.
 
     - A chart lookup takes its key from a key step and hands it to
       ``fetch`` (``ItemStore.fetch``) with the indices of the
       antecedents bound so far.
-    - A side condition takes its arguments from an argument step and
-      calls its builtin, looked up in ``REGISTRY`` at each call.  Each
-      answer is a tuple of terms, one per argument, for the answer step;
-      one of the wrong length raises ``SideConditionError``.
+    - A side condition ``p(Args)`` takes its arguments from an argument
+      step and calls its builtin, looked up in ``REGISTRY`` at each
+      call, through ``builtin_answers``.  Each answer is an instance of
+      ``p(Args)``, matched against it as a candidate is matched against
+      its pattern.
 
     Each loop undoes the trail to its own mark before each choice, so a
     failed binding just moves on to the next.  The last step builds the
@@ -287,34 +290,34 @@ def program_source(clause: RuleClause) -> tuple:
     pad = ""
     for k, (p, mode) in enumerate(zip(premises, clause.modes), 1):
         got, final = result(k)
-        if isinstance(p, SideCondition):
-            args = value(args_step(p.args, names))
-            body += [
-                f"{pad}a{k} = {args}(r{k - 1}, env)",
-                f"{pad}m{k} = len(trail)",
-                f"{pad}for u{k} in builtin_answers({value(p.builtin)}, a{k}, ctx):",
-                f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
-            ]
-            # An answer tuple that an earlier side condition got is copied.
-            earlier = [f"u{k} is u{j}" for j, q in enumerate(premises[:k - 1], 1)
-                       if isinstance(q, SideCondition)]
-            if earlier:
-                body.append(f"{pad}    if {' or '.join(earlier)}:"
-                            f" u{k} = rename_with(Compound({value('')}, u{k}), {{}}, source).args")
-            body.append(f"{pad}    {got} = {value(answer_step(p.args, names, final))}"
-                        f"(u{k}, a{k}, r{k - 1}, env, trail, table)")
+        answer = isinstance(p, SideCondition)
+        if answer:
+            pattern = Compound(p.builtin, p.args)
+            args = f"{value(args_step(p.args, names))}(r{k - 1}, env)"
+            choices = f"t{k} in builtin_answers({value(p.builtin)}, {args}, ctx)"
         else:
-            key = "None" if mode is None else f"{value(key_step(p.pattern, mode, names))}(r{k - 1}, env)"
+            pattern = p.pattern
+            key = ("None" if mode is None
+                   else f"{value(key_step(pattern, mode, names))}(r{k - 1}, env)")
             bound = "".join(x + ", " for x in slots.values())
-            body += [
-                f"{pad}m{k} = len(trail)",
-                f"{pad}for i{k}, t{k} in fetch({value(mode)}, {key}, source, ({bound})):",
-                f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
-                f"{pad}    {got} = {value(match_step(p.pattern, names, final))}"
-                f"(t{k}, r{k - 1}, env, trail, table)",
-            ]
+            choices = f"i{k}, t{k} in fetch({value(mode)}, {key}, source, ({bound}))"
             slots[p.slot] = f"i{k}"
-        body.append(f"{pad}    if {got} is None: continue")
+        body += [
+            f"{pad}m{k} = len(trail)",
+            f"{pad}for {choices}:",
+            f"{pad}    while len(trail) > m{k}: del env[trail.pop()]",
+        ]
+        # An answer that an earlier side condition got is copied.
+        earlier = [f"t{k} is t{j}" for j, q in enumerate(premises[:k - 1], 1)
+                   if answer and isinstance(q, SideCondition)]
+        if earlier:
+            body.append(f"{pad}    if {' or '.join(earlier)}:"
+                        f" t{k} = rename_with(t{k}, {{}}, source)")
+        body += [
+            f"{pad}    {got} = {value(match_step(pattern, names, final, answer))}"
+            f"(t{k}, r{k - 1}, env, trail, table)",
+            f"{pad}    if {got} is None: continue",
+        ]
         pad += "    "
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     transform = value(clause.transform)
@@ -413,16 +416,16 @@ class EvalContext:
 
 def builtin_answers(builtin: str, args: tuple, ctx) -> list:
     """Every answer of the side condition ``builtin`` on ``args``, each
-    checked to hold one term per argument."""
+    checked to be a term ``builtin(...)`` of one argument per argument."""
     fn = REGISTRY.get(builtin)
     if fn is None:
         raise UnknownBuiltinError(builtin)
     answers = list(fn(args, ctx))
     for answer in answers:
-        if len(answer) != len(args):
+        if (type(answer) is not Compound or answer.functor != builtin
+                or len(answer.args) != len(args)):
             raise SideConditionError(
-                f"{builtin} answered {len(answer)} terms for {len(args)} arguments"
-            )
+                f"{builtin} answered {answer!r}, not a {builtin}/{len(args)} term")
     return answers
 
 
@@ -432,26 +435,14 @@ def _int_of(t: Term):
     return None
 
 
-def _eval_word_at(args, ctx):
-    pos, word = args
-    tokens = ctx.input.tokens
-    i = _int_of(pos)
-    if i is not None:
-        if 1 <= i <= len(tokens):
-            yield (pos, Const(tokens[i - 1]))
-        return
-    for i, tok in enumerate(tokens):
-        yield (Const(i + 1), Const(tok))
-
-
 def _eval_succ(args, ctx):
     a, b = args
     i, j = _int_of(a), _int_of(b)
     if i is not None:
-        yield (a, Const(i + 1))
+        yield Compound("succ", (a, Const(i + 1)))
     elif j is not None:
         if j >= 1:
-            yield (Const(j - 1), b)
+            yield Compound("succ", (Const(j - 1), b))
     else:
         raise SideConditionError("succ needs one bound integer")
 
@@ -469,7 +460,7 @@ def _eval_index_union(args, ctx):
         merged = a
     else:
         return  # both defined and different: undefined, the clause fails
-    yield (a, b, merged)
+    yield Compound("index_union", (a, b, merged))
 
 
 def _decode_node(t: Term):
@@ -491,28 +482,12 @@ def _decode_node(t: Term):
     return tree.name, tuple(reversed(steps))
 
 
-def _eval_child_undefined(args, ctx):
-    g = ctx.grammar
-    if not isinstance(g, TagGrammar):
-        raise SideConditionError("child_undefined needs a TAG grammar")
-    decoded = _decode_node(args[0])
-    if decoded is None:
-        raise SideConditionError("child_undefined needs a ground node reference")
-    tree_name, addr = decoded
-    try:
-        tree = g.tree(tree_name)
-    except KeyError:
-        return
-    if not tree.has_node(addr):
-        yield args
-
-
 def _eval_append(args, ctx):
     xs, ys, _zs = args
     elems = unlist(xs)
     if elems is None:
         raise SideConditionError("append needs a proper list first argument")
-    yield (xs, ys, mklist(elems, tail=ys))
+    yield Compound("append", (xs, ys, mklist(elems, tail=ys)))
 
 
 def _eval_split_stack(args, ctx):
@@ -520,29 +495,32 @@ def _eval_split_stack(args, ctx):
     elems = unlist(gamma)
     if elems is None:
         raise SideConditionError("split_stack needs a proper list first argument")
-    yield (gamma, mklist(list(reversed(elems)), tail=rest), rest)
+    yield Compound("split_stack", (gamma, mklist(list(reversed(elems)), tail=rest), rest))
 
 
 def _relation(name: str, args, ctx):
-    """The answers of the grammar relation ``name`` from the grammar's
-    fact table (``FactTable``), which the grammar builds once."""
-    try:
-        table = ctx.grammar.relations[name]
-    except (AttributeError, KeyError):
-        raise SideConditionError(f"the grammar has no {name} relation") from None
+    """The rows of the relation ``name`` from the fact table
+    (``FactTable``) of the input string or else of the grammar, each
+    of which builds its tables once."""
+    table = ctx.input.relations.get(name)
+    if table is None:
+        try:
+            table = ctx.grammar.relations[name]
+        except (AttributeError, KeyError):
+            raise SideConditionError(
+                f"neither the input nor the grammar has a {name} relation") from None
     return table.answers(args)
 
 
 REGISTRY: dict = {
-    "word_at": _eval_word_at,
     "succ": _eval_succ,
     "index_union": _eval_index_union,
-    "child_undefined": _eval_child_undefined,
     "append": _eval_append,
     "split_stack": _eval_split_stack,
     **{
         name: partial(_relation, name)
-        for name in ("production", "lex", "is_start", "adjoinable", "node_label", "foot_of")
+        for name in ("word", "production", "lex", "is_start", "adjoinable", "node_label",
+                     "foot_of", "child_undefined")
     },
 }
 
@@ -551,22 +529,23 @@ def register_builtin(name: str, evaluator):
     """Register ``evaluator(args, ctx)`` as the side condition ``name``.
 
     It gets the condition's arguments, resolved, as a tuple of terms and
-    yields candidate answers: tuples of as many terms, one per argument.
-    The caller unifies each answer with the arguments and keeps the ones
-    that unify, so an evaluator need not filter its candidates.  Fresh
-    variables come from ``ctx.source``."""
+    yields candidate answers: instances ``name(Arg, ...)`` of the
+    condition, with as many arguments.  The caller unifies each answer
+    with the condition and keeps the ones that unify, so an evaluator
+    need not filter its candidates.  Fresh variables come from
+    ``ctx.source``."""
     REGISTRY[name] = evaluator
 
 
 def eval_side_condition(builtin: str, args, grammar, input_string, source=None):
     """Evaluate one side condition to a list of substitutions, one per
-    answer of the builtin that unifies with ``args``: the most general
-    unifier of ``p(args)`` and ``p(answer)``, binding the variables of
-    ``args``."""
+    answer of the builtin that unifies with the condition
+    ``builtin(args)``: their most general unifier, binding the variables
+    of ``args``."""
     ctx = EvalContext(grammar, input_string, source or space_source("side_conditions"))
-    probe = Compound("p", tuple(args))
-    answers = builtin_answers(builtin, probe.args, ctx)
-    unifiers = (unify(probe, Compound("p", tuple(answer))) for answer in answers)
+    condition = Compound(builtin, tuple(args))
+    answers = builtin_answers(builtin, condition.args, ctx)
+    unifiers = (unify(condition, answer) for answer in answers)
     return [s for s in unifiers if s is not None]
 
 
@@ -582,11 +561,7 @@ def _td(beta: Term, j: Term) -> Compound:
 
 def make_topdown() -> DeductionSystem:
     beta, j, j1, a, g, d = _v("Beta"), _v("J"), _v("J1"), _v("A"), _v("G"), _v("D")
-    scan = Rule(
-        "scan",
-        [_td(cons(a, beta), j), SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, a))],
-        _td(beta, j1),
-    )
+    scan = Rule("scan", [_td(cons(a, beta), j), SideCondition("word", (j, j1, a))], _td(beta, j1))
     predict = Rule(
         "predict",
         [
@@ -620,11 +595,8 @@ def make_bottomup() -> DeductionSystem:
     alpha, j, j1, w_, b, g, rest = (
         _v("Alpha"), _v("J"), _v("J1"), _v("W"), _v("B"), _v("G"), _v("Rest"),
     )
-    shift = Rule(
-        "shift",
-        [_bu(alpha, j), SideCondition("succ", (j, j1)), SideCondition("word_at", (j1, w_))],
-        _bu(cons(w_, alpha), j1),
-    )
+    shift = Rule("shift", [_bu(alpha, j), SideCondition("word", (j, j1, w_))],
+                 _bu(cons(w_, alpha), j1))
     reduce_ = Rule(
         "reduce",
         [
@@ -676,11 +648,7 @@ def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
 
     scan = Rule(
         "scan",
-        [
-            _er(i, a, bef, cons(w_, aft), j),
-            SideCondition("succ", (j, j1)),
-            SideCondition("word_at", (j1, w_)),
-        ],
+        [_er(i, a, bef, cons(w_, aft), j), SideCondition("word", (j, j1, w_))],
         _er(i, a, cons(w_, bef), aft, j1),
     )
     predict = Rule(

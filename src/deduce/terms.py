@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import types
+from operator import is_
 from typing import Iterable, Iterator
 
 # Variable identifiers are either source names (strings, from grammar
@@ -264,7 +265,9 @@ def _occurs(vid, t: Term, env: dict) -> bool:
 
 def resolve(t: Term, env: dict) -> Term:
     """``t`` with every variable bound in ``env`` replaced, through
-    chains of bindings, by its value; walked on an explicit stack."""
+    chains of bindings, by its value; walked on an explicit stack.  A
+    compound none of whose arguments changed is returned itself, so a
+    term with no bound variable resolves to the very object."""
     if t.ground:
         return t
     while type(t) is Var:
@@ -286,7 +289,7 @@ def resolve(t: Term, env: dict) -> Term:
                 break
             done.append(a)
         else:
-            built = Compound(node.functor, tuple(done))
+            built = node if all(map(is_, done, node.args)) else Compound(node.functor, tuple(done))
             if not stack:
                 return built
             node, done = stack.pop()
@@ -370,7 +373,7 @@ def undo(env: dict, trail: list, mark: int) -> None:
 _MAKERS: dict = {}  # generated source -> its compiled ``make``
 
 
-def _generate(source: str, values: list, scope: "dict | None" = None):
+def _generate(source: str, values: list, scope: dict):
     """``make(*values)`` for the ``make`` that ``source`` defines,
     compiled once per source.  A name the source neither defines nor
     gets as a value is a global of ``scope``, a module's namespace,
@@ -380,10 +383,7 @@ def _generate(source: str, values: list, scope: "dict | None" = None):
     if make is None:
         namespace: dict = {}
         exec(compile(source, "<generated>", "exec"), namespace)
-        make = namespace["make"]
-        if scope is not None:
-            make = types.FunctionType(make.__code__, scope)
-        _MAKERS[source] = make
+        make = _MAKERS[source] = types.FunctionType(namespace["make"].__code__, scope)
     return make(*values)
 
 

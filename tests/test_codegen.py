@@ -25,8 +25,12 @@ from deduce.systems import (
     UnknownBuiltinError,
     builtin_answers,
     eval_side_condition,
+    make_bottomup,
+    make_ccg,
+    make_cyk,
     make_earley,
     make_tag,
+    make_topdown,
     program_source,
     system_for,
 )
@@ -53,7 +57,8 @@ def reference_firings(clause, store, index, ctx, reached=None) -> list:
     (rule, slot, consequent, antecedent indices), by interpreting the
     clause: the premises run left to right, depth first, through
     ``bind``, ``resolve`` and ``undo`` on one environment with a trail.
-    A side condition's answer is bound as one term, ``p(answer)``,
+    A side condition's answer, checked to be an instance of the
+    condition, has its arguments bound as one term, ``p(answer.args)``,
     against ``p(arguments)``, with every variable that no argument holds
     renamed apart.  The trigger and each lookup's candidates are renamed
     from ``ctx.source`` before they are bound, and a non-ground
@@ -88,10 +93,11 @@ def reference_firings(clause, store, index, ctx, reached=None) -> list:
                 raise UnknownBuiltinError(p.builtin)
             args = tuple(resolve(a, env) for a in p.args)
             for answer in list(fn(args, ctx)):
-                if len(answer) != len(args):
+                if (type(answer) is not Compound or answer.functor != p.builtin
+                        or len(answer.args) != len(args)):
                     raise SideConditionError(p.builtin)
                 held = {v: Var(v) for a in args for v in term_vars(a)}
-                answer = rename_with(Compound("p", tuple(answer)), held, source)
+                answer = rename_with(Compound("p", answer.args), held, source)
                 if bind(Compound("p", args), answer, env, trail):
                     walk(k + 1, antes)
                 undo(env, trail, mark)
@@ -512,7 +518,7 @@ def test_a_candidate_may_repeat_a_variable():
 ])
 def test_an_answer_position_binds_a_variable_an_earlier_one_introduced(
         monkeypatch, answer, consequent):
-    monkeypatch.setitem(REGISTRY, "pair", lambda args, ctx: iter([answer(args)]))
+    monkeypatch.setitem(REGISTRY, "pair", lambda args, ctx: iter([Compound("pair", answer(args))]))
     rule = ["go", SideCondition("pair", (parse_term("f(Y)"), Var("Y")))]
     got, want = _both_ways(rule, "out(Y)", ["go"])
     assert got == want == [parse_term(consequent)]
@@ -522,7 +528,7 @@ def test_a_later_answer_may_hold_a_variable_an_earlier_one_bound(monkeypatch):
     # The first answer term is ground and gives Y = b; the second holds
     # the clause variable Y passed in, so it must be read as b.
     monkeypatch.setitem(REGISTRY, "pair", lambda args, ctx: iter(
-        [(parse_term("f(b)"), Compound("g", (args[0].args[0],)))]))
+        [Compound("pair", (parse_term("f(b)"), Compound("g", (args[0].args[0],))))]))
     rule = ["go", SideCondition("pair", (parse_term("f(Y)"), Var("Z")))]
     got, want = _both_ways(rule, "out(Y, Z)", ["go"])
     assert got == want == [parse_term("out(b, g(b))")]
@@ -576,7 +582,7 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
     f, g, h = HOSTILE[3], HOSTILE[0], HOSTILE[2]
     k1, k2 = Const(HOSTILE[1]), Const(HOSTILE[4])
     x, y = Var(HOSTILE[3]), Var("Y")
-    monkeypatch.setitem(REGISTRY, HOSTILE[4], lambda args, ctx: iter([args]))
+    monkeypatch.setitem(REGISTRY, HOSTILE[4], lambda args, ctx: iter([Compound(HOSTILE[4], args)]))
     rules = (
         Rule("step", [Compound(f, (x, k1)), SideCondition(HOSTILE[4], (x, k2))],
              Compound(g, (x, k2))),
@@ -601,11 +607,16 @@ def test_hostile_names_parse_and_stay_out_of_the_source(monkeypatch):
         assert not any(name in source for name in HOSTILE)
 
 
-def test_an_answer_of_the_wrong_length_names_its_builtin(monkeypatch):
-    # A builtin yields one term per argument; ``short`` yields one term
-    # for two arguments, and both the clause program and the oracles'
-    # adapter say which builtin did.
-    monkeypatch.setitem(REGISTRY, "short", lambda args, ctx: iter([args[:1]]))
+@pytest.mark.parametrize("answer", [
+    lambda args: Compound("other", args),  # the wrong functor
+    lambda args: Compound("short", args[:1]),  # the wrong arity
+    lambda args: args,  # a bare tuple
+])
+def test_an_answer_that_is_no_instance_of_the_condition_names_its_builtin(monkeypatch, answer):
+    # A builtin yields instances of its condition, ``short(X, Y)`` here;
+    # both the clause program and the oracles' adapter say which
+    # builtin broke that.
+    monkeypatch.setitem(REGISTRY, "short", lambda args, ctx: iter([answer(args)]))
     x, y = Var("X"), Var("Y")
     rule = Rule("step", [Compound("f", (x,)), SideCondition("short", (x, y))],
                 Compound("g", (y,)))
@@ -613,9 +624,9 @@ def test_an_answer_of_the_wrong_length_names_its_builtin(monkeypatch):
                              lambda grammar, w: [Compound("f", (Const("a"),))],
                              lambda grammar, w: [])
     grammar = CfGrammar((), (), (), frozenset())
-    with pytest.raises(SideConditionError, match="short answered 1 terms for 2 arguments"):
+    with pytest.raises(SideConditionError, match="short answered .*, not a short/2 term"):
         parse(system, grammar, tokenize("a"))
-    with pytest.raises(SideConditionError, match="short answered 1 terms for 2 arguments"):
+    with pytest.raises(SideConditionError, match="short answered .*, not a short/2 term"):
         eval_side_condition("short", (Const("a"), y), grammar, tokenize("a"))
 
 
@@ -625,7 +636,8 @@ def test_an_earlier_answer_may_bind_a_later_argument(monkeypatch):
     # position is reached; its ground answer must then agree with c.
     c, d = Const("c"), Const("d")
     monkeypatch.setitem(REGISTRY, "echo", lambda args, ctx: iter(
-        [(Compound("f", (args[1],)), d), (Compound("f", (args[1],)), c)]))
+        [Compound("echo", (Compound("f", (args[1],)), d)),
+         Compound("echo", (Compound("f", (args[1],)), c))]))
     y = Var("Y")
     rule = Rule("step", [Const("go"), SideCondition("echo", (Compound("f", (c,)), y))],
                 Compound("g", (y,)))
@@ -670,8 +682,8 @@ def test_clauses_of_one_shape_share_code():
     assert len(clauses) == 29
     assert len({c.program().__code__ for c in clauses}) <= 16
     steps = [f for c in clauses for f in _steps(c)]
-    assert len(steps) == 113
-    assert len({f.__code__ for f in steps}) == 53
+    assert len(steps) == 107
+    assert len({f.__code__ for f in steps}) == 54
 
 
 def test_a_system_variant_generates_no_new_code():
@@ -685,3 +697,19 @@ def test_a_system_variant_generates_no_new_code():
         for clause in variant.clauses:
             clause.program()
         assert len(terms._MAKERS) == before
+
+
+def test_the_volume_of_generated_code_is_pinned(monkeypatch):
+    # Generating the clause programs is the largest fixed cost of a
+    # short parse in a fresh process, so the code that every clause of
+    # the nine system variants generates, from an empty cache, is
+    # pinned: the number of compiled sources and their characters.
+    monkeypatch.setattr(terms, "_MAKERS", {})
+    variants = [make_topdown(), make_bottomup(), make_earley(), make_cyk(), make_ccg(), make_tag(),
+                make_earley(restriction_depth=1), make_earley(restriction_depth=2),
+                make_tag(foot_mode="foot_axiom")]
+    for system in variants:
+        for clause in system.clauses:
+            clause.program()
+    assert len(terms._MAKERS) == 63
+    assert sum(map(len, terms._MAKERS)) == 56_921

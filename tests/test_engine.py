@@ -208,8 +208,8 @@ def test_a_trigger_paired_with_itself_is_copied(monkeypatch):
     # p(V, f(V)) is its own partner: binding it twice in place would
     # need V = f(V).  The side condition keeps the closure finite.
     t = parse_term
-    monkeypatch.setitem(REGISTRY, "shallow",
-                        lambda args, ctx: iter([args] if _depth(args[0]) <= 3 else []))
+    monkeypatch.setitem(REGISTRY, "shallow", lambda args, ctx: iter(
+        [Compound("shallow", args)] if _depth(args[0]) <= 3 else []))
     system = DeductionSystem(
         name="transitive",
         grammar_class=object,
@@ -478,7 +478,7 @@ def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch
     # match takes it for one clause only; the engine binds into that
     # clause's compiled copy in place.  Each Earley clause's first
     # premise is a call that only a matched trigger reaches: scan's
-    # succ, predict's production, and each complete clause's lookup, in
+    # word, predict's production, and each complete clause's lookup, in
     # the mode of that clause.
     system = make_earley()
     r = parse(system, toy_grammar, tokenize("a program halts"))
@@ -503,7 +503,7 @@ def test_a_complete_earley_item_instantiates_one_clause(toy_grammar, monkeypatch
         return counting
 
     monkeypatch.setattr(ItemStore, "lookup", counting_lookup)
-    for builtin, rule_name in (("succ", "scan"), ("production", "predict")):
+    for builtin, rule_name in (("word", "scan"), ("production", "predict")):
         monkeypatch.setitem(REGISTRY, builtin, first_premise(rule_name, REGISTRY[builtin]))
     monkeypatch.setattr(RuleClause, "instantiate", lambda self, source: copied.append(1))
     for i in complete:

@@ -232,21 +232,22 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
     probe = Compound("r", args)
     answers = list(table.answers(args))
     source = VarSource(5000)
-    scanned = [rename_with(Compound("r", row), {}, source).args for row in rows]
+    scanned = [rename_with(Compound("r", row), {}, source) for row in rows]
 
     def unifying(found):
-        return [canonical(Compound("r", a)) for a in found
-                if unify(probe, Compound("r", a)) is not None]
+        return [canonical(a) for a in found if unify(probe, a) is not None]
 
+    # An answer is one of the table's rows itself.
+    assert all(any(a is row for row in table.rows) for a in answers)
     assert unifying(answers) == unifying(scanned)
     # A ground row answers only when it holds the first ground argument.
     first = next((k for k, a in enumerate(args) if a.ground), None)
     for a in answers:
-        if first is not None and Compound("r", a).ground:
-            assert a[first] == args[first]
+        if first is not None and a.ground:
+            assert a.args[first] == args[first]
     # Non-ground rows are renamed apart when the table is built: no two
     # answers, and no answer and the arguments, share a variable.
-    seen = [set(term_vars(probe))] + [set(term_vars(Compound("r", a))) for a in answers]
+    seen = [set(term_vars(probe))] + [set(term_vars(a)) for a in answers]
     for one, other in itertools.combinations(seen, 2):
         assert not one & other
 

@@ -44,6 +44,7 @@ from deduce.terms import (
 )
 
 from conftest import read
+from test_chart_identity import _cases
 
 
 def t(text):
@@ -331,19 +332,58 @@ def _subs_strings(subs, pattern):
     return [render_term(s.apply(pattern)) for s in subs]
 
 
-def test_word_at_bound_position(toy_grammar):
+def test_word_from_a_bound_position(toy_grammar):
     w = tokenize("a program halts")
-    probe = (Const(2), Var("W"))
-    [s] = eval_side_condition("word_at", probe, toy_grammar, w)
-    assert s.apply(Var("W")) == Const("program")
-    assert eval_side_condition("word_at", (Const(9), Var("W")), toy_grammar, w) == []
+    [s] = eval_side_condition("word", (Const(1), Var("J"), Var("W")), toy_grammar, w)
+    assert (s.apply(Var("J")), s.apply(Var("W"))) == (Const(2), Const("program"))
+    assert eval_side_condition("word", (Const(9), Var("J"), Var("W")), toy_grammar, w) == []
 
 
-def test_word_at_enumerates_positions(toy_grammar):
+def test_word_enumerates_positions(toy_grammar):
     w = tokenize("a program halts")
-    subs = eval_side_condition("word_at", (Var("I"), Var("W")), toy_grammar, w)
-    pairs = [(s.apply(Var("I")).name, s.apply(Var("W")).name) for s in subs]
-    assert pairs == [(1, "a"), (2, "program"), (3, "halts")]
+    subs = eval_side_condition("word", (Var("I"), Var("J"), Var("W")), toy_grammar, w)
+    rows = [tuple(s.apply(Var(v)).name for v in "IJW") for s in subs]
+    assert rows == [(0, 1, "a"), (1, 2, "program"), (2, 3, "halts")]
+
+
+# The input's word relation and the TAG relation child_undefined against
+# the computed builtins they replaced, restated here: scan read
+# succ(J, J1), word_at(J1, W), and child_undefined(node(T, A)) held when
+# the grammar has a tree T without the node at address A.
+
+def _succ_word_at(tokens, j: int) -> list:
+    """The (J1, W) answers of succ(j, J1), word_at(J1, W)."""
+    i = j + 1
+    return [(Const(i), Const(tokens[i - 1]))] if 1 <= i <= len(tokens) else []
+
+
+def _child_undefined(grammar, tree_name: str, address: tuple) -> bool:
+    try:
+        tree = grammar.tree(tree_name)
+    except KeyError:
+        return False
+    return address not in tree.nodes
+
+
+def test_word_agrees_with_succ_and_word_at_on_every_fixture_sentence(toy_grammar):
+    sentences = {case[4] for case in _cases()} | {""}
+    for sentence in sorted(sentences):
+        w = tokenize(sentence)
+        for j in range(-1, w.n + 2):
+            subs = eval_side_condition("word", (Const(j), Var("J1"), Var("W")), toy_grammar, w)
+            got = [(s.apply(Var("J1")), s.apply(Var("W"))) for s in subs]
+            assert got == _succ_word_at(w.tokens, j), (sentence, j)
+
+
+def test_child_undefined_agrees_with_the_tree_shapes_on_every_fixture_tag():
+    w = tokenize("")
+    for name in ("trip.tag", "counting.tag"):
+        g = load_tag(read(name))
+        probes = [(t.name, addr + (2,)) for t in g.trees for addr in t.nodes]
+        probes.append(("no_such_tree", (2,)))
+        for tree_name, address in probes:
+            subs = eval_side_condition("child_undefined", (node_ref(tree_name, address),), g, w)
+            assert len(subs) == _child_undefined(g, tree_name, address), (name, tree_name, address)
 
 
 def test_production_includes_lexicon_as_unary_rules(toy_grammar):
@@ -538,7 +578,7 @@ def test_mode_analysis_binds_the_lookup_paths():
     earley = make_earley()
     assert _clause_for(earley, "complete", 0).modes == ((("er", 5), ((0,), (1,), (3,))),)
     assert _clause_for(earley, "complete", 1).modes == ((("er", 5), ((3,), (3, 0), (4,))),)
-    assert _clause_for(earley, "scan", 0).modes == (None, None)
+    assert _clause_for(earley, "scan", 0).modes == (None,)
     assert earley.modes == (
         (("er", 5), ((0,), (1,), (3,))),
         (("er", 5), ((3,), (3, 0), (4,))),

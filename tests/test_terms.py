@@ -114,6 +114,18 @@ def test_bind_keeps_the_occurs_check():
     assert not bind(t("X"), t("f(Y)"), env, trail)
 
 
+def test_resolve_keeps_each_compound_none_of_whose_arguments_changed():
+    # A side condition's step skips an answer argument by identity, so
+    # an argument resolved and passed through stays the same object.
+    term = t("f(g(X), h(Y), Z)")
+    assert resolve(term, {}) is term
+    assert resolve(term, {"W": Const("a")}) is term
+    out = resolve(term, {"Y": Const("a")})
+    assert out == t("f(g(X), h(a), Z)")
+    assert out.args[0] is term.args[0] and out.args[2] is term.args[2]
+    assert resolve(t("V"), {"V": term}) is term
+
+
 def test_unify_shared_variables():
     s = unify(t("f(X, X)"), t("f(Y, a)"))
     assert s is not None
