@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .terms import (
+    NIL,
     Compound,
     Const,
     Term,
@@ -21,11 +22,16 @@ from .terms import (
     VarSource,
     _TermParser,
     mklist,
+    principal,
     rename_with,
     render_term,
     space_source,
     tokenize_terms,
 )
+
+
+class SideConditionError(Exception):
+    """A side condition was called outside its documented argument modes."""
 
 
 class GrammarError(ValueError):
@@ -85,29 +91,98 @@ class FactTable:
     ``answers(args)`` iterates over the rows that may unify with
     ``name(args)``, in row order: the ground rows holding the first
     ground argument at its position, and every non-ground row; with no
-    ground argument, every row.  An answer is the row itself.
+    ground argument, every row.  An answer is the row itself.  A
+    position's index is built when a call first looks it up, so a
+    position no call binds first costs nothing.
     """
 
     __slots__ = ("rows", "_open", "_by_arg")
 
     def __init__(self, name: str, rows, fresh: VarSource):
-        self.rows = tuple(rename_with(Compound(name, tuple(a)), {}, fresh) for a in rows)
+        rows = [Compound(name, tuple(a)) for a in rows]
+        self.rows = tuple(r if r.ground else rename_with(r, {}, fresh) for r in rows)
         self._open = tuple(r for r in self.rows if not r.ground)
-        self._by_arg = []  # per position: term -> rows that may unify there
-        for pos in range(len(self.rows[0].args) if self.rows else 0):
-            index = {r.args[pos]: [] for r in self.rows if r.ground}
-            for row in self.rows:
-                for a in (row.args[pos],) if row.ground else index:
-                    index[a].append(row)
-            self._by_arg.append(index)
+        # Per position: term -> rows that may unify there, or None until
+        # a call first looks the position up.
+        self._by_arg = [None] * (len(self.rows[0].args) if self.rows else 0)
 
     def answers(self, args):
-        rows = self.rows
-        for index, a in zip(self._by_arg, args):
+        for pos, (index, a) in enumerate(zip(self._by_arg, args)):
             if a.ground:
-                rows = index.get(a, self._open)
-                break
-        return iter(rows)
+                if index is None:
+                    index = self._by_arg[pos] = {r.args[pos]: [] for r in self.rows if r.ground}
+                    for row in self.rows:
+                        for key in (row.args[pos],) if row.ground else index:
+                            index[key].append(row)
+                return iter(index.get(a, self._open))
+        return iter(self.rows)
+
+
+class ReductionTrie:
+    """The relation ``reduction(Stack, B, Rest)`` of a context-free
+    grammar, the reduce step of the shift-reduce system: ``B -> G`` is
+    one of ``pairs``, the (lhs, rhs) productions in row order, and
+    ``Stack`` is ``G`` reversed onto ``Rest``, since a stack lists its
+    top first.
+
+    The rows sit in a trie over their reversed right-hand sides: a node
+    is (children, rows ending here), and a child is keyed by its
+    symbol's principal symbol (``principal``), None for a variable.
+
+    ``answers(args)`` walks the stack ``args[0]`` from its top, as deep
+    as the trie goes: a stack element that is a variable follows every
+    child, any other its principal symbol's child and the variables'.
+    The rows met answer in row order, each as ``reduction(rev(G') ++
+    Suffix, B', Suffix)``, where ``Suffix`` is the stack's own sub-term
+    below the symbols met and a non-ground row is renamed apart for
+    each answer, from the grammar's "facts" space.  Where the walk needs
+    an element past the stack's last cell, the stack must end in
+    ``[]``, or ``SideConditionError`` is raised.
+    """
+
+    __slots__ = ("_root", "_fresh")
+
+    def __init__(self, pairs, fresh: VarSource):
+        self._root = ({}, [])
+        self._fresh = fresh
+        for n, (lhs, rhs) in enumerate(pairs):
+            node = self._root
+            for s in reversed(rhs):
+                node = node[0].setdefault(principal(s), ({}, []))
+            node[1].append((n, lhs, tuple(rhs), Compound("->", (lhs, *rhs))))
+
+    def answers(self, args):
+        found = []
+        pending = [(self._root, args[0])]  # (node, the stack below the symbols met)
+        while pending:
+            (children, rows), stack = pending.pop()
+            for row in rows:
+                found.append((row, stack))
+            if not children:
+                continue
+            if type(stack) is not Compound or stack.functor != "." or len(stack.args) != 2:
+                if stack == NIL:
+                    continue
+                raise SideConditionError(
+                    f"reduction needs a proper list stack, not {render_term(args[0])}")
+            top, below = stack.args
+            key = principal(top)
+            if key is None:
+                pending += [(child, below) for child in children.values()]
+                continue
+            for child in children.get(key), children.get(None):
+                if child is not None:
+                    pending.append((child, below))
+        found.sort(key=lambda met: met[0][0])
+        out = []
+        for (_, lhs, rhs, row), suffix in found:
+            if not row.ground:
+                lhs, *rhs = rename_with(row, {}, self._fresh).args
+            stack = suffix
+            for s in rhs:
+                stack = Compound(".", (s, stack))
+            out.append(Compound("reduction", (stack, lhs, suffix)))
+        return iter(out)
 
 
 # ---- context-free / DCG ----
@@ -135,8 +210,10 @@ class CfGrammar:
         """The fact tables (``FactTable``) of ``production(Lhs, Rhs)``,
         with ``Rhs`` a list, for every production and then every lexical
         entry as a one-word production; of ``lex(Word, Preterminal)``;
-        and of ``is_start(S)``.  A word is the one ``Const`` of its name
-        that the productions use, if they use one."""
+        and of ``is_start(S)``; and the trie (``ReductionTrie``) of
+        ``reduction(Stack, Lhs, Rest)`` over the ``production`` rows.  A
+        word is the one ``Const`` of its name that the productions use,
+        if they use one."""
         words = {s.name: s for _, rhs in self.productions for s in rhs if type(s) is Const}
         lexicon = [(words.setdefault(w, Const(w)), p) for w, p in self.lexicon]
         pairs = list(self.productions) + [(p, [w]) for w, p in lexicon]
@@ -145,6 +222,7 @@ class CfGrammar:
             "production": FactTable("production", [(a, mklist(b)) for a, b in pairs], fresh),
             "lex": FactTable("lex", lexicon, fresh),
             "is_start": FactTable("is_start", [(s,) for s in self.starts], fresh),
+            "reduction": ReductionTrie(pairs, fresh),
         }
 
 

@@ -41,6 +41,7 @@ from .grammar import (
     CfGrammar,
     FORWARD,
     InputString,
+    SideConditionError,
     TagGrammar,
     node_ref,
     validate_cnf,
@@ -76,10 +77,6 @@ class SystemAuthoringError(Exception):
 
 class UnknownBuiltinError(LookupError):
     """A side condition names no registered evaluator."""
-
-
-class SideConditionError(Exception):
-    """An evaluator was called outside its documented argument modes."""
 
 
 # ---- premise language ----
@@ -227,11 +224,13 @@ def program_source(clause: RuleClause) -> tuple:
     that no two terms bound in one firing share a variable unless they
     are the same term.  Each stored item holds only the variables of its
     own consequent rename (``parse`` renames a non-ground axiom once),
-    and a fact table renames its rows apart once (``FactTable``).  A
-    term the firing has bound already is copied: ``fetch`` renames a
-    candidate whose index is the trigger's or an earlier antecedent's,
-    and an answer that is an earlier answer of the firing is renamed
-    before it is matched.
+    a fact table renames its rows apart once (``FactTable``), and the
+    reduction trie a non-ground row for each answer, whose stack shares
+    with the one it was asked about only that stack's own sub-term
+    (``ReductionTrie``).  A term the firing has bound already is
+    copied: ``fetch`` renames a candidate whose index is the trigger's
+    or an earlier antecedent's, and an answer that is an earlier answer
+    of the firing is renamed before it is matched.
 
     The program is the clause's skeleton: the trigger step, then one
     nested loop per premise in the written order, each choice handed to
@@ -490,18 +489,10 @@ def _eval_append(args, ctx):
     yield Compound("append", (xs, ys, mklist(elems, tail=ys)))
 
 
-def _eval_split_stack(args, ctx):
-    gamma, alpha, rest = args
-    elems = unlist(gamma)
-    if elems is None:
-        raise SideConditionError("split_stack needs a proper list first argument")
-    yield Compound("split_stack", (gamma, mklist(list(reversed(elems)), tail=rest), rest))
-
-
 def _relation(name: str, args, ctx):
-    """The rows of the relation ``name`` from the fact table
-    (``FactTable``) of the input string or else of the grammar, each
-    of which builds its tables once."""
+    """The answers of the relation ``name`` from the table of the input
+    string or else of the grammar (``FactTable``, ``ReductionTrie``),
+    each of which builds its tables once."""
     table = ctx.input.relations.get(name)
     if table is None:
         try:
@@ -516,11 +507,10 @@ REGISTRY: dict = {
     "succ": _eval_succ,
     "index_union": _eval_index_union,
     "append": _eval_append,
-    "split_stack": _eval_split_stack,
     **{
         name: partial(_relation, name)
-        for name in ("word", "production", "lex", "is_start", "adjoinable", "node_label",
-                     "foot_of", "child_undefined")
+        for name in ("word", "production", "reduction", "lex", "is_start", "adjoinable",
+                     "node_label", "foot_of", "child_undefined")
     },
 }
 
@@ -592,20 +582,11 @@ def _bu(alpha: Term, j: Term) -> Compound:
 
 
 def make_bottomup() -> DeductionSystem:
-    alpha, j, j1, w_, b, g, rest = (
-        _v("Alpha"), _v("J"), _v("J1"), _v("W"), _v("B"), _v("G"), _v("Rest"),
-    )
+    alpha, j, j1, w_, b, rest = _v("Alpha"), _v("J"), _v("J1"), _v("W"), _v("B"), _v("Rest")
     shift = Rule("shift", [_bu(alpha, j), SideCondition("word", (j, j1, w_))],
                  _bu(cons(w_, alpha), j1))
-    reduce_ = Rule(
-        "reduce",
-        [
-            _bu(alpha, j),
-            SideCondition("production", (b, g)),
-            SideCondition("split_stack", (g, alpha, rest)),
-        ],
-        _bu(cons(b, rest), j),
-    )
+    reduce_ = Rule("reduce", [_bu(alpha, j), SideCondition("reduction", (alpha, b, rest))],
+                   _bu(cons(b, rest), j))
 
     def axioms(grammar: CfGrammar, w: InputString):
         return [_bu(NIL, Const(0))]

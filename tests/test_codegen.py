@@ -682,8 +682,8 @@ def test_clauses_of_one_shape_share_code():
     assert len(clauses) == 29
     assert len({c.program().__code__ for c in clauses}) <= 16
     steps = [f for c in clauses for f in _steps(c)]
-    assert len(steps) == 107
-    assert len({f.__code__ for f in steps}) == 54
+    assert len(steps) == 105
+    assert len({f.__code__ for f in steps}) == 52
 
 
 def test_a_system_variant_generates_no_new_code():
@@ -711,5 +711,5 @@ def test_the_volume_of_generated_code_is_pinned(monkeypatch):
     for system in variants:
         for clause in system.clauses:
             clause.program()
-    assert len(terms._MAKERS) == 63
-    assert sum(map(len, terms._MAKERS)) == 56_921
+    assert len(terms._MAKERS) == 61
+    assert sum(map(len, terms._MAKERS)) == 56_331

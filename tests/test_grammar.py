@@ -254,4 +254,4 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
 
 def test_a_grammar_builds_its_relations_once(toy_grammar):
     assert toy_grammar.relations is toy_grammar.relations
-    assert sorted(toy_grammar.relations) == ["is_start", "lex", "production"]
+    assert sorted(toy_grammar.relations) == ["is_start", "lex", "production", "reduction"]

@@ -1,10 +1,13 @@
 """System builders, side-condition evaluators, item renderers."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deduce.systems
 from deduce.cli import build_arg_parser, build_system
-from deduce.engine import check_soundness, parse
+from deduce.engine import ParseOptions, check_soundness, parse
 from deduce.grammar import CfGrammar, load_ccg, load_cf, load_tag, parse_category, tokenize
 from deduce.systems import (
     BOTTOM,
@@ -33,6 +36,7 @@ from deduce.terms import (
     NIL,
     Var,
     VarSource,
+    canonical,
     cons,
     mklist,
     parse_term,
@@ -40,10 +44,13 @@ from deduce.terms import (
     space_source,
     subsumes,
     term_vars,
+    unify,
+    unlist,
     variant,
 )
 
 from conftest import read
+from test_acceptance import _random_cf_lines
 from test_chart_identity import _cases
 
 
@@ -448,19 +455,135 @@ def test_append_splices_onto_any_tail(toy_grammar):
     assert s.apply(Var("Z")) == cons(t("a"), s.apply(Var("T")))
 
 
-def test_split_stack_peels_a_reversed_rhs(toy_grammar):
-    w = tokenize("a")
-    stack = syms("N", "Det", "S")
-    args = (syms("Det", "N"), stack, Var("Rest"))
-    [s] = eval_side_condition("split_stack", args, toy_grammar, w)
-    assert s.apply(Var("Rest")) == syms("S")
-    assert eval_side_condition("split_stack", (syms("V"), stack, Var("R")), toy_grammar, w) == []
+def _reductions(grammar, stack):
+    """(B, Rest) of each answer of ``reduction(stack, B, Rest)`` that
+    unifies with it, in answer order, with the stack's variables bound."""
+    subs = eval_side_condition("reduction", (stack, Var("B"), Var("Rest")), grammar, tokenize(""))
+    return [canonical(Compound("-", (s.apply(Var("B")), s.apply(Var("Rest")), s.apply(stack))))
+            .args[:2] for s in subs]
 
 
-def test_split_stack_with_empty_rhs_matches_any_stack(toy_grammar):
-    w = tokenize("a")
-    [s] = eval_side_condition("split_stack", (NIL, syms("S"), Var("R")), toy_grammar, w)
-    assert s.apply(Var("R")) == syms("S")
+def test_reduction_answers_in_production_order():
+    # The rows end at the trie's depths 2, 1, 0 and 2, so a walk that
+    # answered node by node would give another order.
+    g = load_cf("start S\nS -> A B\nT -> B\nU ->\nV -> A B\n")
+    stack = syms("B", "A", "Z")
+    assert _reductions(g, stack) == [(Const("S"), syms("Z")), (Const("T"), syms("A", "Z")),
+                                     (Const("U"), stack), (Const("V"), syms("Z"))]
+    # Each answer is an instance of the condition whose Rest is the
+    # stack's own sub-term.
+    answers = list(g.relations["reduction"].answers((stack, Var("B"), Var("Rest"))))
+    assert [render_term(a) for a in answers] == [
+        "reduction([B, A, Z], S, [Z])", "reduction([B, A, Z], T, [A, Z])",
+        "reduction([B, A, Z], U, [B, A, Z])", "reduction([B, A, Z], V, [Z])"]
+    assert answers[1].args[2] is stack.args[1]
+    assert answers[2].args[2] is stack
+
+
+def test_reduction_by_an_epsilon_production_matches_any_stack(toy_grammar):
+    for stack in (NIL, syms("S"), syms("N", "Det", "S")):
+        assert (Const("OptRel"), stack) in _reductions(toy_grammar, stack)
+    assert _reductions(toy_grammar, syms("OptRel", "N", "Det", "S")) == [
+        (Const("NP"), syms("S")), (Const("OptRel"), syms("OptRel", "N", "Det", "S"))]
+
+
+def test_reduction_of_a_stack_with_no_matching_top_has_no_answer(ambiguous_grammar):
+    assert _reductions(ambiguous_grammar, syms("T", "S")) == []
+    assert _reductions(ambiguous_grammar, NIL) == []
+    assert _reductions(ambiguous_grammar, syms("S", "T")) == []
+    assert _reductions(ambiguous_grammar, syms("a", "T")) == [(Const("S"), syms("T"))]
+    assert _reductions(ambiguous_grammar, syms("S", "S", "T")) == [(Const("S"), syms("T"))]
+
+
+def test_reduction_unifies_non_ground_dcg_rows(abn_grammar):
+    # r(X, N) -> r(s(X), N) 'b' reduces [b, r(s(0), M)] to r(0, M).
+    stack = mklist([Const("'b'"), t("r(s(0), M)")])
+    assert _reductions(abn_grammar, stack) == [(canonical(t("r(0, M)")), NIL)]
+    assert _reductions(abn_grammar, mklist([Const("'b'"), t("r(0, M)")])) == []
+    # s -> r(0, N) and r(N, N) -> 'a'.
+    assert _reductions(abn_grammar, mklist([t("r(0, s(0))")])) == [(Const("s"), NIL)]
+    assert _reductions(abn_grammar, syms("'a'")) == [(canonical(t("r(N, N)")), NIL)]
+    # Each answer renames its row apart: no two answers share a variable.
+    trie = abn_grammar.relations["reduction"]
+    probe = (mklist([Const("'b'"), t("r(X, N)")]), Var("B"), Var("Rest"))
+    [one], [two] = trie.answers(probe), trie.answers(probe)
+    assert set(term_vars(one.args[1])) and not set(term_vars(one.args[1])) & set(term_vars(two))
+
+
+def test_reduction_with_variables_in_the_stack_or_in_a_rhs():
+    g = load_cf("start S\nS -> A B\nS -> C\n")
+    # A variable on the stack follows every edge and is bound by the answer.
+    subs = eval_side_condition("reduction", (mklist([Var("X"), Const("A")]), Var("B"), Var("R")),
+                               g, tokenize(""))
+    assert [(s.apply(Var("X")), s.apply(Var("R"))) for s in subs] == [
+        (Const("B"), NIL), (Const("C"), syms("A"))]
+    # A variable in a right-hand side is the trie's wildcard edge; the
+    # row is renamed apart for each answer, with its left-hand side.
+    x = Var("X")
+    g = CfGrammar((Const("p"),), ((Compound("p", (x,)), (x, Const("b"))),), (), frozenset())
+    assert _reductions(g, syms("b", "a", "c")) == [(t("p(a)"), syms("c"))]
+    assert _reductions(g, syms("b")) == []
+    assert _reductions(g, mklist([Const("b"), Var("Y")])) == [(canonical(t("p(Y)")), NIL)]
+
+
+def test_reduction_of_an_improper_stack_raises(toy_grammar):
+    from deduce.systems import SideConditionError
+
+    for stack in (Var("T"), Const("S"), cons(Const("VP"), Var("T")), t("f(a)")):
+        with pytest.raises(SideConditionError, match="proper list"):
+            _reductions(toy_grammar, stack)
+
+
+def _split_stack_reference(grammar, stack):
+    """The reduce step as two side conditions, ``production(B, G)`` with
+    both arguments open and then ``G`` reversed onto a fresh ``Rest``
+    unified with ``stack``: (B, Rest) of each answer, as ``_reductions``
+    gives them."""
+    out = []
+    for p in eval_side_condition("production", (Var("B"), Var("G")), grammar, tokenize("")):
+        rest = Var("Rest")
+        u = unify(stack, mklist(list(reversed(unlist(p.apply(Var("G"))))), tail=rest))
+        if u is not None:
+            triple = Compound("-", (u.apply(p.apply(Var("B"))), u.apply(rest), u.apply(stack)))
+            out.append(canonical(triple).args[:2])
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_reduction_equals_production_then_split_stack(seed, data):
+    g = load_cf("\n".join(_random_cf_lines(random.Random(seed))))
+    symbols = sorted({s for lhs, rhs in g.productions for s in (lhs, *rhs)}
+                     | {s for w, p in g.lexicon for s in (p, Const(w))}, key=render_term)
+    element = st.one_of(st.sampled_from(symbols), st.sampled_from([Var("X"), Var("Y")]))
+    stack = mklist(data.draw(st.lists(element, max_size=5)))
+    assert _reductions(g, stack) == _split_stack_reference(g, stack)
+
+
+def test_every_reduction_answer_unifies_on_the_fixture_parses(monkeypatch):
+    # Bottom-up's reduce meets only the rows whose right-hand side is the
+    # top of the stack, so every answer it is given binds.
+    evaluate = deduce.systems.REGISTRY["reduction"]
+    counts = [0, 0]
+
+    def counted(args, ctx):
+        answers = list(evaluate(args, ctx))
+        counts[0] += len(answers)
+        counts[1] += sum(unify(Compound("reduction", args), a) is not None for a in answers)
+        return answers
+
+    monkeypatch.setitem(deduce.systems.REGISTRY, "reduction", counted)
+    bottomup = make_bottomup()
+    for grammar, sentences, limit, answered in (
+            ("toy.cf", ["a program halts", "Terry writes Shrdlu",
+                        "a program that halts writes Terry"], 300, 1266),
+            ("ambiguous.cf", ["a a a a a a"], 100_000, 162),
+            ("abn.dcg", ["a b b b a"], 100_000, 183)):
+        counts[:] = [0, 0]
+        g = load_cf(read(grammar))
+        for sentence in sentences:
+            parse(bottomup, g, tokenize(sentence), ParseOptions(step_limit=limit))
+        assert counts == [answered, answered], grammar
 
 
 def test_index_union_cases(trip_grammar):

@@ -24,11 +24,16 @@ def test_the_benchmark_tracer_installs_over_a_parse_and_its_replay(toy_grammar, 
     try:
         r = deduce.parse(deduce.make_earley(), toy_grammar, tokenize("a program halts"))
         violations = deduce.check_soundness(r)
+        # The tracer wraps every builtin as a generator, the grammar's
+        # reduction trie included.
+        shift_reduce = deduce.parse(deduce.make_bottomup(), toy_grammar, tokenize("Terry halts"),
+                                    deduce.ParseOptions(step_limit=50))
     finally:
         tracer.uninstall()
     tracer.fold()
     assert r.accepted and violations == []
     assert deduce.engine.parse is plain_parse
     counts = tracer.counts
-    assert counts["engine.parse.calls"] == counts["engine.check_soundness.calls"] == 1
-    assert counts["store.enqueue.calls"] == r.enqueues + r.duplicates
+    assert counts["engine.parse.calls"] == 2 and counts["engine.check_soundness.calls"] == 1
+    assert counts["store.enqueue.calls"] == (r.enqueues + r.duplicates + shift_reduce.enqueues
+                                             + shift_reduce.duplicates)
