@@ -192,7 +192,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     shared.add_argument("--step-limit", type=_count, default=100_000, metavar="N")
     shared.add_argument(
         "--restrict", type=_count, metavar="DEPTH",
-        help="abstract predicted items below this term depth (earley)",
+        help="cut the predicted symbol at this term depth before choosing a production (earley)",
     )
     shared.add_argument("--foot-mode", choices=FOOT_MODES)
     shared.add_argument(

@@ -1,11 +1,11 @@
 """Agenda-driven deduction: one procedure for every rule system.
 
-The engine seeds the store with axioms, then repeatedly pops an item
-and fires every clause whose trigger matches it against the chart built
-so far; each clause program enqueues its consequents as it makes them.
-Duplicates collapse in the store; the goal check runs after the loop
-whether or not the step limit was hit, so a halted parse still reports
-any goals already derived.
+The engine seeds the store with the consequents of the axiom rules,
+then repeatedly pops an item and fires every clause whose trigger
+matches it against the chart built so far; each clause program enqueues
+its consequents as it makes them.  Duplicates collapse in the store; the
+goal check runs after the loop whether or not the step limit was hit, so
+a halted parse still reports any goals already derived.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def parse(
     """Run ``system`` over ``input_string`` to its closure or its step
     limit.
 
-    A non-ground axiom is renamed as it is enqueued.  Each pop runs every
+    The axiom rules fire first, in rule order, each consequent enqueued
+    with the justification ``initial()``.  Each pop runs every
     clause program on the stored item itself; a program hands each
     firing to the store's ``enqueue`` as it makes it, so the engine's
     loop runs once per pop, not once per firing.
@@ -140,16 +141,18 @@ def parse(
 
     store = ItemStore(system.modes)
     source = VarSource()
+    ctx = EvalContext(grammar, input_string, source)
 
-    for axiom in system.axioms(grammar, input_string):
-        axiom = axiom if axiom.ground else rename_with(axiom, {}, source)
+    def answers(p, args):
+        return builtin_answers(p.builtin, args, ctx)
+
+    for axiom in fire(system.axiom_rules, answers, source):
         idx, added = store.enqueue(axiom, History(INITIAL, ()))
         if added and rule_tracing:
             print(f"FIRE {idx} {render(axiom)} {INITIAL}()", file=out)
 
     enqueue = _tracing(store.enqueue, render, out) if rule_tracing else store.enqueue
     fetch, table = store.fetch, store.interned
-    ctx = EvalContext(grammar, input_string, source)
     programs = [clause.program() for clause in system.clauses]
     pops = 0
     while pops < opts.step_limit:
@@ -164,7 +167,7 @@ def parse(
             program(trigger_item, index, enqueue, fetch, source, ctx, table)
 
     halted = store.agenda_size > 0
-    goal_indices = store.goal_items(system.goal_patterns(grammar, input_string))
+    goal_indices = store.goal_items(fire([system.goal] if system.goal else [], answers, source))
     if tracing:
         for gi in goal_indices:
             print(f"GOAL {gi} {render(store.get(gi).item)}", file=out)
@@ -185,12 +188,13 @@ def parse(
 
 def _consequents(clause, candidates, answers, source, state=None):
     """Each consequent of a firing of ``clause``, depth first: the one
-    interpreted premise walker, which both oracles run.
+    interpreted premise walker, which both oracles run, and which fires
+    the axiom and goal rules (``fire``).
 
     It binds into ``clause.compiled`` over one environment with a trail
-    (``bind``, ``undo``, ``resolve``), the trigger first and then the
-    premises left to right, and yields each consequent resolved and
-    transformed; it may hold clause variables left unbound.  A chart
+    (``bind``, ``undo``, ``resolve``), the trigger, if any, first and
+    then the premises left to right, and yields each consequent
+    resolved; it may hold clause variables left unbound.  A chart
     premise, the trigger included, binds each term of the (term, state)
     pairs ``candidates(slot, state)`` gives, renamed apart, and hands
     the pair's state to the next chart premise's call.  A side condition
@@ -202,14 +206,14 @@ def _consequents(clause, candidates, answers, source, state=None):
     or generated program here.
     """
     trigger, premises, consequent = clause.compiled
-    premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
+    if trigger is not None:
+        premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
     env: dict = {}
     trail: list = []
 
     def walk(k, state, got):
         if k == len(premises):
-            out = resolve(consequent, env)
-            yield out if clause.transform is None else clause.transform(out, source)
+            yield resolve(consequent, env)
             return
         p = premises[k]
         mark = len(trail)
@@ -234,11 +238,21 @@ def _consequents(clause, candidates, answers, source, state=None):
     return walk(0, state, ())
 
 
+def fire(rules, answers, source) -> list:
+    """The consequents of ``rules``, rules with no antecedent, rule by
+    rule in the walker's order (``_consequents``), their side conditions
+    answered by ``answers(premise, args)``; a non-ground one is renamed
+    from ``source``.  This is how the axiom and goal rules fire."""
+    return [t if t.ground else rename_with(t, {}, source)
+            for rule in rules for t in _consequents(rule.clauses[0], None, answers, source)]
+
+
 def naive_closure(system, grammar, input_string, bound: int = 20_000):
     """Deductive closure by semi-naive fixpoint iteration.
 
-    No agenda, no indexing, no subsumption: only each rule's slot-0
-    clause fires, and items are deduplicated only up to variable renaming.
+    No agenda, no indexing, no subsumption: the axiom rules fire once,
+    then only each other rule's slot-0 clause fires, and items are
+    deduplicated only up to variable renaming.
     Each round fires every clause on exactly those combinations of known
     antecedents that include at least one item added by the previous
     round (Bancilhon & Ramakrishnan 1986): the antecedents before the
@@ -260,11 +274,9 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
         known.append(t)
         return True
 
-    for axiom in system.axioms(grammar, input_string):
-        add(axiom)
     source = space_source("closure")
     ctx = EvalContext(grammar, input_string, source)
-    clauses = [r.clauses[0] for r in system.rules]
+    clauses = [c for c in system.clauses if c.trigger_slot == 0]
     # copies[k][i] is known[i] renamed apart for antecedent position k.
     # Each position has its own copy, so the antecedents of one firing
     # never share variables; stored items only ever fire through their
@@ -281,6 +293,8 @@ def naive_closure(system, grammar, input_string, bound: int = 20_000):
             found = memo[id(p), args] = builtin_answers(p.builtin, args, ctx)
         return found
 
+    for axiom in fire(system.axiom_rules, answers, source):
+        add(axiom)
     lo = 0
     while lo < len(known):
         hi = len(known)
@@ -307,10 +321,10 @@ def check_soundness(result: ParseResult) -> list:
     """Replay every recorded justification; the list of failures.
 
     A justification passes when some consequent derivable from its
-    recorded antecedents (or, for an axiom entry, some actual axiom) is
-    covered by the stored item.  Subsumption collapse makes this the
-    right direction: extra histories on a general item justify
-    instances of it.  The rule's slot-0 clause is interpreted by
+    recorded antecedents (or, for an axiom entry, some consequent of an
+    axiom rule) is covered by the stored item.  Subsumption collapse
+    makes this the right direction: extra histories on a general item
+    justify instances of it.  The rule's slot-0 clause is interpreted by
     ``_consequents`` over the recorded antecedents, not run through its
     generated program; a side condition that raises, or names no
     registered builtin, has no answers, so its justification fails
@@ -319,14 +333,15 @@ def check_soundness(result: ParseResult) -> list:
     system, g, w, store = result.system, result.grammar, result.input, result.store
     source = space_source("replay")
     ctx = EvalContext(g, w, source)
-    clauses = {r.name: r.clauses[0] for r in system.rules}
-    axioms = [a if a.ground else rename_with(a, {}, source) for a in system.axioms(g, w)]
+    clauses = {c.rule_name: c for c in system.clauses if c.trigger_slot == 0}
 
     def answers(p, args):
         try:
             return builtin_answers(p.builtin, args, ctx)
         except (SideConditionError, UnknownBuiltinError):
             return ()
+
+    axioms = fire(system.axiom_rules, answers, source)
 
     violations = []
     for stored in store.items():

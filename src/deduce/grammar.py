@@ -52,16 +52,19 @@ class InputString:
     def n(self) -> int:
         return len(self.tokens)
 
-    def word_at(self, position: int) -> str:
-        """1-based token access, matching the deduction systems' indexing."""
-        return self.tokens[position - 1]
-
     @cached_property
     def relations(self) -> dict:
-        """The fact table (``FactTable``) of ``word(I, J, W)``: the token
-        ``W`` spans positions ``I`` to ``J``, one row per token."""
+        """The fact tables (``FactTable``) of ``word(I, J, W)``: the
+        token ``W`` spans positions ``I`` to ``J``, one row per token; of
+        ``length(N)``, the number of tokens; and of ``position(I)``, one
+        row per position from 0 to ``N``."""
+        fresh = space_source("facts")
         rows = [(Const(i), Const(i + 1), Const(w)) for i, w in enumerate(self.tokens)]
-        return {"word": FactTable("word", rows, space_source("facts"))}
+        return {
+            "word": FactTable("word", rows, fresh),
+            "length": FactTable("length", [(Const(self.n),)], fresh),
+            "position": FactTable("position", [(Const(i),) for i in range(self.n + 1)], fresh),
+        }
 
 
 def tokenize(text: str) -> InputString:
@@ -393,13 +396,15 @@ class CcgLexicon:
     start: Term
     entries: tuple
 
-    def categories(self, word: str) -> list[Term]:
-        return [cat for w, cat in self.entries if w == word]
-
     @cached_property
     def relations(self) -> dict:
-        """The fact table (``FactTable``) of ``is_start(S)``."""
-        return {"is_start": FactTable("is_start", [(self.start,)], space_source("facts"))}
+        """The fact tables (``FactTable``) of ``lex(Word, Category)``, in
+        entry order, and of ``is_start(S)``."""
+        fresh = space_source("facts")
+        return {
+            "lex": FactTable("lex", [(Const(w), cat) for w, cat in self.entries], fresh),
+            "is_start": FactTable("is_start", [(self.start,)], fresh),
+        }
 
 
 _CCG_PUNCT = set("/\\()")
@@ -540,12 +545,6 @@ class TagTree:
                 out.append(address + (k,))
         return out
 
-    def is_leaf(self, address: tuple) -> bool:
-        return not self.children(address)
-
-    def addresses(self) -> list[tuple]:
-        return list(self.nodes.keys())
-
 
 @dataclass(frozen=True)
 class TagGrammar:
@@ -557,35 +556,33 @@ class TagGrammar:
     def trees(self) -> tuple:
         return self.initials + self.auxiliaries
 
-    def tree(self, name: str) -> TagTree:
-        for t in self.trees:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
-    def adjoinable(self, label: str) -> list[TagTree]:
-        """Auxiliary trees whose root (and foot) label equals label, file order."""
-        return [t for t in self.auxiliaries if t.root_label == label]
-
     @cached_property
     def relations(self) -> dict:
         """The fact tables (``FactTable``) of ``is_start(S)``; of
+        ``initial_root(Root, Label)`` by initial tree; of
         ``adjoinable(Node, Aux)`` by auxiliary tree, then tree, then each
         node of it labelled as the auxiliary tree's root; of
-        ``node_label(Node, Label)`` by tree, then node; of
-        ``foot_of(Aux, Foot)``; and of ``child_undefined(node(T, [2|P]))``
-        by tree, then each node ``P`` of ``T`` with no second child.  A
-        node is ``node_ref(tree, address)``."""
+        ``leaf(Node, Label)`` by tree, then each leaf that is not a foot,
+        an empty leaf labelled ``''`` (``EPSILON``), which no token
+        equals; of ``foot_of(Aux, Foot)``; and of
+        ``child_undefined(node(T, [2|P]))`` by tree, then each node ``P``
+        of ``T`` with no second child.  A node is ``node_ref(tree,
+        address)``."""
         nodes = [(node_ref(t.name, addr), t.label(addr)) for t in self.trees for addr in t.nodes]
         fresh = space_source("facts")
         return {
             "is_start": FactTable("is_start", [(Const(self.start),)], fresh),
+            "initial_root": FactTable("initial_root", [
+                (node_ref(t.name, ()), Const(t.root_label)) for t in self.initials
+            ], fresh),
             "adjoinable": FactTable("adjoinable", [
                 (node, Const(aux.name))
                 for aux in self.auxiliaries for node, label in nodes if label == aux.root_label
             ], fresh),
-            "node_label": FactTable("node_label", [
-                (node, Const("eps" if label == EPSILON else label)) for node, label in nodes
+            "leaf": FactTable("leaf", [
+                (node_ref(t.name, addr), Const(label))
+                for t in self.trees for addr, label in t.nodes.items()
+                if not t.children(addr) and addr != t.foot
             ], fresh),
             "foot_of": FactTable("foot_of", [
                 (Const(t.name), node_ref(t.name, t.foot)) for t in self.auxiliaries

@@ -314,7 +314,7 @@ class ItemStore:
                 out.append((idx, s))
         return out
 
-    def goal_items(self, goal_patterns):
+    def goal_items(self, patterns):
         """Chart indices matching a goal pattern, by subsumption either way.
 
         An item more specific than the pattern is an instance of the
@@ -329,7 +329,7 @@ class ItemStore:
         head = self._head
         items = self._items
         found = set()
-        for p in goal_patterns:
+        for p in patterns:
             if not p.ground:
                 found.update(s.index for s in items[:head - 1]
                              if subsumes(p, s.item) or subsumes(s.item, p))

@@ -1,16 +1,17 @@
 """Deduction systems: inference-rule schemata over items.
 
-A system packages axiom and goal generators with its inference rules.
-Each rule is written once, as one list of premises (antecedent patterns
-and side conditions) and a consequent.  A k-antecedent rule compiles
-into k clauses, one per choice of trigger antecedent; each clause
-evaluates the other premises in the written order, the remaining
-antecedents as chart lookups.  Side conditions are names resolved
-through a registry of pure evaluators over the grammar and the input
-string, each answering with instances of the condition, some of them
-rows of the input's and the grammar's fact tables.  A mode analysis of
-each clause gives the lookup mode of each chart premise, which the item
-store indexes.  On first use each clause generates one program
+A system is its rules.  Each rule is written once, as one list of
+premises (antecedent patterns and side conditions) and a consequent.  A
+rule with no antecedent is an axiom rule, a deduction step with no item
+antecedents (Sikkel 1997), and so is the goal rule.  A k-antecedent
+rule compiles into k clauses, one per choice of trigger antecedent;
+each clause evaluates the other premises in the written order, the
+remaining antecedents as chart lookups.  Side conditions are names
+resolved through a registry of pure evaluators over the grammar and the
+input string, each answering with instances of the condition, most of
+them rows of the input's and the grammar's fact tables.  A mode analysis
+of each clause gives the lookup mode of each chart premise, which the
+item store indexes.  On first use each clause generates one program
 (``program_source``): its trigger step, which alone decides whether a
 popped item fires the clause, then its premises as nested loops, each
 choice matched by a generated step and the consequent built by the last
@@ -43,7 +44,6 @@ from .grammar import (
     InputString,
     SideConditionError,
     TagGrammar,
-    node_ref,
     validate_cnf,
 )
 from .steps import args_step, key_step, match_step
@@ -97,13 +97,14 @@ class SideCondition:
 
 @dataclass(frozen=True)
 class RuleClause:
-    """One rule compiled for one trigger position.
+    """One rule compiled for one trigger position, or the one clause of
+    a rule with no antecedent, whose ``trigger`` and ``trigger_slot``
+    are None.
 
     ``premises`` are evaluated strictly left to right; every consequent
     variable must be bound by the trigger or some premise, or
-    construction raises ``SystemAuthoringError``.  ``transform``
-    post-processes the instantiated consequent (used by the restricted
-    Earley prediction).
+    construction raises ``SystemAuthoringError``, unless the rule has
+    no premise at all: it states its one consequent, variables and all.
 
     ``compiled`` is the clause's (trigger, premises, consequent), renamed
     once, at construction, into the reserved "clause" variable space.
@@ -121,11 +122,10 @@ class RuleClause:
 
     rule_name: str
     n_antecedents: int
-    trigger_slot: int
-    trigger: Term
+    trigger_slot: "int | None"
+    trigger: "Term | None"
     premises: tuple
     consequent: Term
-    transform: "Callable | None" = None
     # Derived in __post_init__.
     modes: tuple = field(init=False, repr=False, compare=False)
     compiled: tuple = field(init=False, repr=False, compare=False)
@@ -138,7 +138,7 @@ class RuleClause:
         compounds, and variables of the trigger or of an earlier premise),
         or None for a side condition or a bare-variable pattern.  At the
         end of the walk every consequent variable must be bound."""
-        bound = set(term_vars(self.trigger))
+        bound = set() if self.trigger is None else set(term_vars(self.trigger))
         modes = []
         for p in self.premises:
             if isinstance(p, SideCondition):
@@ -151,7 +151,7 @@ class RuleClause:
                 modes.append(None if symbol is None else (symbol, paths))
                 bound.update(term_vars(p.pattern))
         free = [v for v in term_vars(self.consequent) if v not in bound]
-        if free:
+        if free and (self.premises or self.trigger is not None):
             raise SystemAuthoringError(
                 f"rule {self.rule_name}: consequent variables {free} are never bound"
             )
@@ -178,7 +178,7 @@ class RuleClause:
     def instantiate(self, source: VarSource):
         """Fresh-variable copy: (trigger, premises, consequent)."""
         mapping: dict = {}
-        trigger = rename_with(self.trigger, mapping, source)
+        trigger = None if self.trigger is None else rename_with(self.trigger, mapping, source)
         premises = []
         for p in self.premises:
             if isinstance(p, SideCondition):
@@ -256,9 +256,9 @@ def program_source(clause: RuleClause) -> tuple:
     a new ground one is stored there.  A duplicate consequent is thus
     the stored item itself.  The program renames the consequent from
     ``source`` when it is not ground, so no stored item keeps a clause
-    variable, and runs the transform, if any.  It then hands the
-    consequent and its ``History`` to ``enqueue`` at once; the history
-    is built by ``tuple.__new__``, so no Python code runs for it.
+    variable.  It then hands the consequent and its ``History`` to
+    ``enqueue`` at once; the history is built by ``tuple.__new__``, so
+    no Python code runs for it.
 
     The source depends only on the kinds of the premises and the slots
     of the antecedents: every step, constant, rule name and mode is a
@@ -319,10 +319,8 @@ def program_source(clause: RuleClause) -> tuple:
         ]
         pad += "    "
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
-    transform = value(clause.transform)
     body += [
         f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
-        f"{pad}if {transform} is not None: out = {transform}(out, source)",
         f"{pad}enqueue(out, {value(tuple.__new__)}({value(History)},"
         f" ({value(clause.rule_name)}, ({antecedents}))))",
     ]
@@ -339,13 +337,14 @@ class Rule:
     into ``clauses``, one per antecedent in slot order: the clause for
     antecedent k triggers on it and evaluates the other premises in the
     written order, each remaining antecedent as a chart lookup of its
-    slot.
+    slot.  A rule with no antecedent compiles into one clause with no
+    trigger, which the engine fires through its interpreted walker
+    (``engine.fire``), not through a generated program.
     """
 
     name: str
     premises: tuple
     consequent: Term
-    transform: "Callable | None" = None
     clauses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -356,38 +355,38 @@ class Rule:
                 p = ItemPremise(p, len(antecedents))
                 antecedents.append(p)
             written.append(p)
-        if not antecedents:
-            raise SystemAuthoringError(f"rule {self.name} has no antecedent")
         clauses = tuple(
             RuleClause(
                 self.name, len(antecedents), a.slot, a.pattern,
-                tuple(p for p in written if p is not a), self.consequent, self.transform,
+                tuple(p for p in written if p is not a), self.consequent,
             )
             for a in antecedents
-        )
+        ) or (RuleClause(self.name, 0, None, None, tuple(written), self.consequent),)
         object.__setattr__(self, "clauses", clauses)
 
 
 @dataclass(frozen=True)
 class DeductionSystem:
-    """A named rule set with axiom and goal generators.
+    """A named set of rule schemata.
 
-    ``axioms`` and ``goal_patterns`` are functions of the grammar and
-    the input string, since goals mention the string length and the
-    start symbols.  ``check_grammar`` runs before parsing and raises on
-    a grammar the system cannot interpret.  Rule names are unique and
-    differ from ``INITIAL``, since a justification names its rule and an
-    axiom's names ``INITIAL``.  ``clauses`` lists the compiled
-    clauses of every rule, in rule order; ``modes`` collects their
-    lookup modes, in clause order: the store keeps one index per mode.
+    ``rules`` holds the axiom rules, those with no antecedent, and the
+    inference rules.  The consequents of ``goal``, a rule with no
+    antecedent either, are the goal items; with None, there are none.
+    ``check_grammar`` runs before parsing and raises on a grammar the
+    system cannot interpret.  Rule names are unique and differ from
+    ``INITIAL``, since a justification names its rule and an axiom's
+    names ``INITIAL``.  ``axiom_rules`` lists the axiom rules, and
+    ``clauses`` the compiled clauses of the others, in rule order;
+    ``modes`` collects their lookup modes, in clause order: the store
+    keeps one index per mode.
     """
 
     name: str
     grammar_class: type
     rules: tuple
-    axioms: Callable
-    goal_patterns: Callable
+    goal: "Rule | None" = None
     check_grammar: "Callable | None" = None
+    axiom_rules: tuple = field(init=False, repr=False, compare=False)
     clauses: tuple = field(init=False, repr=False, compare=False)
     modes: tuple = field(init=False, repr=False, compare=False)
 
@@ -398,8 +397,12 @@ class DeductionSystem:
             raise SystemAuthoringError(
                 f"system {self.name}: rule names used twice (axioms use {INITIAL!r}): {twice}"
             )
-        clauses = tuple(c for r in self.rules for c in r.clauses)
+        if self.goal is not None and self.goal.clauses[0].trigger is not None:
+            raise SystemAuthoringError(f"system {self.name}: the goal rule has an antecedent")
+        clauses = tuple(c for r in self.rules for c in r.clauses if c.trigger is not None)
         modes = (m for c in clauses for m in c.modes if m is not None)
+        object.__setattr__(self, "axiom_rules",
+                           tuple(r for r in self.rules if r.clauses[0].trigger is None))
         object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "modes", tuple(dict.fromkeys(modes)))
 
@@ -489,6 +492,25 @@ def _eval_append(args, ctx):
     yield Compound("append", (xs, ys, mklist(elems, tail=ys)))
 
 
+def _eval_leq(args, ctx):
+    i, j = map(_int_of, args)
+    if i is None or j is None:
+        raise SideConditionError("leq needs two bound integers")
+    if i <= j:
+        yield Compound("leq", args)
+
+
+def _eval_restrict(args, ctx):
+    """``restrict(T, D, R)``: ``R`` is ``T`` with every subterm at depth
+    ``D`` or deeper replaced by a fresh variable (``abstract_depth``), so
+    that ``R`` subsumes ``T`` (Shieber 1985)."""
+    t, d, _r = args
+    depth = _int_of(d)
+    if depth is None:
+        raise SideConditionError("restrict needs a bound integer depth")
+    yield Compound("restrict", (t, d, abstract_depth(t, depth, ctx.source)))
+
+
 def _relation(name: str, args, ctx):
     """The answers of the relation ``name`` from the table of the input
     string or else of the grammar (``FactTable``, ``ReductionTrie``),
@@ -507,10 +529,12 @@ REGISTRY: dict = {
     "succ": _eval_succ,
     "index_union": _eval_index_union,
     "append": _eval_append,
+    "leq": _eval_leq,
+    "restrict": _eval_restrict,
     **{
         name: partial(_relation, name)
-        for name in ("word", "production", "reduction", "lex", "is_start", "adjoinable",
-                     "node_label", "foot_of", "child_undefined")
+        for name in ("word", "length", "position", "production", "reduction", "lex", "is_start",
+                     "initial_root", "adjoinable", "leaf", "foot_of", "child_undefined")
     },
 }
 
@@ -545,6 +569,13 @@ def _v(name: str) -> Var:
     return Var(name)
 
 
+# The premises of most axiom and goal rules: S is a start symbol and N
+# the length of the string.
+_S, _N = _v("S"), _v("N")
+IS_START = SideCondition("is_start", (_S,))
+LENGTH = SideCondition("length", (_N,))
+
+
 def _td(beta: Term, j: Term) -> Compound:
     return Compound("td", (beta, j))
 
@@ -561,19 +592,11 @@ def make_topdown() -> DeductionSystem:
         ],
         _td(d, j),
     )
-
-    def axioms(grammar: CfGrammar, w: InputString):
-        return [_td(mklist([s]), Const(0)) for s in grammar.starts]
-
-    def goals(grammar: CfGrammar, w: InputString):
-        return [_td(NIL, Const(w.n))]
-
     return DeductionSystem(
         name="topdown",
         grammar_class=CfGrammar,
-        rules=(scan, predict),
-        axioms=axioms,
-        goal_patterns=goals,
+        rules=(Rule("axiom", [IS_START], _td(mklist([_S]), Const(0))), scan, predict),
+        goal=Rule("goal", [LENGTH], _td(NIL, _N)),
     )
 
 
@@ -587,19 +610,11 @@ def make_bottomup() -> DeductionSystem:
                  _bu(cons(w_, alpha), j1))
     reduce_ = Rule("reduce", [_bu(alpha, j), SideCondition("reduction", (alpha, b, rest))],
                    _bu(cons(b, rest), j))
-
-    def axioms(grammar: CfGrammar, w: InputString):
-        return [_bu(NIL, Const(0))]
-
-    def goals(grammar: CfGrammar, w: InputString):
-        return [_bu(mklist([s]), Const(w.n)) for s in grammar.starts]
-
     return DeductionSystem(
         name="bottomup",
         grammar_class=CfGrammar,
-        rules=(shift, reduce_),
-        axioms=axioms,
-        goal_patterns=goals,
+        rules=(Rule("axiom", [], _bu(NIL, Const(0))), shift, reduce_),
+        goal=Rule("goal", [IS_START, LENGTH], _bu(mklist([_S]), _N)),
     )
 
 
@@ -610,18 +625,10 @@ def _er(i, lhs, before, after, j) -> Compound:
     return Compound("er", (i, lhs, before, after, j))
 
 
-def _make_restrictor(depth: int):
-    def transform(item: Term, source: VarSource) -> Term:
-        i, lhs, before, after, j = item.args
-        lhs2 = abstract_depth(lhs, depth, source)
-        elems, tail = list_parts(after)
-        after2 = mklist([abstract_depth(e, depth, source) for e in elems], tail)
-        return _er(i, lhs2, before, after2, j)
-
-    return transform
-
-
 def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
+    """Earley's algorithm.  With a ``restriction_depth``, prediction
+    restricts the predicted symbol to that term depth before it chooses
+    a production for it (Shieber 1985)."""
     i, j, j1, k = _v("I"), _v("J"), _v("J1"), _v("K")
     a, b, g = _v("A"), _v("B"), _v("G")
     bef, aft, bef2 = _v("Bef"), _v("Aft"), _v("Bef2")
@@ -632,36 +639,27 @@ def make_earley(restriction_depth: "int | None" = None) -> DeductionSystem:
         [_er(i, a, bef, cons(w_, aft), j), SideCondition("word", (j, j1, w_))],
         _er(i, a, cons(w_, bef), aft, j1),
     )
+    predicted, restrict = b, []
+    if restriction_depth is not None:
+        predicted = _v("RB")
+        restrict = [SideCondition("restrict", (b, Const(restriction_depth), predicted))]
     predict = Rule(
         "predict",
-        [_er(i, a, bef, cons(b, aft), j), SideCondition("production", (b, g))],
-        _er(j, b, NIL, g, j),
-        transform=None if restriction_depth is None else _make_restrictor(restriction_depth),
+        [_er(i, a, bef, cons(b, aft), j), *restrict, SideCondition("production", (predicted, g))],
+        _er(j, predicted, NIL, g, j),
     )
     complete = Rule(
         "complete",
         [_er(i, a, bef, cons(b, aft), k), _er(k, b, bef2, NIL, j)],
         _er(i, a, cons(b, bef), aft, j),
     )
-
-    def axioms(grammar: CfGrammar, w: InputString):
-        return [
-            _er(Const(0), START_WRAPPER, NIL, mklist([s]), Const(0))
-            for s in grammar.starts
-        ]
-
-    def goals(grammar: CfGrammar, w: InputString):
-        return [
-            _er(Const(0), START_WRAPPER, mklist([s]), NIL, Const(w.n))
-            for s in grammar.starts
-        ]
-
+    zero = Const(0)
     return DeductionSystem(
         name="earley",
         grammar_class=CfGrammar,
-        rules=(scan, predict, complete),
-        axioms=axioms,
-        goal_patterns=goals,
+        rules=(Rule("axiom", [IS_START], _er(zero, START_WRAPPER, NIL, mklist([_S]), zero)),
+               scan, predict, complete),
+        goal=Rule("goal", [IS_START, LENGTH], _er(zero, START_WRAPPER, mklist([_S]), NIL, _N)),
     )
 
 
@@ -670,24 +668,15 @@ def _cyk(a, i, j) -> Compound:
 
 
 def make_cyk() -> DeductionSystem:
-    a, b, c = _v("A"), _v("B"), _v("C")
+    a, b, c, w_ = _v("A"), _v("B"), _v("C"), _v("W")
     i, j, k = _v("I"), _v("J"), _v("K")
+    lexical = Rule("axiom", [SideCondition("lex", (w_, a)), SideCondition("word", (i, j, w_))],
+                   _cyk(a, i, j))
     binary = Rule(
         "binary",
         [SideCondition("production", (a, mklist([b, c]))), _cyk(b, i, j), _cyk(c, j, k)],
         _cyk(a, i, k),
     )
-
-    def axioms(grammar: CfGrammar, w: InputString):
-        out = []
-        for word, preterm in grammar.lexicon:
-            for pos, tok in enumerate(w.tokens):
-                if tok == word:
-                    out.append(_cyk(preterm, Const(pos), Const(pos + 1)))
-        return out
-
-    def goals(grammar: CfGrammar, w: InputString):
-        return [_cyk(s, Const(0), Const(w.n)) for s in grammar.starts]
 
     def check(grammar: CfGrammar):
         report = validate_cnf(grammar)
@@ -697,9 +686,8 @@ def make_cyk() -> DeductionSystem:
     return DeductionSystem(
         name="cyk",
         grammar_class=CfGrammar,
-        rules=(binary,),
-        axioms=axioms,
-        goal_patterns=goals,
+        rules=(lexical, binary),
+        goal=Rule("goal", [IS_START, LENGTH], _cyk(_S, Const(0), _N)),
         check_grammar=check,
     )
 
@@ -720,7 +708,7 @@ def _cc(cat, i, j) -> Compound:
 
 def make_ccg() -> DeductionSystem:
     i, j, k = _v("I"), _v("J"), _v("K")
-    x, y, z = _v("X"), _v("Y"), _v("Z")
+    x, y, z, w_ = _v("X"), _v("Y"), _v("Z"), _v("W")
 
     def fw(res, arg):
         return Compound(FORWARD, (res, arg))
@@ -728,6 +716,8 @@ def make_ccg() -> DeductionSystem:
     def bw(res, arg):
         return Compound(BACKWARD, (res, arg))
 
+    lexical = Rule("axiom", [SideCondition("lex", (w_, x)), SideCondition("word", (i, j, w_))],
+                   _cc(x, i, j))
     rules = tuple(
         Rule(name, [_cc(left, i, j), _cc(right, j, k)], _cc(out, i, k))
         for name, left, right, out in (
@@ -739,24 +729,11 @@ def make_ccg() -> DeductionSystem:
             ("backward_compose2", bw(y, z), bw(x, y), bw(x, z)),
         )
     )
-
-    def axioms(lexicon: CcgLexicon, w: InputString):
-        out = []
-        for word, cat in lexicon.entries:
-            for pos, tok in enumerate(w.tokens):
-                if tok == word:
-                    out.append(_cc(cat, Const(pos), Const(pos + 1)))
-        return out
-
-    def goals(lexicon: CcgLexicon, w: InputString):
-        return [_cc(lexicon.start, Const(0), Const(w.n))]
-
     return DeductionSystem(
         name="ccg",
         grammar_class=CcgLexicon,
-        rules=rules,
-        axioms=axioms,
-        goal_patterns=goals,
+        rules=(lexical, *rules),
+        goal=Rule("goal", [IS_START, LENGTH], _cc(_S, Const(0), _N)),
     )
 
 
@@ -774,10 +751,26 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
     if foot_mode not in FOOT_MODES:
         raise ValueError(f"foot_mode must be one of {FOOT_MODES}")
     t, p = _v("T"), _v("P")
-    n, b, f = _v("N"), _v("B"), _v("F")
+    n, b, f, w_ = _v("N"), _v("B"), _v("F"), _v("W")
     i, j, k, l, m, q = _v("I"), _v("J"), _v("K"), _v("L"), _v("M"), _v("Q")
     j2, k2, ju, ku = _v("J2"), _v("K2"), _v("JU"), _v("KU")
 
+    # An empty leaf spans every empty stretch of the string, a word leaf
+    # each occurrence of its word.
+    rules = [
+        Rule("empty_leaf",
+             [SideCondition("leaf", (n, Const(EPSILON))), SideCondition("position", (i,))],
+             _tg(n, ABOVE, i, BOTTOM, BOTTOM, i)),
+        Rule("word_leaf", [SideCondition("leaf", (n, w_)), SideCondition("word", (i, j, w_))],
+             _tg(n, ABOVE, i, BOTTOM, BOTTOM, j)),
+    ]
+    if foot_mode == "foot_axiom":
+        rules.append(Rule(
+            "foot_axiom",
+            [SideCondition("foot_of", (b, f)), SideCondition("position", (p,)),
+             SideCondition("position", (q,)), SideCondition("leq", (p, q))],
+            _tg(f, BELOW, p, p, q, q),
+        ))
     complete_unary = Rule(
         "complete_unary",
         [
@@ -806,7 +799,7 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
         ],
         _tg(n, ABOVE, i, j, k, l),
     )
-    rules = [complete_unary, complete_binary, no_adjoin, adjoin]
+    rules += [complete_unary, complete_binary, no_adjoin, adjoin]
     if foot_mode == "complete_foot":
         rules.append(
             Rule(
@@ -819,51 +812,12 @@ def make_tag(foot_mode: str = "complete_foot") -> DeductionSystem:
                 _tg(f, BELOW, p, p, q, q),
             )
         )
-
-    def axioms(grammar: TagGrammar, w: InputString):
-        out = []
-        for tree in grammar.trees:
-            for addr in tree.addresses():
-                if not tree.is_leaf(addr) or addr == tree.foot:
-                    continue
-                label = tree.label(addr)
-                if label == EPSILON:
-                    for pos in range(w.n + 1):
-                        out.append(
-                            _tg(node_ref(tree.name, addr), ABOVE,
-                                Const(pos), BOTTOM, BOTTOM, Const(pos))
-                        )
-                else:
-                    for pos, tok in enumerate(w.tokens):
-                        if tok == label:
-                            out.append(
-                                _tg(node_ref(tree.name, addr), ABOVE,
-                                    Const(pos), BOTTOM, BOTTOM, Const(pos + 1))
-                            )
-        if foot_mode == "foot_axiom":
-            for tree in grammar.auxiliaries:
-                for p_ in range(w.n + 1):
-                    for q_ in range(p_, w.n + 1):
-                        out.append(
-                            _tg(node_ref(tree.name, tree.foot), BELOW,
-                                Const(p_), Const(p_), Const(q_), Const(q_))
-                        )
-        return out
-
-    def goals(grammar: TagGrammar, w: InputString):
-        return [
-            _tg(node_ref(tree.name, ()), ABOVE, Const(0), BOTTOM, BOTTOM, Const(w.n))
-            for tree in grammar.initials
-            if tree.root_label == grammar.start
-        ]
-
-    return DeductionSystem(
-        name="tag",
-        grammar_class=TagGrammar,
-        rules=tuple(rules),
-        axioms=axioms,
-        goal_patterns=goals,
+    goal = Rule(
+        "goal",
+        [IS_START, SideCondition("initial_root", (t, _S)), LENGTH],
+        _tg(t, ABOVE, Const(0), BOTTOM, BOTTOM, _N),
     )
+    return DeductionSystem(name="tag", grammar_class=TagGrammar, rules=tuple(rules), goal=goal)
 
 
 _BUILDERS = {

@@ -32,6 +32,7 @@ from deduce.engine import ParseOptions, check_soundness, parse
 from deduce.grammar import load_ccg, load_cf, load_tag, tokenize
 from deduce.systems import system_for
 from deduce.terms import canonical
+from conftest import goals
 from test_store import scanned_goal_items
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -172,7 +173,7 @@ def test_a_fixture_parse_keeps_its_run_record(name, system, kwargs, grammar, sen
                          ids=[case[0] for case in RECORD_CASES])
 def test_goal_items_agree_with_a_chart_scan(name, system, kwargs, grammar, sentence, limit):
     r = run_case(system, kwargs, grammar, sentence, limit)
-    patterns = r.system.goal_patterns(r.grammar, r.input)
+    patterns = goals(r.system, r.grammar, r.input)
     assert r.goal_indices == scanned_goal_items(r.store, patterns)
 
 

@@ -89,6 +89,15 @@ def test_restriction_makes_the_same_parse_terminate(capsys):
     assert code == 0
 
 
+def test_restricted_prediction_threads_the_count_to_the_top_node(capsys):
+    # The restriction cuts the predicted symbol, not the production
+    # chosen for it, so s -> r(0, N) still learns N from the parse.
+    code = run("derive", "--system", "earley", "--grammar", ABN,
+               "--sentence", "a b b", "--restrict", "2")
+    assert code == 0
+    assert capsys.readouterr().out.startswith("(s (r(0, s(s(0))) ")
+
+
 def test_non_cnf_grammar_is_a_grammar_error(capsys):
     code = run("parse", "--system", "cyk", "--grammar", TOY,
                "--sentence", "a program halts")

@@ -43,6 +43,7 @@ from deduce.terms import (
     term_vars,
 )
 
+from conftest import axiom_rules
 from replay_rows import (
     BOTTOMUP_ROWS,
     CCG_ROWS,
@@ -169,9 +170,8 @@ def test_naive_closure_renames_the_antecedents_of_one_firing_apart():
     system = DeductionSystem(
         name="pairs",
         grammar_class=object,
-        rules=(Rule("pair", [t("p(A)"), t("p(B)")], t("q(A, B)")),),
-        axioms=lambda grammar, w: [t("p(f(X))")],
-        goal_patterns=lambda grammar, w: [],
+        rules=(*axiom_rules(t("p(f(X))")),
+               Rule("pair", [t("p(A)"), t("p(B)")], t("q(A, B)"))),
     )
     w = tokenize("")
     r = parse(system, None, w)
@@ -213,10 +213,9 @@ def test_a_trigger_paired_with_itself_is_copied(monkeypatch):
     system = DeductionSystem(
         name="transitive",
         grammar_class=object,
-        rules=(Rule("chain", [t("p(X, Y)"), t("p(Y, Z)"), SideCondition("shallow", (t("Z"),))],
-                    t("p(X, Z)")),),
-        axioms=lambda grammar, w: [t("p(V, f(V))")],
-        goal_patterns=lambda grammar, w: [],
+        rules=(*axiom_rules(t("p(V, f(V))")),
+               Rule("chain", [t("p(X, Y)"), t("p(Y, Z)"), SideCondition("shallow", (t("Z"),))],
+                    t("p(X, Z)"))),
     )
     assert canonical(t("p(V, f(f(V)))")) in _closed(system)
 
@@ -228,9 +227,8 @@ def test_axioms_that_share_a_variable_name_are_renamed_apart():
     system = DeductionSystem(
         name="two_axioms",
         grammar_class=object,
-        rules=(Rule("join", [t("p(X)"), t("q(X)")], t("r(X)")),),
-        axioms=lambda grammar, w: [t("p(f(V))"), t("q(V)")],
-        goal_patterns=lambda grammar, w: [],
+        rules=(*axiom_rules(t("p(f(V))"), t("q(V)")),
+               Rule("join", [t("p(X)"), t("q(X)")], t("r(X)"))),
     )
     assert canonical(t("r(f(V))")) in _closed(system)
 
@@ -243,11 +241,10 @@ def test_one_row_answering_two_conditions_is_copied():
     system = DeductionSystem(
         name="row_pairs",
         grammar_class=CfGrammar,
-        rules=(Rule("pair", [t("go"), SideCondition("production", (t("A"), t("G"))),
+        rules=(*axiom_rules(t("go")),
+               Rule("pair", [t("go"), SideCondition("production", (t("A"), t("G"))),
                              SideCondition("production", (t("B"), t("H")))],
-                    t("pair(A, G, B, H)")),),
-        axioms=lambda grammar, w: [t("go")],
-        goal_patterns=lambda grammar, w: [],
+                    t("pair(A, G, B, H)"))),
     )
     chart = _closed(system, grammar)
 
@@ -294,9 +291,9 @@ def test_stored_items_hold_only_parse_variables(abn_grammar, counting_grammar):
     system = DeductionSystem(
         name="open_trigger",
         grammar_class=object,
-        rules=(Rule("unwrap", [t("p(f(A))")], t("q(A)")),),
-        axioms=lambda grammar, w: [t("p(Y)")],
-        goal_patterns=lambda grammar, w: [t("q(Z)")],
+        rules=(*axiom_rules(t("p(Y)")),
+               Rule("unwrap", [t("p(f(A))")], t("q(A)"))),
+        goal=Rule("goal", [], t("q(Z)")),
     )
     r = parse(system, None, tokenize(""))
     assert r.accepted
@@ -566,9 +563,8 @@ def _succ_of_an_open_item(toy_grammar, monkeypatch):
     system = DeductionSystem(
         name="successor",
         grammar_class=object,
-        rules=(Rule("next", [t("p(X)"), SideCondition("succ", (t("X"), t("Y")))], t("q(Y)")),),
-        axioms=lambda grammar, w: [t("p(1)"), t("p(V)")],
-        goal_patterns=lambda grammar, w: [],
+        rules=(*axiom_rules(t("p(1)"), t("p(V)")),
+               Rule("next", [t("p(X)"), SideCondition("succ", (t("X"), t("Y")))], t("q(Y)"))),
     )
     r = parse(system, None, tokenize(""), ParseOptions(step_limit=1))
     victim = next(s for s in r.store.items() if s.item == t("q(2)"))

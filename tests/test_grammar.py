@@ -15,6 +15,7 @@ from deduce.grammar import (
     load_ccg,
     load_cf,
     load_tag,
+    node_ref,
     parse_category,
     render_category,
     render_ccg,
@@ -31,6 +32,7 @@ from deduce.terms import (
     canonical,
     parse_term,
     rename_with,
+    render_term,
     space_source,
     term_vars,
     unify,
@@ -45,8 +47,18 @@ def test_tokenize_splits_on_whitespace():
     w = tokenize("a program  halts\n")
     assert w.tokens == ("a", "program", "halts")
     assert w.n == 3
-    assert w.word_at(1) == "a"
-    assert w.word_at(3) == "halts"
+
+
+def _rows(owner, name) -> list:
+    return [render_term(row) for row in owner.relations[name].rows]
+
+
+def test_the_input_relations():
+    w = tokenize("a program halts")
+    assert _rows(w, "word") == ["word(0, 1, a)", "word(1, 2, program)", "word(2, 3, halts)"]
+    assert _rows(w, "length") == ["length(3)"]
+    assert _rows(w, "position") == [f"position({i})" for i in range(4)]
+    assert _rows(tokenize(""), "position") == ["position(0)"]
 
 
 def test_tokenize_empty():
@@ -122,12 +134,13 @@ def test_validate_cnf_flags_inline_terminal():
 
 def test_ccg_lexicon_shape(ccg_lexicon):
     assert ccg_lexicon.start == Const("S")
-    assert ccg_lexicon.categories("John") == [Const("NP")]
     s, np = Const("S"), Const("NP")
-    assert ccg_lexicon.categories("likes") == [forward(backward(s, np), np)]
     vp = backward(s, np)
-    assert ccg_lexicon.categories("really") == [forward(vp, vp)]
-    assert ccg_lexicon.categories("missing") == []
+    assert ccg_lexicon.entries == (("John", np), ("bananas", np),
+                                   ("likes", forward(vp, np)), ("really", forward(vp, vp)))
+    assert _rows(ccg_lexicon, "lex")[:3] == [
+        "lex(John, NP)", "lex(bananas, NP)", "lex(likes, /(\\(S, NP), NP))"]
+    assert _rows(ccg_lexicon, "is_start") == ["is_start(S)"]
 
 
 def test_category_parsing_left_associative():
@@ -159,7 +172,7 @@ def test_ccg_errors():
 
 def test_trip_tree_shapes(trip_grammar):
     assert trip_grammar.start == "S"
-    alpha = trip_grammar.tree("alpha")
+    alpha, beta = trip_grammar.trees
     assert alpha.kind == "initial"
     assert alpha.root_label == "S"
     assert alpha.label((1,)) == "NP"
@@ -167,22 +180,32 @@ def test_trip_tree_shapes(trip_grammar):
     assert alpha.label((2, 1, 1)) == "rumbas"
     assert alpha.foot is None
 
-    beta = trip_grammar.tree("beta")
+    assert beta.name == "beta"
     assert beta.kind == "auxiliary"
     assert beta.foot == (1,)
     assert beta.label(beta.foot) == "VP"
     assert beta.label((2, 1)) == "nimbly"
 
 
-def test_tag_adjoinable(trip_grammar):
-    assert [t.name for t in trip_grammar.adjoinable("VP")] == ["beta"]
-    assert trip_grammar.adjoinable("NP") == []
+def test_tag_relations(trip_grammar):
+    # Only the VP nodes take the VP-rooted beta.
+    assert _rows(trip_grammar, "adjoinable") == [
+        "adjoinable(node(alpha, [2]), beta)", "adjoinable(node(beta, []), beta)",
+        "adjoinable(node(beta, [1]), beta)"]
+    # The foot is no leaf.
+    assert _rows(trip_grammar, "leaf") == [
+        "leaf(node(alpha, [1, 1]), Trip)", "leaf(node(alpha, [1, 1, 2]), rumbas)",
+        "leaf(node(beta, [1, 2]), nimbly)"]
+    assert _rows(trip_grammar, "initial_root") == ["initial_root(node(alpha, []), S)"]
+    assert _rows(trip_grammar, "is_start") == ["is_start(S)"]
 
 
 def test_tag_epsilon_leaf(counting_grammar):
-    alpha = counting_grammar.tree("alpha")
-    assert alpha.label((1,)) == ""
-    assert alpha.is_leaf((1,))
+    alpha = counting_grammar.trees[0]
+    assert alpha.nodes[(1,)] == ""
+    assert not alpha.children((1,))
+    [empty] = counting_grammar.relations["leaf"].rows[:1]
+    assert empty == Compound("leaf", (node_ref("alpha", (1,)), Const("")))
 
 
 def test_tag_round_trip(trip_grammar, counting_grammar):

@@ -1,5 +1,6 @@
 """System builders, side-condition evaluators, item renderers."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,18 @@ from hypothesis import given, settings, strategies as st
 import deduce.systems
 from deduce.cli import build_arg_parser, build_system
 from deduce.engine import ParseOptions, check_soundness, parse
-from deduce.grammar import CfGrammar, load_ccg, load_cf, load_tag, parse_category, tokenize
+from deduce.grammar import (
+    EPSILON,
+    CfGrammar,
+    load_ccg,
+    load_cf,
+    load_tag,
+    node_ref,
+    parse_category,
+    tokenize,
+    validate_cnf,
+)
+from deduce.store import ItemStore
 from deduce.systems import (
     BOTTOM,
     DeductionSystem,
@@ -26,7 +38,6 @@ from deduce.systems import (
     make_earley,
     make_tag,
     make_topdown,
-    node_ref,
     render_item,
     system_for,
 )
@@ -49,9 +60,9 @@ from deduce.terms import (
     variant,
 )
 
-from conftest import read
-from test_acceptance import _random_cf_lines
-from test_chart_identity import _cases
+from conftest import axiom_rules, goals, read
+from test_acceptance import _random_cf_lines, _random_cnf_lines
+from test_chart_identity import _cases, _grammar
 
 
 def t(text):
@@ -97,28 +108,28 @@ def test_two_antecedent_rules_cover_both_trigger_slots():
 
 
 def _listing(system):
-    """One line per compiled clause: rule, trigger slot and antecedent
-    count, trigger, premises in evaluation order, consequent."""
+    """One line per compiled clause of each rule and of the goal rule:
+    rule, then trigger slot and antecedent count and trigger unless the
+    rule has no antecedent, premises in evaluation order, consequent."""
     lines = []
-    for c in system.clauses:
+    for c in (c for rule in (*system.rules, system.goal) for c in rule.clauses):
         premises = []
         for p in c.premises:
             if isinstance(p, SideCondition):
                 premises.append(render_term(Compound(p.builtin, p.args)))
             else:
                 premises.append(f"{render_term(p.pattern)} @{p.slot}")
-        transform = " +transform" if c.transform is not None else ""
-        lines.append(
-            f"{c.rule_name} {c.trigger_slot}/{c.n_antecedents}: {render_term(c.trigger)} | "
-            f"{'; '.join(premises)} => {render_term(c.consequent)}{transform}"
-        )
+        head = (f"{c.rule_name}:" if c.trigger is None else
+                f"{c.rule_name} {c.trigger_slot}/{c.n_antecedents}: {render_term(c.trigger)} |")
+        lines.append(f"{head} {'; '.join(premises)} => {render_term(c.consequent)}")
     return lines
 
 
 def test_compiled_clauses_are_frozen():
     # The listing was captured from the hand-written per-trigger clauses
     # the rules replaced; the same clauses in the same order give the
-    # same charts, fresh-variable numbers included.
+    # same charts, fresh-variable numbers included.  The axiom rules
+    # come first and the goal rule last.
     systems = [(name, system_for(name)) for name in SYSTEM_NAMES] + [
         ("earley restricted", make_earley(restriction_depth=2)),
         ("tag foot_axiom", make_tag(foot_mode="foot_axiom")),
@@ -135,9 +146,22 @@ def test_unbound_consequent_variable_is_rejected_at_construction():
     assert [c.trigger_slot for c in rule.clauses] == [0, 1]
 
 
-def test_a_rule_without_antecedents_is_rejected():
-    with pytest.raises(SystemAuthoringError, match="no antecedent"):
-        Rule("void", [SideCondition("succ", (Const(0), Var("X")))], t("o(X)"))
+def test_a_rule_without_antecedents_is_an_axiom_rule():
+    # Its one clause has no trigger, and its side conditions must bind
+    # the consequent's variables.
+    [clause] = Rule("one", [SideCondition("succ", (Const(0), Var("X")))], t("o(X)")).clauses
+    assert (clause.trigger, clause.trigger_slot, clause.n_antecedents) == (None, None, 0)
+    with pytest.raises(SystemAuthoringError, match="never bound"):
+        Rule("void", [SideCondition("succ", (Const(0), Var("X")))], t("o(X, Y)"))
+    # With no premise at all, the rule states its one consequent.
+    assert Rule("open", [], t("o(Y)")).clauses[0].consequent == t("o(Y)")
+    system = DeductionSystem("axioms", CfGrammar, (Rule("one", [SideCondition(
+        "succ", (Const(0), Var("X")))], t("o(X)")), Rule("r", [t("o(X)")], t("p(X)"))))
+    assert [r.name for r in system.axiom_rules] == ["one"]
+    assert [c.rule_name for c in system.clauses] == ["r"]
+    # A goal rule has no antecedent either.
+    with pytest.raises(SystemAuthoringError, match="goal rule"):
+        DeductionSystem("bad_goal", CfGrammar, (), goal=Rule("goal", [t("o(X)")], t("o(X)")))
 
 
 def test_duplicate_rule_names_are_rejected():
@@ -148,8 +172,6 @@ def test_duplicate_rule_names_are_rejected():
             name="twice",
             grammar_class=object,
             rules=(Rule("r", [t("p(X)")], t("q(X)")), Rule("r", [t("s(X)")], t("u(X)"))),
-            axioms=lambda grammar, w: [t("p(a)"), t("s(b)")],
-            goal_patterns=lambda grammar, w: [],
         )
     # Axiom justifications are named "initial".
     with pytest.raises(SystemAuthoringError, match="initial"):
@@ -157,15 +179,12 @@ def test_duplicate_rule_names_are_rejected():
             name="axiom_name",
             grammar_class=object,
             rules=(Rule("initial", [t("p(X)")], t("q(X)")),),
-            axioms=lambda grammar, w: [t("p(a)")],
-            goal_patterns=lambda grammar, w: [],
         )
     renamed = DeductionSystem(
         name="apart",
         grammar_class=object,
-        rules=(Rule("r", [t("p(X)")], t("q(X)")), Rule("r2", [t("s(X)")], t("u(X)"))),
-        axioms=lambda grammar, w: [t("p(a)"), t("s(b)")],
-        goal_patterns=lambda grammar, w: [],
+        rules=(*axiom_rules(t("p(a)"), t("s(b)")),
+               Rule("r", [t("p(X)")], t("q(X)")), Rule("r2", [t("s(X)")], t("u(X)"))),
     )
     assert check_soundness(parse(renamed, None, tokenize(""))) == []
 
@@ -234,7 +253,11 @@ def test_system_for_shares_a_system_per_argument_list():
         "tag", foot_mode="complete_foot"
     )
     restricted = system_for("earley", restriction_depth=2).clauses
-    assert [c.transform is not None for c in restricted].count(True) == 1
+    assert [c.rule_name for c in restricted if _restricts(c)] == ["predict"]
+
+
+def _restricts(clause) -> bool:
+    return any(isinstance(p, SideCondition) and p.builtin == "restrict" for p in clause.premises)
 
 
 def test_system_names_follow_the_builder_table():
@@ -244,37 +267,42 @@ def test_system_names_follow_the_builder_table():
 
 # ---- axioms and goals ----
 
+def _axioms(system, grammar, w) -> list:
+    """The rendered chart of a parse of no pops: its axioms."""
+    r = parse(system, grammar, w, ParseOptions(step_limit=0))
+    return [render_item(system.name, s.item) for s in r.store.items()]
+
+
+def _goals(system, grammar, w) -> list:
+    return [render_item(system.name, g) for g in goals(system, grammar, w)]
+
+
 def test_topdown_axioms_and_goals(toy_grammar):
     w = tokenize("a program halts")
     sys = make_topdown()
-    axioms = sys.axioms(toy_grammar, w)
-    assert [render_item("topdown", a) for a in axioms] == ["[. S, 0]"]
-    goals = sys.goal_patterns(toy_grammar, w)
-    assert [render_item("topdown", g) for g in goals] == ["[., 3]"]
+    assert _axioms(sys, toy_grammar, w) == ["[. S, 0]"]
+    assert _goals(sys, toy_grammar, w) == ["[., 3]"]
 
 
 def test_bottomup_axioms_and_goals(toy_grammar):
     w = tokenize("a program halts")
     sys = make_bottomup()
-    assert [render_item("bottomup", a) for a in sys.axioms(toy_grammar, w)] == ["[., 0]"]
-    assert [render_item("bottomup", g) for g in sys.goal_patterns(toy_grammar, w)] == ["[S ., 3]"]
+    assert _axioms(sys, toy_grammar, w) == ["[., 0]"]
+    assert _goals(sys, toy_grammar, w) == ["[S ., 3]"]
 
 
 def test_earley_axioms_wrap_each_start_symbol(toy_grammar):
     w = tokenize("a program halts")
     sys = make_earley()
-    axioms = sys.axioms(toy_grammar, w)
-    assert [render_item("earley", a) for a in axioms] == ["[0, S' -> . S, 0]"]
-    goals = sys.goal_patterns(toy_grammar, w)
-    assert [render_item("earley", g) for g in goals] == ["[0, S' -> S ., 3]"]
+    assert _axioms(sys, toy_grammar, w) == ["[0, S' -> . S, 0]"]
+    assert _goals(sys, toy_grammar, w) == ["[0, S' -> S ., 3]"]
 
 
 def test_cyk_axioms_are_lexical_spans(cnf_ab_grammar):
     w = tokenize("a b")
     sys = make_cyk()
-    axioms = sys.axioms(cnf_ab_grammar, w)
-    assert [render_item("cyk", a) for a in axioms] == ["[A, 0, 1]", "[B, 1, 2]"]
-    assert [render_item("cyk", g) for g in sys.goal_patterns(cnf_ab_grammar, w)] == ["[S, 0, 2]"]
+    assert _axioms(sys, cnf_ab_grammar, w) == ["[A, 0, 1]", "[B, 1, 2]"]
+    assert _goals(sys, cnf_ab_grammar, w) == ["[S, 0, 2]"]
 
 
 def test_cyk_rejects_a_grammar_outside_normal_form(toy_grammar):
@@ -287,45 +315,38 @@ def test_cyk_rejects_a_grammar_outside_normal_form(toy_grammar):
 def test_ccg_axioms_follow_lexicon_order(ccg_lexicon):
     w = tokenize("John likes bananas")
     sys = make_ccg()
-    rendered = [render_item("ccg", a) for a in sys.axioms(ccg_lexicon, w)]
+    rendered = _axioms(sys, ccg_lexicon, w)
     assert rendered == ["[NP, 0, 1]", "[NP, 2, 3]", "[(S\\NP)/NP, 1, 2]"]
-    assert [render_item("ccg", g) for g in sys.goal_patterns(ccg_lexicon, w)] == ["[S, 0, 3]"]
+    assert _goals(sys, ccg_lexicon, w) == ["[S, 0, 3]"]
 
 
 def test_tag_terminal_axioms_cover_matching_leaves(trip_grammar):
     w = tokenize("Trip rumbas nimbly")
     sys = make_tag()
-    rendered = [render_item("tag", a) for a in sys.axioms(trip_grammar, w)]
+    rendered = _axioms(sys, trip_grammar, w)
     assert rendered == [
         "[alpha@1.1, above, 0, _, _, 1]",
         "[alpha@2.1.1, above, 1, _, _, 2]",
         "[beta@2.1, above, 2, _, _, 3]",
     ]
-    goals = sys.goal_patterns(trip_grammar, w)
-    assert [render_item("tag", g) for g in goals] == ["[alpha@e, above, 0, _, _, 3]"]
+    assert _goals(sys, trip_grammar, w) == ["[alpha@e, above, 0, _, _, 3]"]
 
 
 def test_tag_foot_axiom_mode_enumerates_every_span(trip_grammar):
     w = tokenize("Trip rumbas nimbly")
     sys = make_tag(foot_mode="foot_axiom")
-    feet = [
-        a for a in sys.axioms(trip_grammar, w)
-        if render_item("tag", a).startswith("[beta@1,")
-    ]
+    feet = [a for a in _axioms(sys, trip_grammar, w) if a.startswith("[beta@1,")]
     assert len(feet) == 10  # all 0 <= p <= q <= 3
-    assert render_item("tag", feet[0]) == "[beta@1, below, 0, 0, 0, 0]"
-    assert render_item("tag", feet[-1]) == "[beta@1, below, 3, 3, 3, 3]"
+    assert feet[0] == "[beta@1, below, 0, 0, 0, 0]"
+    assert feet[-1] == "[beta@1, below, 3, 3, 3, 3]"
 
 
 def test_tag_empty_leaf_axioms_cover_every_position(counting_grammar):
     w = tokenize("a b c d")
     sys = make_tag()
-    eps = [
-        a for a in sys.axioms(counting_grammar, w)
-        if render_item("tag", a).startswith("[alpha@1,")
-    ]
+    eps = [a for a in _axioms(sys, counting_grammar, w) if a.startswith("[alpha@1,")]
     assert len(eps) == 5
-    assert render_item("tag", eps[0]) == "[alpha@1, above, 0, _, _, 0]"
+    assert eps[0] == "[alpha@1, above, 0, _, _, 0]"
 
 
 def test_tag_foot_mode_is_validated():
@@ -365,11 +386,8 @@ def _succ_word_at(tokens, j: int) -> list:
 
 
 def _child_undefined(grammar, tree_name: str, address: tuple) -> bool:
-    try:
-        tree = grammar.tree(tree_name)
-    except KeyError:
-        return False
-    return address not in tree.nodes
+    tree = {t.name: t for t in grammar.trees}.get(tree_name)
+    return tree is not None and address not in tree.nodes
 
 
 def test_word_agrees_with_succ_and_word_at_on_every_fixture_sentence(toy_grammar):
@@ -391,6 +409,95 @@ def test_child_undefined_agrees_with_the_tree_shapes_on_every_fixture_tag():
         for tree_name, address in probes:
             subs = eval_side_condition("child_undefined", (node_ref(tree_name, address),), g, w)
             assert len(subs) == _child_undefined(g, tree_name, address), (name, tree_name, address)
+
+
+# The axiom rules against the six axiom loops they replaced, restated
+# here.  They enqueue the same axioms in the same order, except that a
+# TAG's empty-leaf axioms now come before all of its word-leaf axioms.
+
+def _axiom_loops(system, grammar, w) -> list:
+    """The axioms that the loop of ``system`` made, in its order."""
+    tokens, zero = w.tokens, Const(0)
+    if system.name == "topdown":
+        return [Compound("td", (mklist([s]), zero)) for s in grammar.starts]
+    if system.name == "bottomup":
+        return [Compound("bu", (NIL, zero))]
+    if system.name == "earley":
+        return [er(0, Const("S'"), NIL, mklist([s]), 0) for s in grammar.starts]
+    if system.name in ("cyk", "ccg"):
+        entries = grammar.lexicon if system.name == "cyk" else grammar.entries
+        functor = "cyk" if system.name == "cyk" else "cc"
+        return [Compound(functor, (cat, Const(pos), Const(pos + 1)))
+                for word, cat in entries for pos, tok in enumerate(tokens) if tok == word]
+    out = []
+    for tree in grammar.trees:
+        for addr, label in tree.nodes.items():
+            if tree.children(addr) or addr == tree.foot:
+                continue
+            spans = ([(p, p) for p in range(w.n + 1)] if label == EPSILON
+                     else [(p, p + 1) for p, tok in enumerate(tokens) if tok == label])
+            out += [Compound("tg", (node_ref(tree.name, addr), Const("above"),
+                                    Const(i), BOTTOM, BOTTOM, Const(j))) for i, j in spans]
+    if "foot_axiom" in [rule.name for rule in system.axiom_rules]:
+        out += [Compound("tg", (node_ref(tree.name, tree.foot), Const("below"),
+                                *map(Const, (p, p, q, q))))
+                for tree in grammar.auxiliaries
+                for p in range(w.n + 1) for q in range(p, w.n + 1)]
+    return out
+
+
+def _empty_leaves_first(axioms) -> list:
+    """A TAG's axioms with the empty leaves' moved, in order, before
+    the others: those span nothing above their node."""
+    return sorted(axioms, key=lambda a: not (a.functor == "tg" and a.args[1] == Const("above")
+                                             and a.args[2] == a.args[5]))
+
+
+def _enqueued(system, grammar, w) -> list:
+    """What a parse of no pops hands to ``enqueue``: its axioms."""
+    made = []
+    enqueue = ItemStore.enqueue
+
+    def recording(store, item, history):
+        made.append(item)
+        return enqueue(store, item, history)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ItemStore, "enqueue", recording)
+        parse(system, grammar, w, ParseOptions(step_limit=0))
+    return made
+
+
+def _assert_the_loop_order(system, grammar, w):
+    got = [canonical(a) for a in _enqueued(system, grammar, w)]
+    want = [canonical(a) for a in _empty_leaves_first(_axiom_loops(system, grammar, w))]
+    assert got == want, (system.name, w.tokens)
+
+
+def test_the_axiom_rules_enqueue_what_the_axiom_loops_made():
+    for _, name, kwargs, grammar, sentence, _ in _cases():
+        _assert_the_loop_order(system_for(name, **kwargs), _grammar(grammar), tokenize(sentence))
+    rng = random.Random(2)
+    for n in range(100):
+        g = load_cf("\n".join((_random_cnf_lines if n % 2 else _random_cf_lines)(rng)))
+        names = ["topdown", "bottomup", "earley"] + ([] if validate_cnf(g) else ["cyk"])
+        for length in range(4):
+            w = tokenize(" ".join(rng.choice(sorted(g.terminals) + ["z"]) for _ in range(length)))
+            for name in names:
+                _assert_the_loop_order(system_for(name), g, w)
+
+
+def test_a_tags_empty_leaf_axioms_come_before_its_word_leaf_axioms():
+    # Here the word leaf precedes the empty leaf in the tree, so the
+    # order departs from the loop's.
+    g = load_tag("start S\ninitial alpha (S (A x) (B eps))\n")
+    w = tokenize("x")
+    loop = _axiom_loops(make_tag(), g, w)
+    assert [render_item("tag", a) for a in loop] == [
+        "[alpha@1.1, above, 0, _, _, 1]", "[alpha@2.1, above, 0, _, _, 0]",
+        "[alpha@2.1, above, 1, _, _, 1]"]
+    assert _enqueued(make_tag(), g, w) == loop[1:] + loop[:1]
+    assert parse(make_tag(), g, w).accepted
 
 
 def test_production_includes_lexicon_as_unary_rules(toy_grammar):
@@ -417,12 +524,11 @@ def test_lex_entries_are_renamed_per_use():
     g = load_cf("start np\nlex a np(X)\nlex b np(X)\n")
     premises = [t("w(W1)"), t("w(W2)"), SideCondition("lex", (Var("W1"), Var("P1"))),
                 SideCondition("lex", (Var("W2"), Var("P2")))]
+    word = SideCondition("word", (Var("I"), Var("J"), Var("W")))
     system = DeductionSystem(
         name="lex_pairs",
         grammar_class=CfGrammar,
-        rules=(Rule("pair", premises, t("pair(P1, P2)")),),
-        axioms=lambda grammar, w: [Compound("w", (Const(tok),)) for tok in w.tokens],
-        goal_patterns=lambda grammar, w: [],
+        rules=(Rule("axiom", [word], t("w(W)")), Rule("pair", premises, t("pair(P1, P2)"))),
     )
     r = parse(system, g, tokenize("a b"))
     # The first pair subsumes the other three.
@@ -618,12 +724,15 @@ def test_adjoinable_lists_label_matching_nodes(trip_grammar):
     ) == []
 
 
-def test_node_label_and_child_undefined(trip_grammar):
+def test_leaf_and_child_undefined(trip_grammar, counting_grammar):
     w = tokenize("Trip rumbas nimbly")
-    [s] = eval_side_condition(
-        "node_label", (node_ref("alpha", (2,)), Var("L")), trip_grammar, w
-    )
-    assert s.apply(Var("L")) == Const("VP")
+    [s] = eval_side_condition("leaf", (Var("N"), Const("rumbas")), trip_grammar, w)
+    assert s.apply(Var("N")) == node_ref("alpha", (2, 1, 1))
+    # Neither an inner node nor a foot is a leaf; an empty leaf's label is ''.
+    for node in (node_ref("alpha", (2,)), node_ref("beta", (1,))):
+        assert eval_side_condition("leaf", (node, Var("L")), trip_grammar, w) == []
+    [s] = eval_side_condition("leaf", (node_ref("alpha", (1,)), Var("L")), counting_grammar, w)
+    assert s.apply(Var("L")) == Const("")
     assert eval_side_condition(
         "child_undefined", (node_ref("alpha", (1, 2)),), trip_grammar, w
     ) != []
@@ -662,24 +771,71 @@ def test_builtins_on_the_wrong_grammar_class_complain(ccg_lexicon):
         eval_side_condition("production", (Var("A"), Var("G")), ccg_lexicon, w)
 
 
-# ---- restriction transform ----
+# ---- restricted prediction ----
 
-def test_restricted_prediction_abstracts_deep_arguments():
+def test_restricted_prediction_abstracts_deep_arguments(toy_grammar):
+    # restrict(B, 2, RB) cuts the predicted symbol at depth 2, before a
+    # production is chosen for it.
     sys = make_earley(restriction_depth=2)
     [predict] = _rule(sys, "predict").clauses
-    assert predict.transform is not None
-    item = er(0, t("r(s(s(s(0))), N)"), NIL, cons(t("r(s(s(s(0))), N)"), NIL), 0)
-    out = predict.transform(item, VarSource())
-    _, lhs, _, after, _ = out.args
-    assert subsumes(lhs, t("r(s(s(s(0))), N)"))
-    assert render_term(lhs).startswith("r(s(")
-    first = after.args[0]
-    assert subsumes(first, t("r(s(s(s(0))), N)"))
+    assert _restricts(predict)
+    deep = t("r(s(s(s(0))), N)")
+    [s] = eval_side_condition("restrict", (deep, Const(2), Var("RB")), toy_grammar,
+                              tokenize(""))
+    restricted = s.apply(Var("RB"))
+    assert subsumes(restricted, deep) and not subsumes(deep, restricted)
+    assert render_term(canonical(restricted)) == render_term(canonical(t("r(s(X), N)")))
+    # Depth 0 abstracts the whole symbol; a shallow one is kept.
+    [s] = eval_side_condition("restrict", (deep, Const(0), Var("RB")), toy_grammar,
+                              tokenize(""))
+    assert type(s.apply(Var("RB"))) is Var
+    [s] = eval_side_condition("restrict", (t("r(0, N)"), Const(2), Var("RB")), toy_grammar,
+                              tokenize(""))
+    assert s.apply(Var("RB")) == t("r(0, N)")
 
 
-def test_unrestricted_prediction_has_no_transform():
+def test_unrestricted_prediction_does_not_restrict():
     sys = make_earley()
-    assert all(c.transform is None for c in _rule(sys, "predict").clauses)
+    assert not any(_restricts(c) for c in sys.clauses)
+
+
+# The shared variable A ties the two symbols' arguments together; a
+# restriction that abstracted the right-hand side after choosing the
+# production lost it and accepted "p s" and "q r".
+SHARED = """start s
+s -> x(f(A)) y(f(A))
+x(f(a)) -> 'p'
+x(f(b)) -> 'q'
+y(f(a)) -> 'r'
+y(f(b)) -> 's'
+"""
+
+
+def _sentences(words, longest):
+    for n in range(longest + 1):
+        yield from (" ".join(s) for s in itertools.product(words, repeat=n))
+
+
+def test_restricted_prediction_keeps_the_verdicts_of_plain_earley_and_top_down(abn_grammar):
+    shared = load_cf(SHARED)
+    for sentence in _sentences("pqrs", 3):
+        w = tokenize(sentence)
+        verdicts = {parse(system, shared, w).accepted
+                    for system in (make_earley(), make_topdown())}
+        assert len(verdicts) == 1, sentence
+        for depth in range(4):
+            r = parse(make_earley(restriction_depth=depth), shared, w)
+            assert not r.halted_by_limit and {r.accepted} == verdicts, (sentence, depth)
+    # On the counting DCG, unrestricted prediction never stops, so the
+    # verdicts are bottom-up's, which is the language a b^n.
+    for sentence in _sentences("ab", 3):
+        w = tokenize(sentence)
+        verdict = parse(make_bottomup(), abn_grammar, w).accepted
+        assert verdict == (sentence[:1] == "a" and "a" not in sentence[1:]), sentence
+        for depth in range(4):
+            r = parse(make_earley(restriction_depth=depth), abn_grammar, w)
+            assert not r.halted_by_limit and r.accepted == verdict, (sentence, depth)
+            assert check_soundness(r) == []
 
 
 # ---- mode analysis ----
