@@ -92,32 +92,61 @@ class FactTable:
     two of its rows share a variable.
 
     ``answers(args)`` iterates over the rows that may unify with
-    ``name(args)``, in row order: the ground rows holding the first
-    ground argument at its position, and every non-ground row; with no
-    ground argument, every row.  An answer is the row itself.  A
-    position's index is built when a call first looks it up, so a
-    position no call binds first costs nothing.
+    ``name(args)``, in row order, looked up at the first ground
+    argument: the ground rows holding it at its position, and the
+    non-ground rows holding a variable there or a term of its principal
+    symbol; with no ground argument, every row.  An answer is the row
+    itself.  A position's index is built when a call first looks it
+    up, so a position no call binds first costs nothing.
     """
 
-    __slots__ = ("rows", "_open", "_by_arg")
+    __slots__ = ("rows", "_by_arg")
 
     def __init__(self, name: str, rows, fresh: VarSource):
         rows = [Compound(name, tuple(a)) for a in rows]
         self.rows = tuple(r if r.ground else rename_with(r, {}, fresh) for r in rows)
-        self._open = tuple(r for r in self.rows if not r.ground)
-        # Per position: term -> rows that may unify there, or None until
-        # a call first looks the position up.
+        # Per position: its ``_index``, or None until a call first
+        # looks the position up.
         self._by_arg = [None] * (len(self.rows[0].args) if self.rows else 0)
+
+    def _index(self, pos: int) -> tuple:
+        """(term -> its rows, symbol -> the rows of a term of that
+        principal symbol without a key of its own, the rows of any other
+        term) at position ``pos``."""
+        keyed = {r.args[pos]: [] for r in self.rows if r.ground}
+        other: dict = {}
+        wild: list = []  # the rows with a variable at ``pos``
+        lists: dict = {}  # symbol -> every list above for a term of it
+        for key, found in keyed.items():
+            lists.setdefault(principal(key), []).append(found)
+        for row in self.rows:
+            a = row.args[pos]
+            if row.ground:
+                keyed[a].append(row)
+                continue
+            s = principal(a)
+            if s is None:
+                wild.append(row)
+                targets = [found for same in lists.values() for found in same]
+            else:
+                if s not in other:
+                    other[s] = list(wild)
+                    lists.setdefault(s, []).append(other[s])
+                targets = lists[s]
+            for found in targets:
+                found.append(row)
+        return keyed, other, wild
 
     def answers(self, args):
         for pos, (index, a) in enumerate(zip(self._by_arg, args)):
             if a.ground:
                 if index is None:
-                    index = self._by_arg[pos] = {r.args[pos]: [] for r in self.rows if r.ground}
-                    for row in self.rows:
-                        for key in (row.args[pos],) if row.ground else index:
-                            index[key].append(row)
-                return iter(index.get(a, self._open))
+                    index = self._by_arg[pos] = self._index(pos)
+                keyed, other, wild = index
+                found = keyed.get(a)
+                if found is None:
+                    found = other.get(principal(a), wild)
+                return iter(found)
         return iter(self.rows)
 
 

@@ -3,11 +3,12 @@
 A clause program carries the clause's variables as a tuple of registers,
 numbered in the order of their first occurrence, and hands each choice
 to a step: a function generated from one pattern (the trigger, a chart
-premise or a side condition) that loads the
-registers it needs into Python locals, matches one value and returns the
-registers extended by the variables it met first, or None.  The last
-step of a clause builds its consequent instead and returns it.  Steps
-read the helpers below as globals of this module.
+premise or a side condition) that loads the registers it needs into
+Python locals, matches one value, ground or not, with one inline path,
+and returns the registers extended by the variables it met first, or
+None.  The last step of a clause builds its consequent from the
+registers as they are and returns it.  Steps read the helpers below as
+globals of this module.
 """
 
 from __future__ import annotations
@@ -27,16 +28,23 @@ class _Step:
     from the tuple ``r`` by indices that are values, so the source
     depends only on the step's pattern shape and on which of its
     variables it is given.  Wherever a pattern meets a value, ``unify``
-    or ``match`` generates the code:
+    or ``match`` generates the code, one inline path for ground and
+    non-ground values (Warren 1983):
 
-    - a ground value is matched inline: functor, arity and constants
-      are checked, a variable's first occurrence stores into its local
-      and a later one compares with it, by ``is`` or ``==`` when the
-      local is ground and through ``bind`` when it is not;
-    - a non-ground value is bound to the pattern built from the locals,
-      with the compiled ``Var`` for each variable not yet assigned, by
-      one ``bind`` call, or a side condition's answer by one per
-      argument; those locals then hold their ``Var``.
+    - a variable's first occurrence stores the value, whatever it is,
+      in its local; no stored item holds a clause variable, so this
+      needs no occurs check;
+    - a later occurrence, or a constant, compares by ``is`` or ``==``
+      when both sides are ground and through ``bind`` otherwise;
+    - a compound checks the value's functor and arity and matches its
+      arguments, unless the value is a variable: that is bound to the
+      sub-pattern built from the locals, with the compiled ``Var`` for
+      each variable not yet assigned, and those locals then hold their
+      ``Var``.
+
+    A side condition's answer keeps a fork: a ground one is matched
+    inline, a non-ground one bound argument by argument, since a builtin
+    may hand back, inside an answer, a clause variable it was passed.
     """
 
     def __init__(self, names: dict):
@@ -46,15 +54,15 @@ class _Step:
         self.body: list = []
         self.local: dict = {}  # clause variable id -> its local in the step
         self.temps = itertools.count()
-        self.built: dict = {}  # clause variable id -> the local holding its resolved value
 
     def value(self, x) -> str:
         self.values.append(x)
         return f"k{len(self.values) - 1}"
 
-    def held(self, t: Term) -> list:
-        """The locals of ``t``'s variables that have one."""
-        return [self.local[v] for v in term_vars(t) if v in self.local]
+    def held(self, t: Term, fresh=()) -> list:
+        """The locals of ``t``'s variables that have one assigned: not
+        in ``fresh``."""
+        return [self.local[v] for v in term_vars(t) if v in self.local and v not in fresh]
 
     def load(self, *ts) -> None:
         """Code loading the registers of ``ts``'s variables into locals."""
@@ -72,85 +80,94 @@ class _Step:
             self.local[v] = f"v{len(self.local)}"
         return new
 
-    def build(self, t: Term) -> str:
+    def build(self, t: Term, fresh=()) -> str:
         """An expression for ``t`` over the locals: a variable with a
-        register is its local, any other its compiled ``Var``."""
-        if not self.held(t):
+        local assigned is that local, any other its compiled ``Var``."""
+        if not self.held(t, fresh):
             return self.value(t)
         if type(t) is Var:
             return self.local[t.id]
-        return f"Compound({self.value(t.functor)}, ({''.join(self.build(a) + ', ' for a in t.args)}))"
+        args = "".join(self.build(a, fresh) + ", " for a in t.args)
+        return f"Compound({self.value(t.functor)}, ({args}))"
 
-    def match(self, p: Term, t: str, pad: str, fail: str, fresh: set, checked=False) -> None:
-        """Inline code matching ``p`` against the ground value in ``t``;
-        a variable in ``fresh`` is stored at its first occurrence.  When
-        ``checked``, ``t`` is known to have ``p``'s functor and arity."""
+    def match(self, p: Term, t: str, pad: str, fresh: set, ground=False) -> None:
+        """Inline code matching ``p`` against the value in ``t``, which
+        is known to be ground when ``ground``; a variable in ``fresh`` is
+        stored at its first occurrence."""
         if p.ground:
             k = self.value(p)
-            self.body.append(f"{pad}if {t} is not {k} and {t} != {k}: {fail}")
+            test = f"{t} != {k}" if ground else (
+                f"({t} != {k} if {t}.ground else not bind({k}, {t}, env, trail))")
+            self.body.append(f"{pad}if {t} is not {k} and {test}: return")
         elif type(p) is Var:
             v = self.local[p.id]
             if p.id in fresh:
                 fresh.discard(p.id)
                 self.body.append(f"{pad}{v} = {t}")
             else:
-                self.body.append(f"{pad}if {t} is not {v} and not ({t} == {v} if {v}.ground"
-                                 f" else bind({v}, {t}, env, trail)): {fail}")
+                both = f"{v}.ground" if ground else f"{v}.ground and {t}.ground"
+                self.body.append(f"{pad}if {t} is not {v} and ({t} != {v} if {both}"
+                                 f" else not bind({v}, {t}, env, trail)): return")
         else:
-            if not checked:
-                self.body.append(f"{pad}if type({t}) is not Compound or {t}.functor != "
-                                 f"{self.value(p.functor)} or len({t}.args) != {len(p.args)}:"
-                                 f" {fail}")
-            subs = []
-            for a in p.args:
-                if type(a) is Var and a.id in fresh:
-                    fresh.discard(a.id)
-                    subs.append((None, self.local[a.id]))
-                else:
-                    subs.append((a, f"g{next(self.temps)}"))
-            self.body.append(f"{pad}{''.join(s + ', ' for _, s in subs)}= {t}.args")
-            for a, s in subs:
-                if a is not None:
-                    self.match(a, s, pad, fail, fresh)
+            shape = f"{t}.functor != {self.value(p.functor)} or len({t}.args) != {len(p.args)}"
+            if ground:
+                self.body.append(f"{pad}if type({t}) is not Compound or {shape}: return")
+            else:
+                new = [v for v in term_vars(p) if v in fresh]
+                self.body += [
+                    f"{pad}if type({t}) is not Compound:",
+                    f"{pad}    if type({t}) is not Var"
+                    f" or not bind({self.build(p, fresh)}, {t}, env, trail): return",
+                    *(f"{pad}    {self.local[v]} = {self.value(Var(v))}" for v in new),
+                    f"{pad}elif {shape}: return",
+                    f"{pad}else:",
+                ]
+                pad += "    "
+            self.args(p, t, pad, fresh, ground)
+
+    def args(self, p: Compound, t: str, pad: str, fresh: set, ground: bool) -> None:
+        """Code matching the arguments of ``p`` against those of the
+        compound in ``t``, which has ``p``'s functor and arity."""
+        subs = []
+        for a in p.args:
+            if type(a) is Var and a.id in fresh:
+                fresh.discard(a.id)
+                subs.append((None, self.local[a.id]))
+            else:
+                subs.append((a, f"g{next(self.temps)}"))
+        self.body.append(f"{pad}{''.join(s + ', ' for _, s in subs)}= {t}.args")
+        for a, s in subs:
+            if a is not None:
+                self.match(a, s, pad, fresh, ground)
 
     def unify(self, p: Term, t: str, answer: bool) -> None:
-        """Code making the value in ``t`` equal ``p``, ground or not.  An
-        ``answer`` has ``p``'s functor and arity already, and a
-        non-ground one is bound argument by argument, skipping an
-        argument that is the very object the pattern's is: a builtin
-        passes its arguments through."""
-        built = [self.build(a) for a in p.args] if answer else self.build(p)
+        """Code making the value in ``t`` equal ``p``.  An ``answer`` to
+        a condition with variables has ``p``'s functor and arity
+        already; a ground one is matched inline, and a non-ground one is
+        bound argument by argument, skipping an argument that is the very
+        object the pattern's is: a builtin passes its arguments through."""
+        if not answer or p.ground:
+            self.match(p, t, "", set(self.name(p)))
+            return
+        built = [self.build(a) for a in p.args]
         fresh = self.name(p)
         self.body.append(f"if {t}.ground:")
-        self.match(p, t, "    ", "return", set(fresh), answer)
-        self.body.append("else:")
-        if answer:
-            gs = [f"g{next(self.temps)}" for _ in p.args]
-            # A condition of no arguments has only ground answers.
-            self.body.append(f"    {''.join(g + ', ' for g in gs)}= {t}.args" if gs
-                             else "    return")
-            for b, g in zip(built, gs):
-                # ``b`` names the pattern's own value, unless it builds one.
-                own = "" if b.startswith("Compound(") else f"{g} is not {b} and "
-                self.body.append(f"    if {own}not bind({b}, {g}, env, trail): return")
-        else:
-            self.body.append(f"    if not bind({built}, {t}, env, trail): return")
+        self.args(p, t, "    ", set(fresh), True)
+        gs = [f"g{next(self.temps)}" for _ in p.args]
+        self.body += ["else:", f"    {''.join(g + ', ' for g in gs)}= {t}.args"]
+        for b, g in zip(built, gs):
+            # ``b`` names the pattern's own value, unless it builds one.
+            own = "" if b.startswith("Compound(") else f"{g} is not {b} and "
+            self.body.append(f"    if {own}not bind({b}, {g}, env, trail): return")
         self.body += [f"    {self.local[v]} = {self.value(Var(v))}" for v in fresh]
 
     def expr(self, t: Term) -> str:
         """An expression for the consequent's subterm ``t``, built from
-        the locals through ``table``."""
+        the locals as they are, a compound through ``table``."""
         if t.ground:
             return self.value(t)
         if type(t) is Var:
-            x = self.built.get(t.id)
-            if x is None:
-                x = self.built[t.id] = f"x{len(self.built)}"
-                # A non-ground local holds its clause ``Var``; ``env`` may bind it.
-                self.body += [f"{x} = {self.local[t.id]}", f"if not {x}.ground:",
-                              f"    {x} = env.get({x}.id, {x})",
-                              f"    if not {x}.ground: {x} = resolve({x}, env)"]
-            return x
+            return self.local[t.id]
         subs = [self.expr(a) for a in t.args]
         f, y = self.value(t.functor), f"y{next(self.temps)}"
         self.body += [

@@ -15,13 +15,17 @@ an item at those paths (a constant's name, a compound's functor and
 arity).  Items with a variable on a path sit in the index's wildcard
 list, merged in ascending order into every lookup, so matches come back
 in chart order; a pattern with a variable on a path scans the chart.
-The subsumption check looks only at non-ground items of the new item's
-functor that agree with it on the symbols of its top-level arguments.
+The subsumption check asks a discrimination tree (McCune 1992; Graf
+1996) over the non-ground items, keyed by their principal symbols in
+preorder down to a fixed depth, with a variable, or a subterm below that
+depth, read as a wildcard: it yields the items whose symbols generalise
+the new item's, in ascending order, and ``subsumes`` confirms each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import merge
 from operator import itemgetter
 
 from .terms import (
@@ -126,6 +130,32 @@ class _Index:
         return sorted(hits + self.wild)
 
 
+# The depth (the root's is 0) at and below which the subsumption tree
+# reads every subterm as a wildcard.  A deeper tree turns away more
+# candidates but costs more to walk.  On abn.dcg, bottom-up "a b b b a"
+# checks 2,027, 876, 320, 72 and 0 candidates for its 267 enqueues at
+# depths 3 to 7; no depth bound at all doubled restricted Earley on
+# a b^40, whose items hold successor chains 40 deep.
+TREE_DEPTH = 6
+
+
+def _preorder(t: Term) -> list:
+    """The principal symbols of ``t`` in preorder, with None for a
+    variable and for a subterm at depth ``TREE_DEPTH`` or below."""
+    out = []
+    stack = [(t, 0)]
+    while stack:
+        s, depth = stack.pop()
+        if depth >= TREE_DEPTH or type(s) is Var:
+            out.append(None)
+        elif type(s) is Compound:
+            out.append((s.functor, len(s.args)))
+            stack.extend((a, depth + 1) for a in reversed(s.args))
+        else:
+            out.append(s.name)
+    return out
+
+
 class ItemStore:
     """Chart and agenda in one sequence, with one index per mode in
     ``modes``, the (principal symbol, paths) pairs of
@@ -139,10 +169,12 @@ class ItemStore:
         self._by_functor: dict = {}
         for (symbol, _paths), index in self._indexes.items():
             self._by_functor.setdefault(symbol, []).append(index)
-        # Per functor, the non-ground items keyed on their top-level
-        # arguments: the candidates for subsuming a later item.
-        self._nonground: dict = {}
-        self._variable = None  # index of a stored bare variable
+        # The discrimination tree of the non-ground items, the
+        # candidates for subsuming a later item: a node maps a symbol of
+        # ``_preorder``, None for the wildcard, to the next node, and the
+        # last symbol of an item to the ascending indices of the items
+        # that end there.
+        self._tree: dict = {}
         # The (item index, history) of every justification recorded
         # since the last pop.
         self._justified: set = set()
@@ -186,23 +218,47 @@ class ItemStore:
 
     # ---- growth ----
 
+    def _generalisers(self, t: Term):
+        """Ascending indices of the non-ground items whose symbols in the
+        tree generalise ``t``'s: every item that subsumes ``t``, and
+        maybe some that do not."""
+        leaves = []
+        # (node, the subterms of ``t`` still to read from it, as nested
+        # (term, depth, the rest) triples, None when none is left)
+        pending = [(self._tree, (t, 0, None))]
+        while pending:
+            node, (s, depth, rest) = pending.pop()
+            # The wildcard's edge skips ``s``, its symbol's edge reads it.
+            for wildcard in (True, False):
+                if wildcard:
+                    child = node.get(None)
+                elif depth >= TREE_DEPTH or type(s) is Var:
+                    break
+                elif type(s) is Compound:
+                    child = node.get((s.functor, len(s.args)))
+                    if child is not None:
+                        for a in reversed(s.args):
+                            rest = (a, depth + 1, rest)
+                else:
+                    child = node.get(s.name)
+                if child is not None:
+                    if rest is None:
+                        leaves.append(child)
+                    else:
+                        pending.append((child, rest))
+        return leaves[0] if len(leaves) == 1 else merge(*leaves) if leaves else ()
+
     def _subsumer(self, item: Term):
         """Index of the first stored non-ground item subsuming ``item``,
         or None.  ``enqueue`` has already looked a ground ``item`` up
         among the ground items."""
-        found = None
-        nonground = self._nonground.get(principal(item))
-        if nonground is not None:
-            key = _key(item, nonground.paths)
-            # Only an item with a variable on a path can subsume one
-            # with a variable there.
-            for idx in nonground.wild if key is None else nonground.candidates(key):
-                if subsumes(self._items[idx - 1].item, item):
-                    found = idx
-                    break
-        if self._variable is not None and (found is None or self._variable < found):
-            return self._variable
-        return found
+        if not self._tree:
+            return None
+        items = self._items
+        for idx in self._generalisers(item):
+            if subsumes(items[idx - 1].item, item):
+                return idx
+        return None
 
     def enqueue(self, item: Term, history: History):
         """Add an item, or record ``history`` on the subsuming earlier
@@ -234,17 +290,16 @@ class ItemStore:
         symbol = principal(item)
         if item.ground:
             self._ground[item] = index
-        elif symbol is None:
-            # A bare variable subsumes, and unifies with, every item.
-            self._variable = index
-            for moded in self._indexes.values():
-                moded.wild.append(index)
         else:
-            nonground = self._nonground.get(symbol)
-            if nonground is None:
-                top = tuple((k,) for k in range(len(item.args)))
-                nonground = self._nonground[symbol] = _Index(top)
-            nonground.add(index, _key(item, nonground.paths))
+            node = self._tree
+            *path, last = _preorder(item)
+            for s in path:
+                node = node.setdefault(s, {})
+            node.setdefault(last, []).append(index)
+            if symbol is None:
+                # A bare variable unifies with every item.
+                for moded in self._indexes.values():
+                    moded.wild.append(index)
         for moded in self._by_functor.get(symbol, ()):
             moded.add(index, _key(item, moded.paths))
         return index, True
@@ -321,10 +376,9 @@ class ItemStore:
         goal; one more general still has the goal among its instances
         (DCG goals with open arguments land here).  Neither is renamed,
         which cannot change what ``subsumes`` answers.  A ground pattern
-        is looked up in the indexes: its only instance is itself, and
-        the items subsuming it are a bare variable and the non-ground
-        candidates ``_subsumer`` checks.  Any other pattern scans the
-        chart.
+        is looked up in the ground items, its only instance being
+        itself, and in the subsumption tree.  Any other pattern scans
+        the chart.
         """
         head = self._head
         items = self._items
@@ -335,11 +389,8 @@ class ItemStore:
                              if subsumes(p, s.item) or subsumes(s.item, p))
                 continue
             found.add(self._ground.get(p))
-            found.add(self._variable)
-            nonground = self._nonground.get(principal(p))
-            if nonground is not None:
-                found.update(i for i in nonground.candidates(_key(p, nonground.paths))
-                             if subsumes(items[i - 1].item, p))
+            found.update(i for i in self._generalisers(p)
+                         if i < head and subsumes(items[i - 1].item, p))
         return sorted(i for i in found if i is not None and i < head)
 
     def dump(self, render=render_term) -> str:

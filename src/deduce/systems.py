@@ -212,12 +212,14 @@ def program_source(clause: RuleClause) -> tuple:
     The variables of ``clause.compiled`` are numbered in the order of
     their first occurrence, and the program carries their values as a
     tuple of registers, as a compiled Prolog clause keeps its variables
-    in registers (Warren 1983).  A register holds the variable's value
-    when that is ground, and otherwise the compiled ``Var`` itself,
-    whose binding, if any, is in ``env``.  So ``env`` and its trail hold
-    only bindings of term variables: of non-ground items and answers,
-    and of clause variables that escape into such a binding.  A ground
-    parse never writes ``env``.
+    in registers (Warren 1983).  A register holds what the variable's
+    first occurrence met, ground or not, a sub-term of the trigger or a
+    candidate; or the compiled ``Var`` itself where the variable was
+    first met inside a sub-pattern bound to a term variable, or in a
+    non-ground answer, and its binding, if any, is in ``env``.  So
+    ``env`` and its trail hold only bindings of term variables: of
+    non-ground items and answers, and of clause variables that escape
+    into such a binding.  A ground parse never writes ``env``.
 
     The trigger, the candidates and the answers are bound in place, not
     copied (structure sharing; Boyer & Moore 1972), on the invariant
@@ -244,8 +246,9 @@ def program_source(clause: RuleClause) -> tuple:
     - A side condition ``p(Args)`` takes its arguments from an argument
       step and calls its builtin, looked up in ``REGISTRY`` at each
       call, through ``builtin_answers``.  Each answer is an instance of
-      ``p(Args)``, matched against it as a candidate is matched against
-      its pattern.
+      ``p(Args)``: a ground one is matched against it as a candidate is
+      matched against its pattern, a non-ground one bound to it
+      argument by argument.
 
     Each loop undoes the trail to its own mark before each choice, so a
     failed binding just moves on to the next.  The last step builds the
@@ -254,11 +257,12 @@ def program_source(clause: RuleClause) -> tuple:
     a variable is looked up under ``(functor, id(arg), ...)``, so one
     built from the same argument objects is the object built first, and
     a new ground one is stored there.  A duplicate consequent is thus
-    the stored item itself.  The program renames the consequent from
-    ``source`` when it is not ground, so no stored item keeps a clause
-    variable.  It then hands the consequent and its ``History`` to
-    ``enqueue`` at once; the history is built by ``tuple.__new__``, so
-    no Python code runs for it.
+    the stored item itself.  A consequent that is not ground is built
+    from the registers as they are, then resolved through ``env`` and
+    renamed from ``source`` in one walk (``rename_with``), so no stored
+    item keeps a clause variable.  It then hands the consequent and its
+    ``History`` to ``enqueue`` at once; the history is built by
+    ``tuple.__new__``, so no Python code runs for it.
 
     The source depends only on the kinds of the premises and the slots
     of the antecedents: every step, constant, rule name and mode is a
@@ -320,7 +324,7 @@ def program_source(clause: RuleClause) -> tuple:
         pad += "    "
     antecedents = "".join(slots[s] + ", " for s in range(clause.n_antecedents))
     body += [
-        f"{pad}if not out.ground: out = rename_with(out, {{}}, source)",
+        f"{pad}if not out.ground: out = rename_with(out, {{}}, source, env)",
         f"{pad}enqueue(out, {value(tuple.__new__)}({value(History)},"
         f" ({value(clause.rule_name)}, ({antecedents}))))",
     ]

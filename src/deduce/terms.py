@@ -479,35 +479,52 @@ def space_source(name: str) -> VarSource:
     return VarSource(-(FRESH_SPACES.index(name) + 1), -n)
 
 
-def _renamed(t: Term, mapping: dict, fresh) -> Term:
-    """``t`` with each variable replaced by its value in ``mapping``;
-    a variable not there yet gets ``fresh()``, drawn in first-occurrence
-    order.  The walk keeps its own stack of (compound, arguments rebuilt
-    so far), so a term of any depth renames."""
+_UNBOUND: dict = {}  # the empty environment; nothing writes it
+
+
+def _renamed(t: Term, mapping: dict, fresh, env: dict = _UNBOUND) -> Term:
+    """``t`` resolved through ``env``, as ``resolve`` reads it, with
+    each variable left unbound replaced by its value in ``mapping``; a
+    variable not there yet gets ``fresh()``, drawn in first-occurrence
+    order of the resolved term.  The walk keeps its own stack of
+    (compound, arguments rebuilt so far), so a term of any depth
+    renames."""
+    while type(t) is Var:
+        got = mapping.get(t.id)
+        if got is not None:
+            return got
+        nxt = env.get(t.id)
+        if nxt is None:
+            got = mapping[t.id] = fresh()
+            return got
+        t = nxt
     if t.ground:
         return t
-    if type(t) is Var:
-        got = mapping.get(t.id)
-        if got is None:
-            got = mapping[t.id] = fresh()
-        return got
     stack = []
     node, done = t, []
     while True:
         args = node.args
         for k in range(len(done), len(args)):
             a = args[k]
-            if a.ground:
-                done.append(a)
-            elif type(a) is Var:
+            # A variable reads as its rename, or else as its binding.
+            while type(a) is Var:
                 got = mapping.get(a.id)
-                if got is None:
+                if got is not None:
+                    break
+                nxt = env.get(a.id)
+                if nxt is None:
                     got = mapping[a.id] = fresh()
-                done.append(got)
+                    break
+                a = nxt
             else:
+                if a.ground:
+                    done.append(a)
+                    continue
+                # A ``break`` here leaves the ``for``: descend into ``a``.
                 stack.append((node, done))
                 node, done = a, []
                 break
+            done.append(got)
         else:
             built = Compound(node.functor, tuple(done))
             if not stack:
@@ -516,9 +533,10 @@ def _renamed(t: Term, mapping: dict, fresh) -> Term:
             done.append(built)
 
 
-def rename_with(t: Term, mapping: dict, source: VarSource) -> Term:
-    """Rename t's variables via mapping, drawing unseen ones from source."""
-    return _renamed(t, mapping, source.fresh)
+def rename_with(t: Term, mapping: dict, source: VarSource, env: dict = _UNBOUND) -> Term:
+    """Rename t's variables via mapping, drawing unseen ones from source;
+    with ``env``, rename ``resolve(t, env)`` in the same walk."""
+    return _renamed(t, mapping, source.fresh, env)
 
 
 def _named_fresh(avoid: set) -> Iterator[Var]:

@@ -30,8 +30,9 @@ import pytest
 from deduce.derivations import extract, render_derivation_tree
 from deduce.engine import ParseOptions, check_soundness, parse
 from deduce.grammar import load_ccg, load_cf, load_tag, tokenize
+from deduce.store import ItemStore
 from deduce.systems import system_for
-from deduce.terms import canonical
+from deduce.terms import canonical, subsumes
 from conftest import goals
 from test_store import scanned_goal_items
 
@@ -175,6 +176,32 @@ def test_goal_items_agree_with_a_chart_scan(name, system, kwargs, grammar, sente
     r = run_case(system, kwargs, grammar, sentence, limit)
     patterns = goals(r.system, r.grammar, r.input)
     assert r.goal_indices == scanned_goal_items(r.store, patterns)
+
+
+@pytest.mark.parametrize("name, system, kwargs, grammar, sentence, limit", CASES,
+                         ids=[case[0] for case in CASES])
+def test_the_subsumer_is_the_first_a_linear_scan_finds(monkeypatch, name, system, kwargs,
+                                                       grammar, sentence, limit):
+    # At every enqueue that reaches it, the subsumption tree's
+    # candidates are ascending and hold every stored non-ground item, a
+    # bare variable included, that subsumes the new item, and its answer
+    # is the first of these.  A lost subsumer fails at once, before the
+    # chart it no longer closes grows.
+    subsumer = ItemStore._subsumer
+    calls = []
+
+    def checked(store, item):
+        got = subsumer(store, item)
+        candidates = list(store._generalisers(item))
+        found = [s.index for s in store.items() if not s.item.ground and subsumes(s.item, item)]
+        assert candidates == sorted(candidates) and set(found) <= set(candidates)
+        assert got == (found[0] if found else None)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(ItemStore, "_subsumer", checked)
+    run_case(system, kwargs, grammar, sentence, limit)
+    assert calls
 
 
 if __name__ == "__main__":

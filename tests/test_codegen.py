@@ -5,7 +5,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deduce.steps
@@ -460,8 +460,10 @@ def _both_ways(premises, consequent, items) -> tuple:
     and ``consequent``, fired on the first of ``items`` with all of them
     in the chart, by its program and by the interpreted walker
     ``engine._consequents``, each in canonical form."""
-    clause, store = _chart([parse_term(p) if isinstance(p, str) else p for p in premises],
-                           parse_term(consequent), [parse_term(i) for i in items])
+    def term(x):
+        return parse_term(x) if isinstance(x, str) else x
+
+    clause, store = _chart([term(p) for p in premises], term(consequent), [term(i) for i in items])
     ctx = EvalContext(None, tokenize(""), VarSource(1_000_000))
     got = [canonical(t) for _, _, t, _ in _program_firings(clause, store, 1, ctx)]
     source = VarSource(2_000_000)
@@ -534,6 +536,83 @@ def test_a_later_answer_may_hold_a_variable_an_earlier_one_bound(monkeypatch):
     assert got == want == [parse_term("out(b, g(b))")]
 
 
+# ---- the binding path, drawn at random ----
+
+_answer_leaves = _consts | st.sampled_from(["A", "B", "@0", "@1"]).map(Var)
+
+
+@st.composite
+def _rules(draw):
+    """(premises, consequent, items, answers): a rule whose trigger is
+    ``p(_, _)``, then, in either order, maybe a second ``p(_, _)``
+    premise and maybe a side condition ``rel(_, _)``; one to three
+    ``p(_, _)`` items, the first the trigger; and the answers ``rel``
+    gives, as templates in which ``@0`` and ``@1`` stand for the
+    arguments it is passed, as a builtin may pass them through, and A
+    and B are variables of its own.  Every item is a candidate of the
+    second premise, the trigger included, and ``_chart`` renames the
+    items apart."""
+    pattern = _terms(_consts | _pattern_vars, 2)
+
+    def p(arg):
+        return Compound("p", (draw(arg), draw(arg)))
+
+    rest = [p(pattern)] if draw(st.booleans()) else []
+    condition = draw(st.booleans())
+    if condition:
+        # V occurs in no chart premise, so an answer meets it first,
+        # often at both positions, where the first binds it.
+        arg = _terms(_consts | _pattern_vars, 1)
+        first = Var("V") if draw(st.booleans()) else draw(arg)
+        second = first if draw(st.booleans()) else draw(arg)
+        rest.append(SideCondition("rel", (first, second)))
+    premises = [p(pattern)] + draw(st.permutations(rest))
+    names = dict.fromkeys(v for q in premises
+                          for a in (q.args if isinstance(q, SideCondition) else (q,))
+                          for v in term_vars(a))
+    items = [p(_terms(_consts | _value_vars, 2)) for _ in range(draw(st.integers(1, 3)))]
+    answers = []
+    for _ in range(draw(st.integers(int(condition), 3))):
+        # The second position is often an instance of the first.
+        x = draw(_terms(_answer_leaves, 1))
+        y = resolve(x, {"A": Const("b")}) if draw(st.booleans()) else draw(_terms(_answer_leaves, 1))
+        answers.append((x, y))
+    return premises, Compound("out", tuple(map(Var, names))), items, answers
+
+
+def _drawn_firings(premises, consequent, items, answers) -> tuple:
+    """``_both_ways`` for a case of ``_rules``, with ``rel`` answering
+    its templates."""
+    def rel(args, ctx):
+        at = {"@0": args[0], "@1": args[1]}
+        return iter([Compound("rel", (resolve(x, at), resolve(y, at))) for x, y in answers])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(REGISTRY, "rel", rel)
+        return _both_ways(premises, consequent, items)
+
+
+# X's later occurrence meets the item variable W, which its first one
+# stored: binding W to f(W) fails the occurs check.
+OCCURS = ([parse_term("p(X, f(X))")], parse_term("out(X)"), [parse_term("p(W, W)")], [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rules())
+@example(OCCURS)
+def test_a_drawn_rule_fires_as_the_walker_does(case):
+    # The generated program against the interpreted walker, on the
+    # paths a non-ground item or answer takes: item variables at
+    # compound positions, repeated variables, an item paired with
+    # itself, and answers that hand back the variables they were passed.
+    got, want = _drawn_firings(*case)
+    assert got == want
+
+
+def test_an_item_variable_never_meets_a_term_holding_it():
+    assert _drawn_firings(*OCCURS) == ([], [])
+
+
 def test_ground_parses_never_bind_or_resolve(monkeypatch, ambiguous_grammar, toy_grammar,
                                              ccg_lexicon, counting_grammar, abn_grammar):
     # The programs' steps read ``bind`` and ``resolve`` as globals of
@@ -558,13 +637,15 @@ def test_ground_parses_never_bind_or_resolve(monkeypatch, ambiguous_grammar, toy
     # A DCG's items hold variables, so its programs bind and resolve.
     assert parse(make_earley(restriction_depth=2), abn_grammar, tokenize("a b b b")).accepted
     assert calls["bind"] > 0 and calls["resolve"] > 0
-    # A consequent reads a clause variable that ``env`` binds straight
-    # to a ground term without a ``resolve`` call: a b^40 makes 633
-    # calls, where resolving every such variable made 1,583.
+    # A step stores a first occurrence without binding it, and a
+    # consequent is resolved in the walk that renames it, so on a b^40
+    # only argument steps resolve: 9 calls and 277 binds, where binding
+    # first occurrences and resolving every consequent variable made 393
+    # and 1,169.
     calls.clear()
     b40 = tokenize("a " + " ".join(["b"] * 40))
     assert parse(make_earley(restriction_depth=2), abn_grammar, b40).accepted
-    assert 0 < calls["resolve"] <= 780
+    assert 0 < calls["resolve"] <= 20 and calls["bind"] <= 300
 
 
 # ---- names never reach the generated source ----
@@ -710,4 +791,4 @@ def test_the_volume_of_generated_code_is_pinned(monkeypatch):
         for clause in system.clauses:
             clause.program()
     assert len(terms._MAKERS) == 62
-    assert sum(map(len, terms._MAKERS)) == 56_387
+    assert sum(map(len, terms._MAKERS)) == 49_489

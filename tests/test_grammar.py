@@ -31,6 +31,7 @@ from deduce.terms import (
     VarSource,
     canonical,
     parse_term,
+    principal,
     rename_with,
     render_term,
     space_source,
@@ -263,16 +264,40 @@ def test_indexed_answers_equal_a_linear_scan(rows, data):
     # An answer is one of the table's rows itself.
     assert all(any(a is row for row in table.rows) for a in answers)
     assert unifying(answers) == unifying(scanned)
-    # A ground row answers only when it holds the first ground argument.
+    # A ground row answers only when it holds the first ground argument,
+    # a non-ground one when it holds a variable or a term of that
+    # argument's principal symbol there.
     first = next((k for k, a in enumerate(args) if a.ground), None)
     for a in answers:
         if first is not None and a.ground:
             assert a.args[first] == args[first]
+        elif first is not None:
+            assert principal(a.args[first]) in (None, principal(args[first]))
     # Non-ground rows are renamed apart when the table is built: no two
     # answers, and no answer and the arguments, share a variable.
     seen = [set(term_vars(probe))] + [set(term_vars(a)) for a in answers]
     for one, other in itertools.combinations(seen, 2):
         assert not one & other
+
+
+def test_a_non_ground_row_answers_only_under_its_principal_symbol():
+    x, y, a, b = Var("X"), Var("Y"), Const("a"), Const("b")
+    rows = [(Compound("f", (x,)),), (y,), (Compound("g", (a,)),), (Compound("f", (a,)),), (b,)]
+    table = FactTable("p", rows, space_source("facts"))
+    f_x, any_, g_a, f_a, b_ = table.rows
+
+    def answers(arg):
+        return list(table.answers((arg,)))
+
+    # A key of its own: its ground rows and the non-ground rows that
+    # agree with it, in row order.
+    assert answers(Compound("f", (a,))) == [f_x, any_, f_a]
+    assert answers(g_a.args[0]) == [any_, g_a]
+    assert answers(b) == [any_, b_]
+    # No key of its own: the non-ground rows of its principal symbol,
+    # or else those with a variable there.
+    assert answers(Compound("f", (b,))) == [f_x, any_]
+    assert answers(Compound("h", (b,))) == answers(a) == [any_]
 
 
 def test_a_grammar_builds_its_relations_once(toy_grammar):

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import deduce.store
+from deduce.engine import parse
+from deduce.grammar import tokenize
 from deduce.store import History, INITIAL, ItemStore, _key
+from deduce.systems import system_for
 from deduce.terms import (
     Compound,
     Const,
@@ -246,6 +250,47 @@ def test_a_ground_goal_finds_its_generalisers_in_the_indexes():
     s.pop()
     assert s.goal_items([goal]) == [1, 3, 4, 5]
     assert s.goal_items(patterns) == scanned_goal_items(s, patterns)
+
+
+def test_the_subsumer_is_the_first_of_several_in_chart_order():
+    # Each generaliser of p(a, b) ends in its own leaf of the tree; the
+    # leaves are merged into chart order and the first that subsumes
+    # wins.  The ground p(a, c) sits in no leaf.
+    s = ItemStore()
+    for item in ("p(a, c)", "p(a, X)", "p(Y, b)", "p(Z, W)", "X"):
+        assert s.enqueue(t(item), h(INITIAL))[1]
+    assert list(s._generalisers(t("p(a, b)"))) == [2, 3, 4, 5]
+    assert s.enqueue(t("p(a, b)"), h("scan", 1)) == (2, False)
+    assert s.enqueue(t("p(c, b)"), h("scan", 1)) == (3, False)
+    assert s.enqueue(t("q(c)"), h("scan", 1)) == (5, False)
+
+
+def test_a_subterm_below_the_tree_s_depth_is_a_wildcard():
+    # f^7(Y) and f^7(b) differ only below the tree's depth, so each is a
+    # candidate for the other, and ``subsumes`` decides.
+    s = ItemStore()
+    deep = "f(f(f(f(f(f(f({})))))))"
+    assert s.enqueue(t(deep.format("g(Y)")), h(INITIAL)) == (1, True)
+    assert list(s._generalisers(t(deep.format("b")))) == [1]
+    assert s.enqueue(t(deep.format("b")), h("scan", 1)) == (2, True)
+    assert s.enqueue(t(deep.format("g(b)")), h("scan", 1)) == (1, False)
+
+
+def test_bottom_up_dcg_checks_no_more_subsumers_than_it_enqueues(monkeypatch, abn_grammar):
+    # The subsumption tree hands ``subsumes`` only the stored items whose
+    # symbols, down to its depth, generalise the new item's: "a b b b a"
+    # makes 72 checks for its 267 enqueues, where keying the non-ground
+    # items on their top-level arguments alone made 7,898.
+    calls = []
+
+    def counted(general, specific):
+        calls.append(general)
+        return subsumes(general, specific)
+
+    monkeypatch.setattr(deduce.store, "subsumes", counted)
+    r = parse(system_for("bottomup"), abn_grammar, tokenize("a b b b a"))
+    assert r.enqueues == 267
+    assert len(calls) <= r.enqueues
 
 
 def test_goal_items_ignore_the_agenda_suffix():
