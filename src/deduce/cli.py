@@ -48,7 +48,10 @@ def grammar_class_for(path: str, explicit: "str | None") -> str:
 
 def load_grammar(path: str, klass: str):
     """The grammar in the file at ``path``, read as UTF-8 text with its
-    line endings translated as text-mode ``open`` does."""
+    line endings translated as text-mode ``open`` does.
+
+    The file is read on every call, so an edit takes effect and a
+    missing file still fails; the text is parsed by ``_parsed``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -57,7 +60,18 @@ def load_grammar(path: str, klass: str):
         raise GrammarError(
             f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
-    return _LOADERS[klass](text.replace("\r\n", "\n").replace("\r", "\n"))
+    return _parsed(klass, text.replace("\r\n", "\n").replace("\r", "\n"))
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed(klass: str, text: str):
+    """The grammar of class ``klass`` that ``text`` states, parsed once
+    per distinct text while it is among the 16 used most recently.  A hit
+    is the same frozen grammar, so its relations and the indexes they
+    have built serve every later request; a grammar error is raised
+    again on every call, never kept.  The loader is looked up here, on
+    a miss, so a wrapper put on a ``_LOADERS`` entry sees every load."""
+    return _LOADERS[klass](text)
 
 
 def build_system(args):
@@ -140,16 +154,18 @@ def cmd_derive(args) -> int:
     result = run_parse(args)
     report_halt(result)
     try:
-        lines = [
-            _render_derivation(result, d, args.format)
-            for d in extract(result, limit=args.limit)
-        ]
+        # One tree past the limit tells whether the limit cut the
+        # forest; the first ``limit`` trees are the same either way.
+        trees = extract(result, limit=args.limit + 1)
+        lines = [_render_derivation(result, d, args.format) for d in trees[:args.limit]]
     except RecursionError:
         # extract and the folds recurse once per derivation level.
         print("error: the derivation is too deep to unpack", file=sys.stderr)
         return EXIT_ERROR
     for line in lines:
         print(line)
+    if len(trees) > args.limit:
+        print(f"derive: stopped at --limit {args.limit}; more derivations exist", file=sys.stderr)
     return exit_code_for(result)
 
 
@@ -228,7 +244,8 @@ _parser = functools.cache(build_arg_parser)
 
 def main(argv=None) -> int:
     """Run one request.  May be called repeatedly in one process; the
-    grammar file is read again on every call."""
+    grammar file is read on every call, and parsed once per distinct
+    text per process, for up to 16 texts."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

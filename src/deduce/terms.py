@@ -688,7 +688,8 @@ class _TermParser:
             elif kind == "quoted":
                 t = self.const(val)
             elif kind != "name":
-                raise TermSyntaxError(f"expected a {'symbol' if symbol else 'term'}, got {val!r}")
+                got = "the end of the input" if kind is None else repr(val)
+                raise TermSyntaxError(f"expected a {'symbol' if symbol else 'term'}, got {got}")
             elif self.peek() == ("punct", "("):
                 if _is_var_name(val) and not symbol:
                     raise TermSyntaxError(f"variable {val} cannot take arguments")

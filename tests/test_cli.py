@@ -66,7 +66,9 @@ def test_a_halted_parse_is_reported_on_stderr(capsys, command, code):
             "--sentence", "a a a a a a", "--step-limit", "30")
     full = run(*argv[:-2])
     complete = capsys.readouterr()
-    assert full in (0, 1) and complete.err == ""
+    # a^6 has 42 readings, more than derive's default limit of 16.
+    cut = "derive: stopped at --limit 16; more derivations exist\n"
+    assert full in (0, 1) and complete.err == (cut if command == "derive" else "")
     assert run(*argv) == code
     halted = capsys.readouterr()
     assert halted.err == "search halted at the 30-pop step limit\n"
@@ -193,9 +195,21 @@ def test_derive_prints_distinct_earley_readings(capsys):
     code = run("derive", "--system", "earley", "--grammar", ambiguous,
                "--sentence", "a a a a a", "--limit", "16")
     assert code == 0
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert len(lines) == 14
     assert len(set(lines)) == 14
+    assert captured.err == ""  # all 14 readings fit under the limit
+
+
+def test_derive_says_when_the_limit_cut_the_forest(capsys):
+    # a^7 has 132 readings; the first 16 are printed as before.
+    code = run("derive", "--system", "earley", "--grammar", str(DATA / "ambiguous.cf"),
+               "--sentence", "a a a a a a a")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(set(captured.out.splitlines())) == 16
+    assert captured.err == "derive: stopped at --limit 16; more derivations exist\n"
 
 
 def test_derive_too_deep_to_unpack_is_an_error(tmp_path, capsys):
@@ -357,3 +371,103 @@ def test_importing_the_cli_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
                           text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "0\nTrue\n", "")
+
+
+# ---- the per-process memo of parsed grammar texts ----
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The texts each grammar loader parses, from an empty memo.  The
+    count sits on the ``_LOADERS`` entries, as the benchmark's tracer
+    wraps them."""
+    parsed = []
+    for klass, load in list(cli._LOADERS.items()):
+        def counting(text, load=load):
+            parsed.append(text)
+            return load(text)
+        monkeypatch.setitem(cli._LOADERS, klass, counting)
+    cli._parsed.cache_clear()
+    yield parsed
+    cli._parsed.cache_clear()
+
+
+def test_main_parses_a_grammar_text_once(loads, capsys):
+    for sentence in ("a program halts", "halts a program") * 2 + ("a program halts",):
+        run("parse", "--system", "earley", "--grammar", TOY, "--sentence", sentence)
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "items" not in line]
+    assert verdicts == ["accept", "reject"] * 2 + ["accept"]
+    assert loads == [pathlib.Path(TOY).read_text()]
+
+
+def test_an_edited_grammar_file_is_parsed_again(loads, tmp_path, capsys):
+    path = tmp_path / "edited.cf"
+    parse = ("parse", "--system", "earley", "--grammar", str(path), "--sentence", "a")
+    codes = []
+    for text in ("start S\nlex a S\n", "start S\nlex b S\n", "start S\nlex a S\n"):
+        path.write_text(text)
+        codes.append(run(*parse))
+    assert codes == [0, 1, 0]
+    assert len(loads) == 2  # the memo is keyed by the text, not the path
+
+
+def test_a_malformed_grammar_fails_alike_on_every_call(loads, tmp_path, capsys):
+    path = tmp_path / "cut.cf"
+    path.write_text("start S\nS -> A(\n")  # a term cut off at the end of its line
+    for _ in range(3):
+        assert run("parse", "--system", "earley", "--grammar", str(path), "--sentence", "a") == 2
+        assert capsys.readouterr().err == (
+            "grammar error: line 2: expected a term, got the end of the input\n")
+    assert len(loads) == 3  # errors are not kept
+
+
+def test_the_memo_holds_no_more_texts_than_its_bound(loads, tmp_path, capsys):
+    bound = cli._parsed.cache_info().maxsize
+    paths = []
+    for k in range(bound + 3):
+        paths.append(tmp_path / f"g{k}.cf")
+        paths[-1].write_text(f"start S\nlex w{k} S\n")
+    for k, path in enumerate(paths):
+        assert run("parse", "--system", "earley", "--grammar", str(path),
+                   "--sentence", f"w{k}") == 0
+        assert cli._parsed.cache_info().currsize <= bound
+    assert len(loads) == bound + 3
+    run("parse", "--system", "earley", "--grammar", str(paths[0]), "--sentence", "w0")
+    assert len(loads) == bound + 4  # the least recently used text was dropped
+
+
+REPEATED_REQUESTS = [
+    *[(command, "--system", "earley", "--grammar", TOY, "--sentence", "a program halts",
+       "--trace", "rules", "--format", "lines") for command in ("chart", "derive", "check")],
+    ("chart", "--system", "bottomup", "--grammar", ABN, "--sentence", "a b b b",
+     "--format", "lines"),
+    ("derive", "--system", "bottomup", "--grammar", ABN, "--sentence", "a b b b",
+     "--format", "lines"),
+    ("chart", "--system", "earley", "--grammar", ABN, "--sentence", "a b b b",
+     "--restrict", "2", "--format", "lines"),
+    ("derive", "--system", "earley", "--grammar", ABN, "--sentence", "a b b b",
+     "--restrict", "2"),
+    *[("chart", "--system", "tag", "--grammar", TRIP, "--sentence", "Trip rumbas nimbly nimbly",
+       "--foot-mode", mode, "--format", "lines") for mode in ("complete_foot", "foot_axiom")],
+    ("chart", "--system", "ccg", "--grammar", CCG, "--sentence", "John really likes bananas",
+     "--format", "lines"),
+]
+
+
+def test_a_repeated_request_prints_the_same_bytes(loads, capsys):
+    # The first pass parses each grammar afresh for every request; the
+    # next two reuse the memo's grammars, whose relations and indexes
+    # the earlier requests built (abn.dcg's reduction trie renames its
+    # non-ground rows from the grammar's own variable source).
+    passes, loaded = [], []
+    for cold in (True, False, False):
+        outputs = []
+        for argv in REPEATED_REQUESTS:
+            if cold:
+                cli._parsed.cache_clear()
+            code = run(*argv)
+            outputs.append((code, *capsys.readouterr()))
+        passes.append(outputs)
+        loaded.append(len(loads))
+    assert passes[0] == passes[1] == passes[2]
+    assert all(code == 0 for code, _, _ in passes[0])
+    assert loaded[0] == len(REPEATED_REQUESTS) and loaded[2] == loaded[1]

@@ -205,6 +205,10 @@ def test_memoized_extract_equals_the_plain_recursion(
             got = [render_derivation_tree(r, d) for d in extract(r, limit=limit)]
             want = [render_derivation_tree(r, d) for d in reference_extract(r, limit)]
             assert got == want, (system.name, sentence, limit)
+            # ``deduce derive`` asks for one tree past its limit to learn
+            # whether the limit cut the forest, and prints the first ``limit``.
+            longer = [render_derivation_tree(r, d) for d in extract(r, limit=limit + 1)]
+            assert longer[:limit] == got, (system.name, sentence, limit)
 
 
 def test_extract_reads_each_stored_item_a_bounded_number_of_times(
