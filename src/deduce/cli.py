@@ -95,6 +95,8 @@ def read_sentence(args) -> str:
 def run_parse(args):
     system = build_system(args)
     grammar = load_grammar(args.grammar, grammar_class_for(args.grammar, args.grammar_class))
+    for warning in getattr(grammar, "warnings", ()):
+        print(f"warning: {args.grammar}: {warning}", file=sys.stderr)
     w = tokenize(read_sentence(args))
     options = ParseOptions(step_limit=args.step_limit, trace=args.trace or "off")
     result = parse(system, grammar, w, options, trace_out=sys.stderr)

@@ -204,38 +204,70 @@ def _consequents(clause, candidates, answers, source, state=None):
     got (a shared fact-table row).  The callers decide what the
     candidates and answers are: there is no agenda, index, subsumption
     or generated program here.
+
+    The walk is one loop over a stack of choice points, one per premise
+    entered: its candidates or answers left to try, a side condition's
+    resolved arguments, the trail's length on entry, the answers the
+    firing got before it and the state handed to it.  Each choice
+    starts from its frame's trail mark, and a premise's candidates or
+    answers are asked for only when a choice of the premise before it
+    binds, so the order of calls and consequents is that of a recursive
+    depth-first walk.
     """
     trigger, premises, consequent = clause.compiled
     if trigger is not None:
         premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
+    last = len(premises)
     env: dict = {}
     trail: list = []
-
-    def walk(k, state, got):
-        if k == len(premises):
+    stack: list = []  # (choices, pattern, args, mark, got, state) per premise entered
+    got: tuple = ()
+    while True:
+        k = len(stack)
+        if k == last:
             yield resolve(consequent, env)
-            return
-        p = premises[k]
-        mark = len(trail)
-        if isinstance(p, SideCondition):
-            args = tuple(resolve(a, env) for a in p.args)
-            for answer in answers(p, args):
-                for a in got:
-                    if a is answer:
-                        answer = rename_with(answer, {}, source)
-                for x, u in zip(args, answer.args):
-                    if u is not x and not bind(x, u, env, trail):
-                        break
-                else:
-                    yield from walk(k + 1, state, got + (answer,))
-                undo(env, trail, mark)
         else:
-            for t, after in candidates(p.slot, state):
-                if bind(p.pattern, t, env, trail):
-                    yield from walk(k + 1, after, got)
+            p = premises[k]
+            if type(p) is SideCondition:
+                args = tuple([resolve(a, env) for a in p.args])
+                stack.append((iter(answers(p, args)), None, args, len(trail), got, state))
+            else:
+                stack.append((iter(candidates(p.slot, state)), p.pattern, None, len(trail), got,
+                              state))
+        # The next choice of the deepest premise that has one left.
+        while stack:
+            choices, pattern, args, mark, got, state = stack[-1]
+            if len(trail) > mark:
                 undo(env, trail, mark)
-
-    return walk(0, state, ())
+            if args is None:
+                for t, after in choices:
+                    if bind(pattern, t, env, trail):
+                        state = after
+                        break
+                    if len(trail) > mark:
+                        undo(env, trail, mark)
+                else:
+                    stack.pop()
+                    continue
+            else:
+                for answer in choices:
+                    for a in got:
+                        if a is answer:
+                            answer = rename_with(answer, {}, source)
+                    for x, u in zip(args, answer.args):
+                        if u is not x and not bind(x, u, env, trail):
+                            break
+                    else:
+                        got += (answer,)
+                        break
+                    if len(trail) > mark:
+                        undo(env, trail, mark)
+                else:
+                    stack.pop()
+                    continue
+            break
+        else:
+            return
 
 
 def fire(rules, answers, source) -> list:

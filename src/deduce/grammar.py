@@ -91,13 +91,15 @@ class FactTable:
     once, from ``fresh``, which the tables of one grammar share, so no
     two of its rows share a variable.
 
-    ``answers(args)`` iterates over the rows that may unify with
+    ``answers(args)`` is the sequence of the rows that may unify with
     ``name(args)``, in row order, looked up at the first ground
     argument: the ground rows holding it at its position, and the
     non-ground rows holding a variable there or a term of its principal
     symbol; with no ground argument, every row.  An answer is the row
-    itself.  A position's index is built when a call first looks it
-    up, so a position no call binds first costs nothing.
+    itself, and the sequence is the table's own, shared by every call
+    that looks up the same key, so a caller must not change it.  A
+    position's index is built when a call first looks it up, so a
+    position no call binds first costs nothing.
     """
 
     __slots__ = ("rows", "_by_arg")
@@ -146,8 +148,8 @@ class FactTable:
                 found = keyed.get(a)
                 if found is None:
                     found = other.get(principal(a), wild)
-                return iter(found)
-        return iter(self.rows)
+                return found
+        return self.rows
 
 
 class ReductionTrie:
@@ -164,12 +166,12 @@ class ReductionTrie:
     ``answers(args)`` walks the stack ``args[0]`` from its top, as deep
     as the trie goes: a stack element that is a variable follows every
     child, any other its principal symbol's child and the variables'.
-    The rows met answer in row order, each as ``reduction(rev(G') ++
-    Suffix, B', Suffix)``, where ``Suffix`` is the stack's own sub-term
-    below the symbols met and a non-ground row is renamed apart for
-    each answer, from the grammar's "facts" space.  Where the walk needs
-    an element past the stack's last cell, the stack must end in
-    ``[]``, or ``SideConditionError`` is raised.
+    The rows met answer in row order, in a new list, each as
+    ``reduction(rev(G') ++ Suffix, B', Suffix)``, where ``Suffix`` is
+    the stack's own sub-term below the symbols met and a non-ground row
+    is renamed apart for each answer, from the grammar's "facts" space.
+    Where the walk needs an element past the stack's last cell, the
+    stack must end in ``[]``, or ``SideConditionError`` is raised.
     """
 
     __slots__ = ("_root", "_fresh")
@@ -214,7 +216,7 @@ class ReductionTrie:
             for s in rhs:
                 stack = Compound(".", (s, stack))
             out.append(Compound("reduction", (stack, lhs, suffix)))
-        return iter(out)
+        return out
 
 
 # ---- context-free / DCG ----

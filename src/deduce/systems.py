@@ -33,6 +33,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable
 
 from .grammar import (
@@ -420,19 +421,36 @@ class EvalContext:
     source: VarSource
 
 
-def builtin_answers(builtin: str, args: tuple, ctx) -> list:
-    """Every answer of the side condition ``builtin`` on ``args``, each
-    checked to be a term ``builtin(...)`` of one argument per argument."""
+def builtin_answers(builtin: str, args: tuple, ctx):
+    """Every answer of the side condition ``builtin`` on ``args``, a
+    sequence the caller may iterate again but must not change.
+
+    The ``REGISTRY`` entry is called on every call.  A relation's
+    answers (``FactTable``, ``ReductionTrie``) are handed over as the
+    table built them: its rows are ``builtin(...)`` terms of the table's
+    arity by construction, so only that arity is checked against the
+    call's, on the first answer.  A registered evaluator's answers are
+    copied into a list and each is checked to be a term ``builtin(...)``
+    of one argument per argument."""
     fn = REGISTRY.get(builtin)
     if fn is None:
         raise UnknownBuiltinError(builtin)
-    answers = list(fn(args, ctx))
+    found = fn(args, ctx)
+    if type(found) is _TableAnswers:
+        answers = found.rows
+        if answers and len(answers[0].args) != len(args):
+            raise _not_an_answer(builtin, answers[0], args)
+        return answers
+    answers = list(found)
     for answer in answers:
         if (type(answer) is not Compound or answer.functor != builtin
                 or len(answer.args) != len(args)):
-            raise SideConditionError(
-                f"{builtin} answered {answer!r}, not a {builtin}/{len(args)} term")
+            raise _not_an_answer(builtin, answer, args)
     return answers
+
+
+def _not_an_answer(builtin: str, answer, args) -> SideConditionError:
+    return SideConditionError(f"{builtin} answered {answer!r}, not a {builtin}/{len(args)} term")
 
 
 def _int_of(t: Term):
@@ -515,6 +533,19 @@ def _eval_restrict(args, ctx):
     yield Compound("restrict", (t, d, abstract_depth(t, depth, ctx.source)))
 
 
+class _TableAnswers(chain):
+    """The answers of one call of a relation, as its table built them.
+    ``builtin_answers`` hands ``rows`` over whole; anything else that
+    calls the ``REGISTRY`` entry iterates over them once, as over any
+    evaluator's answers: a ``chain`` over the one sequence, so that
+    iteration runs in C."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
 def _relation(name: str, args, ctx):
     """The answers of the relation ``name`` from the table of the input
     string or else of the grammar (``FactTable``, ``ReductionTrie``),
@@ -526,7 +557,7 @@ def _relation(name: str, args, ctx):
         except (AttributeError, KeyError):
             raise SideConditionError(
                 f"neither the input nor the grammar has a {name} relation") from None
-    return table.answers(args)
+    return _TableAnswers(table.answers(args))
 
 
 REGISTRY: dict = {

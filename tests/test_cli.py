@@ -420,6 +420,32 @@ def test_a_malformed_grammar_fails_alike_on_every_call(loads, tmp_path, capsys):
     assert len(loads) == 3  # errors are not kept
 
 
+@pytest.mark.parametrize("command", ["parse", "chart", "derive", "check"])
+def test_a_grammar_s_warnings_go_to_stderr_on_every_request(loads, tmp_path, capsys, command):
+    # X has no production or lexicon entry, so every sentence is
+    # rejected; the warning says why, on the memo's hits as well.
+    path = tmp_path / "unreachable.cf"
+    path.write_text("start X\nS -> a\nlex a S\n")
+    argv = (command, "--system", "earley", "--grammar", str(path), "--sentence", "a")
+    warning = f"warning: {path}: start symbol X has no production or lexicon entry\n"
+    cli._parsed.cache_clear()
+    cold = run(*argv), *capsys.readouterr()
+    warm = run(*argv), *capsys.readouterr()
+    assert len(loads) == 1
+    assert cold == warm
+    assert cold[0] == (0 if command == "check" else 1)
+    assert cold[2] == warning
+    if command == "parse":
+        assert cold[1].splitlines()[0] == "reject"
+
+
+def test_a_grammar_without_warnings_writes_nothing_to_stderr(capsys):
+    for _ in range(2):
+        assert run("parse", "--system", "earley", "--grammar", TOY,
+                   "--sentence", "a program halts") == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_the_memo_holds_no_more_texts_than_its_bound(loads, tmp_path, capsys):
     bound = cli._parsed.cache_info().maxsize
     paths = []

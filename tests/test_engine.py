@@ -6,24 +6,31 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deduce.engine import (
     EngineError,
     ParseOptions,
+    _consequents,
     check_soundness,
     consequences,
+    fire,
     naive_closure,
     parse,
 )
-from deduce.grammar import CfGrammar, load_cf, tokenize
+from deduce.grammar import CfGrammar, FactTable, load_cf, tokenize
 from deduce.store import INITIAL, History
 from deduce.systems import (
     REGISTRY,
     DeductionSystem,
+    EvalContext,
     GrammarNotCnf,
+    ItemPremise,
     Rule,
     RuleClause,
     SideCondition,
+    builtin_answers,
     make_bottomup,
     make_ccg,
     make_cyk,
@@ -36,11 +43,17 @@ from deduce.store import ItemStore
 from deduce.terms import (
     NIL,
     Compound,
+    Const,
+    Var,
     VarSource,
+    bind,
     canonical,
     mklist,
     parse_term,
+    rename_with,
+    resolve,
     term_vars,
+    undo,
 )
 
 from conftest import axiom_rules
@@ -600,3 +613,160 @@ def test_parse_options_are_validated():
         ParseOptions(trace="loud")
     with pytest.raises(ValueError):
         ParseOptions(step_limit=-1)
+
+
+# ---- the walker's order, against a recursive reference ----
+
+def reference_consequents(clause, candidates, answers, source, state=None):
+    """The interpreted premise walker written recursively, one generator
+    per premise, each consequent handed up a ``yield from`` chain: the
+    test's own copy, whose consequents ``_consequents`` must yield term
+    for term and in the same order."""
+    trigger, premises, consequent = clause.compiled
+    if trigger is not None:
+        premises = (ItemPremise(trigger, clause.trigger_slot),) + premises
+    env: dict = {}
+    trail: list = []
+
+    def walk(k, state, got):
+        if k == len(premises):
+            yield resolve(consequent, env)
+            return
+        p = premises[k]
+        mark = len(trail)
+        if isinstance(p, SideCondition):
+            args = tuple(resolve(a, env) for a in p.args)
+            for answer in answers(p, args):
+                for a in got:
+                    if a is answer:
+                        answer = rename_with(answer, {}, source)
+                for x, u in zip(args, answer.args):
+                    if u is not x and not bind(x, u, env, trail):
+                        break
+                else:
+                    yield from walk(k + 1, state, got + (answer,))
+                undo(env, trail, mark)
+        else:
+            for t, after in candidates(p.slot, state):
+                if bind(p.pattern, t, env, trail):
+                    yield from walk(k + 1, after, got)
+                undo(env, trail, mark)
+
+    return walk(0, state, ())
+
+
+def _walked(walker, clause, items, tables) -> tuple:
+    """(the canonical consequents, the calls made for candidates and
+    answers) of ``walker`` on ``clause``.  Each chart premise is offered
+    the ``items``, renamed apart, that its state lets through, the state
+    growing by the index taken, so a state handed to the wrong premise
+    shows as other candidates; a side condition is answered by the
+    relation's ``FactTable``, whose answers are its own rows."""
+    source = VarSource(1_000_000)
+    calls = []
+
+    def candidates(slot, state):
+        calls.append(("candidates", slot, state))
+        return [(rename_with(t, {}, source), state + (i,))
+                for i, t in enumerate(items) if (sum(state) + slot + i) % 3 != 2]
+
+    def answers(p, args):
+        calls.append(("answers", p.builtin, canonical(Compound("args", args))))
+        return tables[p.builtin].answers(args)
+
+    out = [canonical(t) for t in walker(clause, candidates, answers, source, ())]
+    return out, calls
+
+
+_leaves = st.sampled_from(["a", "b"]).map(Const) | st.sampled_from(["X", "Y", "Z"]).map(Var)
+_value_leaves = st.sampled_from(["a", "b"]).map(Const) | st.sampled_from(["U", "W"]).map(Var)
+
+
+def _args(leaves):
+    return leaves | st.tuples(leaves).map(lambda a: Compound("f", a))
+
+
+@st.composite
+def _walks(draw):
+    """(premises, chart items, table rows): one to three premises, each
+    a chart premise ``p(_, _)`` or a side condition ``r(_, _)`` or
+    ``s(_, _)``; the ``p(_, _)`` items every chart premise is offered;
+    and one to three rows per relation, which may hold variables, so
+    one row may answer two conditions of one firing."""
+    arg = _args(_leaves)
+    premises = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            premises.append(Compound("p", (draw(arg), draw(arg))))
+        else:
+            premises.append(SideCondition(draw(st.sampled_from("rs")), (draw(arg), draw(arg))))
+    value = _args(_value_leaves)
+    items = draw(st.lists(st.tuples(value, value), min_size=1, max_size=3))
+    rows = {name: draw(st.lists(st.tuples(value, value), min_size=1, max_size=3)) for name in "rs"}
+    return premises, [Compound("p", a) for a in items], rows
+
+
+# r(U, f(U)) answers both conditions; read as one term twice, its U
+# would have to equal f(U).
+SHARED_ROW = ([SideCondition("r", (Var("X"), Var("Y"))), SideCondition("r", (Var("Y"), Var("Z")))],
+              [Compound("p", (Const("a"), Const("b")))],
+              {"r": [(Var("U"), Compound("f", (Var("U"),)))], "s": [(Const("a"), Const("a"))]})
+
+
+def _walk_both(premises, items, rows) -> list:
+    """Each clause of the rule of ``premises``, whose consequent holds
+    every variable they name, walked by ``_consequents`` and by the
+    reference: the pairs of (consequents, calls)."""
+    names = dict.fromkeys(v for q in premises for a in q.args for v in term_vars(a))
+    rule = Rule("drawn", premises, Compound("out", tuple(map(Var, names))))
+    fresh = VarSource(2_000_000)
+    tables = {name: FactTable(name, found, fresh) for name, found in rows.items()}
+    return [(_walked(_consequents, clause, items, tables),
+             _walked(reference_consequents, clause, items, tables))
+            for clause in rule.clauses]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_walks())
+@example(SHARED_ROW)
+def test_the_walker_yields_the_reference_s_consequents_in_order(case):
+    for got, want in _walk_both(*case):
+        assert got == want
+
+
+def test_a_row_answering_two_conditions_is_renamed_by_both_walkers():
+    [((got, _), (want, _))] = _walk_both(*SHARED_ROW)
+    assert got == want == [canonical(parse_term("out(U, f(U), f(f(U)))"))]
+
+
+FIRED = [
+    (make_topdown(), "toy_grammar", "a program halts"),
+    (make_bottomup(), "toy_grammar", "a program halts"),
+    (make_earley(), "toy_grammar", "a program halts"),
+    (make_topdown(), "abn_grammar", "a b b b"),
+    (make_bottomup(), "abn_grammar", "a b b b"),
+    (make_earley(restriction_depth=2), "abn_grammar", "a b b b"),
+    (make_earley(), "ambiguous_grammar", "a a a"),
+    (make_cyk(), "ambiguous_grammar", "a a a"),
+    (make_cyk(), "cnf_ab_grammar", "a b"),
+    (make_ccg(), "ccg_lexicon", "John really likes bananas"),
+    (make_tag(), "trip_grammar", "Trip rumbas nimbly nimbly"),
+    (make_tag("foot_axiom"), "trip_grammar", "Trip rumbas nimbly nimbly"),
+    (make_tag(), "counting_grammar", "a a b b c c d d"),
+]
+
+
+@pytest.mark.parametrize("system, grammar, sentence", FIRED)
+def test_fire_yields_the_reference_s_axioms_and_goals(system, grammar, sentence, request):
+    grammar = request.getfixturevalue(grammar)
+    w = tokenize(sentence)
+    rules = [*system.axiom_rules, system.goal]
+    ctx = EvalContext(grammar, w, VarSource(1_000_000))
+
+    def answers(p, args):
+        return builtin_answers(p.builtin, args, ctx)
+
+    got = [canonical(t) for t in fire(rules, answers, ctx.source)]
+    want = [canonical(t) for rule in rules
+            for t in reference_consequents(rule.clauses[0], None, answers, ctx.source)]
+    assert got == want and len(got) > 1

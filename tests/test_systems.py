@@ -771,6 +771,48 @@ def test_builtins_on_the_wrong_grammar_class_complain(ccg_lexicon):
         eval_side_condition("production", (Var("A"), Var("G")), ccg_lexicon, w)
 
 
+def _short_word_system() -> DeductionSystem:
+    """``word/3`` called with two arguments, by an axiom rule, which the
+    interpreted walker fires, and by an inference rule, which runs as a
+    clause program."""
+    return DeductionSystem(
+        name="short_word",
+        grammar_class=CfGrammar,
+        rules=(Rule("start", [SideCondition("word", (t("I"), t("J")))], t("span(I, J)")),
+               Rule("go", [t("span(I, J)"), SideCondition("word", (t("J"), t("K")))],
+                    t("span(I, K)"))),
+    )
+
+
+def test_a_table_called_with_too_few_arguments_names_the_arity(toy_grammar):
+    from deduce.systems import SideConditionError
+
+    message = r"^word answered word\(0, 1, a\), not a word/2 term$"
+    with pytest.raises(SideConditionError, match=message):
+        parse(_short_word_system(), toy_grammar, tokenize("a program halts"))
+    # The same through a clause program: the input's one word answers
+    # the axiom rule's call, so only the other rule's calls can raise.
+    system = DeductionSystem(
+        name="short_word_late",
+        grammar_class=CfGrammar,
+        rules=(Rule("start", [SideCondition("word", (t("I"), t("J"), t("W")))], t("span(I, J)")),
+               *_short_word_system().rules[1:]),
+    )
+    late = r"^word answered word\(1, 2, b\), not a word/2 term$"
+    with pytest.raises(SideConditionError, match=late):
+        parse(system, toy_grammar, tokenize("a b"))
+    with pytest.raises(SideConditionError, match=message):
+        eval_side_condition("word", (Var("I"), Var("J")), toy_grammar, tokenize("a"))
+
+
+def test_an_empty_table_answers_nothing_without_raising(toy_grammar):
+    w = tokenize("")
+    for args in ((Var("I"), Var("J"), Var("W")), (Var("I"), Var("J")), (Const(0),)):
+        assert eval_side_condition("word", args, toy_grammar, w) == []
+    r = parse(_short_word_system(), toy_grammar, w)
+    assert len(r.store) == 0 and check_soundness(r) == []
+
+
 # ---- restricted prediction ----
 
 def test_restricted_prediction_abstracts_deep_arguments(toy_grammar):
